@@ -220,45 +220,82 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     best.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Top-K selection over an explicit candidate shortlist, in **any** arrival
-/// order: keeps the `k` best `(item, score)` pairs under the exact ordering
+/// A running top-K selection over candidates in **any** arrival order:
+/// keeps the `k` best `(item, score)` pairs under the exact ordering
 /// [`top_k_indices`] uses — score descending, ties toward the smaller item
-/// index — and skips `NEG_INFINITY` (masked) entries. Feeding every index
-/// of a score slice through this function reproduces
-/// `top_k_indices(scores, k)` bit for bit, which is what lets an
-/// approximate retrieval tier re-rank a shortlist and stay byte-compatible
-/// with the exact full-scan path whenever the shortlist covers the catalog.
+/// index — and skips `NEG_INFINITY` (masked) entries. Offering every index
+/// of a score slice reproduces `top_k_indices(scores, k)` bit for bit,
+/// which is what lets an approximate retrieval tier re-rank a shortlist and
+/// stay byte-compatible with the exact full-scan path whenever the
+/// shortlist covers the catalog. [`TopK::worst`] is readable mid-scan, so
+/// such a tier can prune candidates that cannot place.
 ///
 /// Scores must not be NaN (same contract as [`top_k_indices`]).
+#[derive(Debug, Clone)]
+pub struct TopK {
+    k: usize,
+    /// Sorted by (score desc, index asc).
+    best: Vec<(f64, usize)>,
+}
+
+impl TopK {
+    /// An empty selection of at most `k` entries.
+    pub fn new(k: usize) -> Self {
+        Self { k, best: Vec::with_capacity(k + 1) }
+    }
+
+    /// True once `k` entries are held.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.best.len() == self.k
+    }
+
+    /// Score of the current worst entry — the k-th best once
+    /// [`TopK::is_full`]; `NEG_INFINITY` while empty.
+    #[inline]
+    pub fn worst(&self) -> f64 {
+        self.best.last().map_or(f64::NEG_INFINITY, |&(s, _)| s)
+    }
+
+    /// Offers item `i` with score `s`.
+    #[inline]
+    pub fn offer(&mut self, i: usize, s: f64) {
+        if self.k == 0 || s == f64::NEG_INFINITY {
+            return;
+        }
+        // Unlike `top_k_indices` the acceptance test must compare the index
+        // too: an equal-score candidate with a smaller index arriving late
+        // still has to displace the current worst.
+        if self.is_full() {
+            let (ws, wi) = self.best[self.k - 1];
+            if s < ws || (s == ws && i > wi) {
+                return;
+            }
+        }
+        let pos = self.best.partition_point(|&(bs, bi)| bs > s || (bs == s && bi < i));
+        self.best.insert(pos, (s, i));
+        if self.best.len() > self.k {
+            self.best.pop();
+        }
+    }
+
+    /// The selected `(item, score)` pairs, best first.
+    pub fn into_sorted(self) -> Vec<(usize, f64)> {
+        self.best.into_iter().map(|(s, i)| (i, s)).collect()
+    }
+}
+
+/// Top-K selection over an explicit candidate shortlist through [`TopK`]:
+/// the `k` best `(item, score)` pairs, best first.
 pub fn top_k_scored(
     candidates: impl IntoIterator<Item = (usize, f64)>,
     k: usize,
 ) -> Vec<(usize, f64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Sorted insertion buffer ordered by (score desc, index asc); unlike
-    // `top_k_indices` the acceptance test must compare the index too, since
-    // an equal-score candidate with a smaller index arriving late still has
-    // to displace the current worst.
-    let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
+    let mut top = TopK::new(k);
     for (i, s) in candidates {
-        if s == f64::NEG_INFINITY {
-            continue;
-        }
-        if best.len() == k {
-            let (ws, wi) = best[k - 1];
-            if s < ws || (s == ws && i > wi) {
-                continue;
-            }
-        }
-        let pos = best.partition_point(|&(bs, bi)| bs > s || (bs == s && bi < i));
-        best.insert(pos, (s, i));
-        if best.len() > k {
-            best.pop();
-        }
+        top.offer(i, s);
     }
-    best.into_iter().map(|(s, i)| (i, s)).collect()
+    top.into_sorted()
 }
 
 #[cfg(test)]

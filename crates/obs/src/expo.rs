@@ -1,5 +1,5 @@
 //! Prometheus-style text exposition: `name{label="value"} value` lines
-//! rendered from metric snapshots, so a scrape of the serving layer (or
+//! rendered from a registry snapshot, so a scrape of the serving layer (or
 //! any process holding a [`crate::Telemetry`]) needs no client library.
 //!
 //! The format follows the Prometheus text conventions close enough for
@@ -17,9 +17,9 @@
 //! ```
 //!
 //! Names are sanitized to `[a-zA-Z0-9_:]` (dots in registry names become
-//! underscores) and each metric family is emitted at most once — the first
-//! writer wins, so callers can layer authoritative sources (e.g. the serve
-//! `Stats` counters) over a telemetry registry that mirrors some of them.
+//! underscores). The serving layer renders one registry, which holds each
+//! name once, so each family appears once: counters first, then gauges,
+//! then histograms, each kind in registration order.
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 
@@ -31,7 +31,6 @@ pub const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0
 #[derive(Debug, Default)]
 pub struct Exposition {
     out: String,
-    emitted: Vec<String>,
 }
 
 /// Sanitizes a metric name: every byte outside `[a-zA-Z0-9_:]` becomes
@@ -69,16 +68,6 @@ impl Exposition {
         Self::default()
     }
 
-    /// True when a family with this (sanitized) name was already emitted;
-    /// records it otherwise. First writer wins.
-    fn claim(&mut self, family: &str) -> bool {
-        if self.emitted.iter().any(|e| e == family) {
-            return false;
-        }
-        self.emitted.push(family.to_string());
-        true
-    }
-
     /// Appends a counter family. `_total` is appended to the name unless
     /// already present (Prometheus counter convention).
     pub fn counter(&mut self, name: &str, v: u64) {
@@ -86,18 +75,12 @@ impl Exposition {
         if !family.ends_with("_total") {
             family.push_str("_total");
         }
-        if !self.claim(&family) {
-            return;
-        }
         self.out.push_str(&format!("# TYPE {family} counter\n{family} {v}\n"));
     }
 
     /// Appends a gauge family.
     pub fn gauge(&mut self, name: &str, v: f64) {
         let family = metric_name(name);
-        if !self.claim(&family) {
-            return;
-        }
         self.out.push_str(&format!("# TYPE {family} gauge\n{family} {}\n", fmt_value(v)));
     }
 
@@ -105,9 +88,6 @@ impl Exposition {
     /// per entry of [`QUANTILES`], plus `_sum`, `_count`, and `_max`.
     pub fn summary(&mut self, name: &str, h: &HistogramSnapshot) {
         let family = metric_name(name);
-        if !self.claim(&family) {
-            return;
-        }
         self.out.push_str(&format!("# TYPE {family} summary\n"));
         for (q, label) in QUANTILES {
             self.out.push_str(&format!(
@@ -122,8 +102,6 @@ impl Exposition {
 
     /// Appends every metric of a registry snapshot, each name prefixed
     /// with `prefix` (pass `"logirec_"` for the standard namespace).
-    /// Families already emitted are skipped, so authoritative sources
-    /// appended earlier win over registry mirrors of the same series.
     pub fn snapshot(&mut self, prefix: &str, snap: &MetricsSnapshot) {
         for (name, v) in &snap.counters {
             self.counter(&format!("{prefix}{name}"), *v);
@@ -185,19 +163,6 @@ mod tests {
         assert!(s.contains("lat_us_sum 1104"));
         assert!(s.contains("lat_us_count 5"));
         assert!(s.contains("lat_us_max 1000"));
-    }
-
-    #[test]
-    fn first_writer_wins_on_duplicate_families() {
-        let mut e = Exposition::new();
-        e.counter("serve.requests", 10);
-        e.counter("serve.requests", 99); // registry mirror; dropped
-        e.gauge("x", 1.0);
-        e.gauge("x", 2.0);
-        let s = e.render();
-        assert!(s.contains("serve_requests_total 10"));
-        assert!(!s.contains("99"), "{s}");
-        assert_eq!(s.matches("# TYPE x gauge").count(), 1);
     }
 
     #[test]

@@ -101,9 +101,9 @@ pub fn bucket_lower(i: usize) -> u64 {
 pub struct Histogram(pub(crate) Option<Arc<HistogramCore>>);
 
 impl Histogram {
-    /// An always-recording histogram that belongs to no registry. The
-    /// serving layer uses these for latency percentiles that must be
-    /// available even when telemetry is disabled.
+    /// An always-recording histogram that belongs to no registry and so
+    /// never appears in a snapshot or exposition — for measuring a
+    /// distribution without a [`crate::Telemetry`] handle.
     pub fn standalone() -> Self {
         Histogram(Some(Arc::new(HistogramCore::new())))
     }

@@ -39,6 +39,7 @@
 use std::time::Instant;
 
 use logirec_core::Geometry;
+use logirec_eval::ranking::TopK;
 use logirec_hyperbolic::lorentz;
 use logirec_linalg::{cluster, ops, Embedding, Scalar};
 
@@ -262,7 +263,7 @@ impl ClusterIndex {
         // exhaustive probe the tier promises bit-identity with the exact
         // scan, so no float-boundary pruning decision may drop an item.
         let prune = nprobe < clusters;
-        let mut best = Shortlist::new(k);
+        let mut best = TopK::new(k);
         let mut report = ProbeReport {
             clusters,
             n_items: self.n_items,
@@ -271,7 +272,7 @@ impl ClusterIndex {
 
         for &(key, c) in order.iter().take(nprobe) {
             let c = c as usize;
-            if prune && best.full() {
+            if prune && best.is_full() {
                 // Best score any member of `c` can reach, from the radius
                 // bound, with a small slack so f64 bound vs (possibly f32)
                 // exact score can only under-prune, never over-prune.
@@ -306,61 +307,8 @@ impl ClusterIndex {
             }
         }
 
-        let (items, scores) = best.into_sorted();
+        let (items, scores) = best.into_sorted().into_iter().unzip();
         (items, scores, report)
-    }
-}
-
-/// The running top-K shortlist: `(score desc, index asc)`, the exact
-/// ordering of `logirec_eval::ranking::top_k_indices` / `top_k_scored`
-/// (property-tested against both), kept inline so pruning can read the
-/// current k-th best without a second pass.
-struct Shortlist {
-    k: usize,
-    best: Vec<(f64, usize)>,
-}
-
-impl Shortlist {
-    fn new(k: usize) -> Self {
-        Self { k, best: Vec::with_capacity(k + 1) }
-    }
-
-    fn full(&self) -> bool {
-        self.best.len() == self.k
-    }
-
-    /// Score of the current k-th best (only meaningful when full).
-    fn worst(&self) -> f64 {
-        self.best.last().map_or(f64::NEG_INFINITY, |&(s, _)| s)
-    }
-
-    fn offer(&mut self, i: usize, s: f64) {
-        if self.k == 0 || s == f64::NEG_INFINITY {
-            return;
-        }
-        if self.full() {
-            let (ws, wi) = self.best[self.k - 1];
-            if s < ws || (s == ws && i > wi) {
-                return;
-            }
-        }
-        let pos = self
-            .best
-            .partition_point(|&(bs, bi)| bs > s || (bs == s && bi < i));
-        self.best.insert(pos, (s, i));
-        if self.best.len() > self.k {
-            self.best.pop();
-        }
-    }
-
-    fn into_sorted(self) -> (Vec<usize>, Vec<f64>) {
-        let mut items = Vec::with_capacity(self.best.len());
-        let mut scores = Vec::with_capacity(self.best.len());
-        for (s, i) in self.best {
-            items.push(i);
-            scores.push(s);
-        }
-        (items, scores)
     }
 }
 
@@ -407,8 +355,8 @@ mod tests {
         for u in 0..users.rows() {
             let (got, scores, report) = idx.search(users.row(u), &items, &seen, 10, 16);
             assert_eq!(got, full_scan(users.row(u), &items, &seen, 10), "user {u}");
-            // And scores bit-match the exact kernel (plus the eval helper
-            // agrees with the inline shortlist).
+            // And scores bit-match the exact kernel through the eval
+            // helper.
             let pairs: Vec<(usize, f64)> = (0..items.rows())
                 .filter(|v| seen.binary_search(v).is_err())
                 .map(|v| (v, -lorentz::distance(users.row(u), items.row(v)).to_f64()))

@@ -34,7 +34,7 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -78,8 +78,10 @@ pub struct ServerConfig {
     pub force_approx: bool,
     /// Hot-swap reload watching (off by default).
     pub watch: Option<WatchConfig>,
-    /// Telemetry sink for the serve span hierarchy, counters, and latency
-    /// histograms.
+    /// Telemetry sink for the serve span hierarchy. When enabled, it is
+    /// also the registry the server's counters and latency histograms live
+    /// in, so servers sharing one enabled handle share those metrics; when
+    /// disabled, each server keeps its metrics in a private registry.
     pub telemetry: Telemetry,
     /// Deterministic serve-path faults (tests only).
     #[cfg(feature = "fault-injection")]
@@ -104,52 +106,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Telemetry-independent request/reload counters, readable via the
-/// `{"stats":true}` admin request or [`Server::stats`] even when telemetry
-/// is disabled.
-#[derive(Debug)]
-struct Stats {
-    requests: AtomicU64,
-    exact: AtomicU64,
-    approx: AtomicU64,
-    fallback: AtomicU64,
-    shed: AtomicU64,
-    errors: AtomicU64,
-    reload_success: AtomicU64,
-    reload_rejected: AtomicU64,
-    fold_in_success: AtomicU64,
-    fold_in_rejected: AtomicU64,
-    conn_drops: AtomicU64,
-    // Standalone (registry-free) latency histograms per served_by path, so
-    // `{"stats":true}` percentiles work even with telemetry disabled.
-    lat_exact: Histogram,
-    lat_approx: Histogram,
-    lat_fallback: Histogram,
-    lat_shed: Histogram,
-}
-
-impl Default for Stats {
-    fn default() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            exact: AtomicU64::new(0),
-            approx: AtomicU64::new(0),
-            fallback: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            reload_success: AtomicU64::new(0),
-            reload_rejected: AtomicU64::new(0),
-            fold_in_success: AtomicU64::new(0),
-            fold_in_rejected: AtomicU64::new(0),
-            conn_drops: AtomicU64::new(0),
-            lat_exact: Histogram::standalone(),
-            lat_approx: Histogram::standalone(),
-            lat_fallback: Histogram::standalone(),
-            lat_shed: Histogram::standalone(),
-        }
-    }
-}
-
 /// A point-in-time copy of the server counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
@@ -159,11 +115,12 @@ pub struct StatsSnapshot {
     pub exact: u64,
     /// Responses served by the clustered index + exact re-rank.
     pub approx: u64,
-    /// Responses degraded to the popularity prior.
+    /// Responses degraded to the popularity prior (an unknown user is one
+    /// of these, `fallback(unknown_user)`, not an error).
     pub fallback: u64,
     /// Requests shed under hard overload.
     pub shed: u64,
-    /// Error replies (bad JSON, unknown user).
+    /// Error replies to malformed request lines.
     pub errors: u64,
     /// Reloads that swapped a validated snapshot in.
     pub reload_success: u64,
@@ -177,65 +134,81 @@ pub struct StatsSnapshot {
     pub conn_drops: u64,
 }
 
-impl Stats {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            exact: self.exact.load(Ordering::Relaxed),
-            approx: self.approx.load(Ordering::Relaxed),
-            fallback: self.fallback.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            reload_success: self.reload_success.load(Ordering::Relaxed),
-            reload_rejected: self.reload_rejected.load(Ordering::Relaxed),
-            fold_in_success: self.fold_in_success.load(Ordering::Relaxed),
-            fold_in_rejected: self.fold_in_rejected.load(Ordering::Relaxed),
-            conn_drops: self.conn_drops.load(Ordering::Relaxed),
+/// The server's one set of metric handles, cached so the request path
+/// never does a registry lookup. `{"stats":true}`, `{"metrics":true}`,
+/// [`Server::stats`], [`Server::latency_snapshot`] and the closing `serve`
+/// span all read these; nothing else records server metrics.
+struct Metrics {
+    /// The registry the handles live in: the caller's telemetry when it is
+    /// enabled, otherwise a private one used for metrics only.
+    registry: Telemetry,
+    requests: Counter,
+    exact: Counter,
+    approx: Counter,
+    fallback: Counter,
+    shed: Counter,
+    errors: Counter,
+    reload_success: Counter,
+    reload_rejected: Counter,
+    fold_in_success: Counter,
+    fold_in_rejected: Counter,
+    /// Only incremented by the accept loop's fault hook.
+    conn_drops: Counter,
+    exact_latency_us: Histogram,
+    approx_latency_us: Histogram,
+    fallback_latency_us: Histogram,
+    shed_latency_us: Histogram,
+}
+
+impl Metrics {
+    /// Registers every handle, in the order the exposition lists them.
+    fn new(tel: &Telemetry) -> Self {
+        let registry = if tel.is_enabled() { tel.clone() } else { Telemetry::enabled() };
+        let r = &registry;
+        Self {
+            requests: r.counter("serve.requests"),
+            exact: r.counter("serve.exact"),
+            approx: r.counter("serve.approx"),
+            fallback: r.counter("serve.fallback"),
+            shed: r.counter("serve.shed"),
+            errors: r.counter("serve.errors"),
+            reload_success: r.counter("serve.reload_success"),
+            reload_rejected: r.counter("serve.reload_rejected"),
+            fold_in_success: r.counter("serve.fold_in_success"),
+            fold_in_rejected: r.counter("serve.fold_in_rejected"),
+            conn_drops: r.counter("serve.conn_drops"),
+            exact_latency_us: r.histogram("serve.exact_latency_us"),
+            approx_latency_us: r.histogram("serve.approx_latency_us"),
+            fallback_latency_us: r.histogram("serve.fallback_latency_us"),
+            shed_latency_us: r.histogram("serve.shed_latency_us"),
+            registry,
         }
     }
-}
 
-/// Cached telemetry handles so the request path never does a registry
-/// lookup.
-struct TelHandles {
-    c_requests: Counter,
-    c_exact: Counter,
-    c_approx: Counter,
-    c_fallback: Counter,
-    c_shed: Counter,
-    c_errors: Counter,
-    c_reload_success: Counter,
-    c_reload_rejected: Counter,
-    c_fold_in_success: Counter,
-    c_fold_in_rejected: Counter,
-    // Only incremented by the accept loop's fault hook.
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
-    c_conn_drops: Counter,
-    h_exact_us: Histogram,
-    h_approx_us: Histogram,
-    h_fallback_us: Histogram,
-    h_shed_us: Histogram,
-}
-
-impl TelHandles {
-    fn new(tel: &Telemetry) -> Self {
-        Self {
-            c_requests: tel.counter("serve.requests"),
-            c_exact: tel.counter("serve.exact"),
-            c_approx: tel.counter("serve.approx"),
-            c_fallback: tel.counter("serve.fallback"),
-            c_shed: tel.counter("serve.shed"),
-            c_errors: tel.counter("serve.errors"),
-            c_reload_success: tel.counter("serve.reload_success"),
-            c_reload_rejected: tel.counter("serve.reload_rejected"),
-            c_fold_in_success: tel.counter("serve.fold_in_success"),
-            c_fold_in_rejected: tel.counter("serve.fold_in_rejected"),
-            c_conn_drops: tel.counter("serve.conn_drops"),
-            h_exact_us: tel.histogram("serve.exact_us"),
-            h_approx_us: tel.histogram("serve.approx_us"),
-            h_fallback_us: tel.histogram("serve.fallback_us"),
-            h_shed_us: tel.histogram("serve.shed_us"),
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            requests: self.requests.get(),
+            exact: self.exact.get(),
+            approx: self.approx.get(),
+            fallback: self.fallback.get(),
+            shed: self.shed.get(),
+            errors: self.errors.get(),
+            reload_success: self.reload_success.get(),
+            reload_rejected: self.reload_rejected.get(),
+            fold_in_success: self.fold_in_success.get(),
+            fold_in_rejected: self.fold_in_rejected.get(),
+            conn_drops: self.conn_drops.get(),
         }
+    }
+
+    /// The per-path latency histograms: `[exact, approx, fallback, shed]`.
+    fn latencies(&self) -> [&Histogram; 4] {
+        [
+            &self.exact_latency_us,
+            &self.approx_latency_us,
+            &self.fallback_latency_us,
+            &self.shed_latency_us,
+        ]
     }
 }
 
@@ -243,8 +216,7 @@ struct ServerInner {
     cfg: ServerConfig,
     ctx: Arc<ServeContext>,
     store: SnapshotStore,
-    stats: Stats,
-    tel: TelHandles,
+    metrics: Metrics,
     addr: SocketAddr,
     shutdown: AtomicBool,
     inflight: AtomicUsize,
@@ -304,12 +276,10 @@ impl Server {
             }
             Mutex::new(r)
         });
-        let tel = TelHandles::new(&cfg.telemetry);
         let inner = Arc::new(ServerInner {
             ctx,
             store: SnapshotStore::new(initial),
-            stats: Stats::default(),
-            tel,
+            metrics: Metrics::new(&cfg.telemetry),
             addr,
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
@@ -344,11 +314,6 @@ impl Server {
         self.inner.addr
     }
 
-    /// The dataset-derived serving context.
-    pub fn context(&self) -> &Arc<ServeContext> {
-        &self.inner.ctx
-    }
-
     /// The snapshot store (tests inspect versions through this).
     pub fn store(&self) -> &SnapshotStore {
         &self.inner.store
@@ -356,19 +321,14 @@ impl Server {
 
     /// Current counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.metrics.snapshot()
     }
 
     /// Point-in-time latency histograms per path: `[exact, approx,
-    /// fallback, shed]`. These are the authoritative distributions behind
-    /// the percentiles in `{"stats":true}` and the metrics exposition.
+    /// fallback, shed]`. These are the distributions behind the
+    /// percentiles in `{"stats":true}` and the metrics exposition.
     pub fn latency_snapshot(&self) -> [HistogramSnapshot; 4] {
-        [
-            self.inner.stats.lat_exact.snapshot(),
-            self.inner.stats.lat_approx.snapshot(),
-            self.inner.stats.lat_fallback.snapshot(),
-            self.inner.stats.lat_shed.snapshot(),
-        ]
+        self.inner.metrics.latencies().map(Histogram::snapshot)
     }
 
     /// The Prometheus-style exposition document — the same text the
@@ -403,9 +363,8 @@ impl Server {
         while self.inner.inflight.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(TICK);
         }
-        let snap = self.inner.stats.snapshot();
-        let tel = &self.inner.cfg.telemetry;
-        let mut span = tel.span("serve");
+        let snap = self.stats();
+        let mut span = self.inner.cfg.telemetry.span("serve");
         span.field("requests", snap.requests);
         span.field("exact", snap.exact);
         span.field("approx", snap.approx);
@@ -436,8 +395,7 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
         #[cfg(feature = "fault-injection")]
         if let Some(f) = &inner.cfg.faults {
             if f.take_connection_drop() {
-                inner.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                inner.tel.c_conn_drops.incr();
+                inner.metrics.conn_drops.incr();
                 drop(stream);
                 continue;
             }
@@ -477,15 +435,13 @@ fn try_reload(inner: &ServerInner, force: bool) -> ReloadOutcome {
     match &outcome {
         ReloadOutcome::Unchanged => {}
         ReloadOutcome::Swapped { version } => {
-            inner.stats.reload_success.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_reload_success.incr();
+            inner.metrics.reload_success.incr();
             let mut span = tel.span("reload");
             span.field("outcome", "swapped");
             span.field("version", *version);
         }
         ReloadOutcome::Rejected { reason } => {
-            inner.stats.reload_rejected.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_reload_rejected.incr();
+            inner.metrics.reload_rejected.incr();
             let mut span = tel.span("reload");
             span.field("outcome", "rejected");
             tel.warn("serve.reload", format!("reload rejected, keeping last-good: {reason}"));
@@ -540,8 +496,7 @@ fn handle_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
 fn handle_line(inner: &ServerInner, line: &str, scratch: &mut Vec<f64>) -> (String, bool) {
     match protocol::parse_message(line) {
         Err(msg) => {
-            inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_errors.incr();
+            inner.metrics.errors.incr();
             (protocol::encode_error(0, &msg), false)
         }
         Ok(Message::Shutdown) => ("{\"id\":0,\"shutdown\":true}".to_string(), true),
@@ -564,8 +519,7 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
     match snap.fold_in(verb.item, &verb.positives, verb.steps, verb.lr) {
         Ok((candidate, new_id)) => {
             let version = inner.store.swap(candidate);
-            inner.stats.fold_in_success.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_fold_in_success.incr();
+            inner.metrics.fold_in_success.incr();
             let mut span = tel.span("fold_in");
             span.field("entity", entity);
             span.field("new_id", new_id);
@@ -576,8 +530,7 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
             )
         }
         Err(reason) => {
-            inner.stats.fold_in_rejected.fetch_add(1, Ordering::Relaxed);
-            inner.tel.c_fold_in_rejected.incr();
+            inner.metrics.fold_in_rejected.incr();
             tel.warn("serve.fold_in", format!("fold-in rejected, keeping last-good: {reason}"));
             let mut s = "{\"id\":0,\"fold_in\":\"rejected\",\"reason\":\"".to_string();
             protocol::escape_into(&reason, &mut s);
@@ -588,7 +541,7 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
 }
 
 fn stats_line(inner: &ServerInner) -> String {
-    let s = inner.stats.snapshot();
+    let s = inner.metrics.snapshot();
     let mut line = format!(
         "{{\"id\":0,\"stats\":true,\"requests\":{},\"exact\":{},\"approx\":{},\
          \"fallback\":{},\"shed\":{},\"errors\":{},\"reload_success\":{},\
@@ -608,12 +561,8 @@ fn stats_line(inner: &ServerInner) -> String {
         inner.store.get().version(),
         inner.inflight.load(Ordering::SeqCst),
     );
-    for (path, h) in [
-        ("exact", &inner.stats.lat_exact),
-        ("approx", &inner.stats.lat_approx),
-        ("fallback", &inner.stats.lat_fallback),
-        ("shed", &inner.stats.lat_shed),
-    ] {
+    let paths = ["exact", "approx", "fallback", "shed"];
+    for (path, h) in paths.into_iter().zip(inner.metrics.latencies()) {
         let (p50, p95, p99) = h.snapshot().percentiles();
         line.push_str(&format!(
             ",\"{path}_p50_us\":{p50},\"{path}_p95_us\":{p95},\"{path}_p99_us\":{p99}"
@@ -623,33 +572,17 @@ fn stats_line(inner: &ServerInner) -> String {
     line
 }
 
-/// Renders the full exposition: authoritative `Stats` counters and latency
-/// summaries first, then the telemetry registry (whose `serve.*` mirrors
-/// are deduplicated away by first-writer-wins).
+/// Renders the exposition of the server's registry, after setting the
+/// gauges that are only read at scrape time.
 fn render_exposition(inner: &ServerInner) -> String {
-    let s = inner.stats.snapshot();
-    let mut e = Exposition::new();
-    e.counter("logirec_serve_requests", s.requests);
-    e.counter("logirec_serve_exact", s.exact);
-    e.counter("logirec_serve_approx", s.approx);
-    e.counter("logirec_serve_fallback", s.fallback);
-    e.counter("logirec_serve_shed", s.shed);
-    e.counter("logirec_serve_errors", s.errors);
-    e.counter("logirec_serve_reload_success", s.reload_success);
-    e.counter("logirec_serve_reload_rejected", s.reload_rejected);
-    e.counter("logirec_serve_fold_in_success", s.fold_in_success);
-    e.counter("logirec_serve_fold_in_rejected", s.fold_in_rejected);
-    e.counter("logirec_serve_conn_drops", s.conn_drops);
-    e.gauge("logirec_serve_model_version", inner.store.get().version() as f64);
-    e.gauge("logirec_serve_inflight", inner.inflight.load(Ordering::SeqCst) as f64);
+    let registry = &inner.metrics.registry;
+    registry.gauge("serve.model_version").set(inner.store.get().version() as f64);
+    registry.gauge("serve.inflight").set(inner.inflight.load(Ordering::SeqCst) as f64);
     if let Some(peak) = rss::sample_peak_rss_bytes() {
-        e.gauge("logirec_process_peak_rss_bytes", peak as f64);
+        registry.gauge("process.peak_rss_bytes").set(peak as f64);
     }
-    e.summary("logirec_serve_exact_latency_us", &inner.stats.lat_exact.snapshot());
-    e.summary("logirec_serve_approx_latency_us", &inner.stats.lat_approx.snapshot());
-    e.summary("logirec_serve_fallback_latency_us", &inner.stats.lat_fallback.snapshot());
-    e.summary("logirec_serve_shed_latency_us", &inner.stats.lat_shed.snapshot());
-    e.snapshot("logirec_", &inner.cfg.telemetry.metrics_snapshot());
+    let mut e = Exposition::new();
+    e.snapshot("logirec_", &registry.metrics_snapshot());
     e.render()
 }
 
@@ -697,8 +630,7 @@ fn approx_decision(snap: &ModelSnapshot, user: usize, k: usize, why: &'static st
 fn handle_recommend(inner: &ServerInner, req: &Request, scratch: &mut Vec<f64>) -> String {
     let t0 = Instant::now();
     let tel = &inner.cfg.telemetry;
-    inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    inner.tel.c_requests.incr();
+    inner.metrics.requests.incr();
     let mut span = tel.span("request");
     span.field("user", req.user);
     span.field("k", req.k);
@@ -793,32 +725,15 @@ fn handle_recommend(inner: &ServerInner, req: &Request, scratch: &mut Vec<f64>) 
     };
 
     let latency_us = t0.elapsed().as_micros() as u64;
-    match served_by {
-        ServedBy::Exact => {
-            inner.stats.exact.fetch_add(1, Ordering::Relaxed);
-            inner.stats.lat_exact.record(latency_us);
-            inner.tel.c_exact.incr();
-            inner.tel.h_exact_us.record(latency_us);
-        }
-        ServedBy::Approx => {
-            inner.stats.approx.fetch_add(1, Ordering::Relaxed);
-            inner.stats.lat_approx.record(latency_us);
-            inner.tel.c_approx.incr();
-            inner.tel.h_approx_us.record(latency_us);
-        }
-        ServedBy::Fallback => {
-            inner.stats.fallback.fetch_add(1, Ordering::Relaxed);
-            inner.stats.lat_fallback.record(latency_us);
-            inner.tel.c_fallback.incr();
-            inner.tel.h_fallback_us.record(latency_us);
-        }
-        ServedBy::Shed => {
-            inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-            inner.stats.lat_shed.record(latency_us);
-            inner.tel.c_shed.incr();
-            inner.tel.h_shed_us.record(latency_us);
-        }
-    }
+    let m = &inner.metrics;
+    let (count, latency) = match served_by {
+        ServedBy::Exact => (&m.exact, &m.exact_latency_us),
+        ServedBy::Approx => (&m.approx, &m.approx_latency_us),
+        ServedBy::Fallback => (&m.fallback, &m.fallback_latency_us),
+        ServedBy::Shed => (&m.shed, &m.shed_latency_us),
+    };
+    count.incr();
+    latency.record(latency_us);
     span.field("served_by", served_by.as_str());
     if let Some(r) = &reason {
         span.field("reason", r.clone());

@@ -16,6 +16,7 @@ use logirec_core::{FilterError, LogiRec, LogiRecConfig, Precision, SeenFilter};
 use logirec_data::{Dataset, InteractionSet};
 use logirec_eval::ranking::top_k_indices;
 use logirec_eval::Ranker;
+use logirec_linalg::Scalar;
 
 use crate::index::{ClusterIndex, IndexConfig, ProbeReport};
 
@@ -156,12 +157,92 @@ impl ServeContext {
     }
 }
 
-/// The model at either working precision. Scores surface as `f64` in both
-/// cases (the `Ranker` contract), so the protocol layer is precision-blind.
-#[derive(Debug, Clone)]
-enum ModelKind {
-    F64(LogiRec<f64>),
-    F32(LogiRec<f32>),
+/// The model behind a snapshot, at its working precision. The one generic
+/// impl for `LogiRec<S>` serves both precisions, so
+/// [`ModelSnapshot::build_with_index`] is the only code that dispatches on
+/// [`Precision`]. Scores surface as `f64` at both (the `Ranker` contract),
+/// so the protocol layer is precision-blind.
+trait ServedModel: Ranker + std::fmt::Debug + Send {
+    fn config(&self) -> &LogiRecConfig;
+    /// Shape and finiteness checks against `ctx`, then forward propagation
+    /// over its training graph.
+    fn prepare(&mut self, ctx: &ServeContext) -> Result<(), String>;
+    fn build_index(&self, cfg: &IndexConfig) -> ClusterIndex;
+    fn search(
+        &self,
+        index: &ClusterIndex,
+        u: usize,
+        seen: &[usize],
+        k: usize,
+        nprobe: usize,
+    ) -> ApproxAnswer;
+    /// A clone of the model grown by one folded-in entity, and its id.
+    fn fold_in(
+        &self,
+        item: bool,
+        positives: &[usize],
+        opts: &FoldInOptions,
+    ) -> Result<(Box<dyn ServedModel>, usize), String>;
+}
+
+impl<S: Scalar> ServedModel for LogiRec<S> {
+    fn config(&self) -> &LogiRecConfig {
+        &self.cfg
+    }
+
+    fn prepare(&mut self, ctx: &ServeContext) -> Result<(), String> {
+        if self.items.rows() != ctx.n_items() {
+            return Err(format!(
+                "model has {} items but the dataset has {}",
+                self.items.rows(),
+                ctx.n_items()
+            ));
+        }
+        if self.users.rows() != ctx.n_users() {
+            return Err(format!(
+                "model has {} users but the dataset has {}",
+                self.users.rows(),
+                ctx.n_users()
+            ));
+        }
+        if !self.all_finite() {
+            return Err("model has non-finite parameters".to_string());
+        }
+        self.propagate(ctx.train());
+        Ok(())
+    }
+
+    fn build_index(&self, cfg: &IndexConfig) -> ClusterIndex {
+        ClusterIndex::build(&self.state().item_final, self.cfg.geometry, cfg)
+    }
+
+    fn search(
+        &self,
+        index: &ClusterIndex,
+        u: usize,
+        seen: &[usize],
+        k: usize,
+        nprobe: usize,
+    ) -> ApproxAnswer {
+        let st = self.state();
+        index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
+    }
+
+    fn fold_in(
+        &self,
+        item: bool,
+        positives: &[usize],
+        opts: &FoldInOptions,
+    ) -> Result<(Box<dyn ServedModel>, usize), String> {
+        let mut grown = self.clone();
+        let report = if item {
+            stream::fold_in_item(&mut grown, positives, opts)
+        } else {
+            stream::fold_in_user(&mut grown, positives, opts)
+        }
+        .map_err(|e| format!("fold-in: {e}"))?;
+        Ok((Box::new(grown), report.id))
+    }
 }
 
 /// An immutable, fully validated, ready-to-score model snapshot. Built once
@@ -173,7 +254,7 @@ pub struct ModelSnapshot {
     version: u64,
     precision: Precision,
     source: String,
-    model: ModelKind,
+    model: Box<dyn ServedModel>,
     /// The serving context this snapshot was validated against. Owned (as
     /// a shared handle) so model, index, and context always swap as one
     /// unit — a fold-in that grows the tables publishes a grown context in
@@ -223,49 +304,29 @@ impl ModelSnapshot {
         source: impl Into<String>,
         index_cfg: Option<IndexConfig>,
     ) -> Result<Self, String> {
-        if model.items.rows() != ctx.n_items() {
-            return Err(format!(
-                "model has {} items but the dataset has {}",
-                model.items.rows(),
-                ctx.n_items()
-            ));
-        }
-        if model.users.rows() != ctx.n_users() {
-            return Err(format!(
-                "model has {} users but the dataset has {}",
-                model.users.rows(),
-                ctx.n_users()
-            ));
-        }
-        if !model.all_finite() {
-            return Err("model has non-finite parameters".to_string());
-        }
-        let kind = match precision {
-            Precision::F64 => {
-                let mut m = model;
-                m.propagate(ctx.train());
-                ModelKind::F64(m)
-            }
-            Precision::F32 => {
-                let mut m = model.cast::<f32>();
-                m.propagate(ctx.train());
-                ModelKind::F32(m)
-            }
+        let model: Box<dyn ServedModel> = match precision {
+            Precision::F64 => Box::new(model),
+            Precision::F32 => Box::new(model.cast::<f32>()),
         };
-        let index = match (&kind, &index_cfg) {
-            (_, None) => None,
-            (ModelKind::F64(m), Some(cfg)) => {
-                Some(ClusterIndex::build(&m.state().item_final, m.cfg.geometry, cfg))
-            }
-            (ModelKind::F32(m), Some(cfg)) => {
-                Some(ClusterIndex::build(&m.state().item_final, m.cfg.geometry, cfg))
-            }
-        };
+        Self::assemble(model, precision, ctx, source.into(), index_cfg)
+    }
+
+    /// Prepares `model` against `ctx`, builds the index when configured,
+    /// and runs both canary probes (see [`ModelSnapshot::build_with_index`]).
+    fn assemble(
+        mut model: Box<dyn ServedModel>,
+        precision: Precision,
+        ctx: &Arc<ServeContext>,
+        source: String,
+        index_cfg: Option<IndexConfig>,
+    ) -> Result<Self, String> {
+        model.prepare(ctx)?;
+        let index = index_cfg.as_ref().map(|cfg| model.build_index(cfg));
         let snap = Self {
             version: 0,
             precision,
-            source: source.into(),
-            model: kind,
+            source,
+            model,
             ctx: Arc::clone(ctx),
             index,
             index_cfg,
@@ -316,10 +377,7 @@ impl ModelSnapshot {
 
     /// The model hyperparameters (used as the base config when reloading).
     pub fn config(&self) -> &LogiRecConfig {
-        match &self.model {
-            ModelKind::F64(m) => &m.cfg,
-            ModelKind::F32(m) => &m.cfg,
-        }
+        self.model.config()
     }
 
     /// The approximate-retrieval index, when one was built.
@@ -358,44 +416,16 @@ impl ModelSnapshot {
         steps: Option<usize>,
         lr: Option<f64>,
     ) -> Result<(Self, usize), String> {
-        let run = |opts: &mut FoldInOptions| {
-            if let Some(s) = steps {
-                opts.steps = s;
-            }
-            if let Some(l) = lr {
-                opts.lr = l;
-            }
-        };
+        let mut opts = FoldInOptions::for_config(self.config());
+        if let Some(s) = steps {
+            opts.steps = s;
+        }
+        if let Some(l) = lr {
+            opts.lr = l;
+        }
         // Fold at the serving precision, so the appended row is exactly
-        // what this snapshot's scoring path would have produced; an f32
-        // model round-trips through f64 losslessly (exact widening, exact
-        // re-narrowing at build).
-        let (model, new_id) = match &self.model {
-            ModelKind::F64(m) => {
-                let mut m2 = m.clone();
-                let mut opts = FoldInOptions::for_config(&m2.cfg);
-                run(&mut opts);
-                let report = if item {
-                    stream::fold_in_item(&mut m2, positives, &opts)
-                } else {
-                    stream::fold_in_user(&mut m2, positives, &opts)
-                }
-                .map_err(|e| format!("fold-in: {e}"))?;
-                (m2, report.id)
-            }
-            ModelKind::F32(m) => {
-                let mut m2 = m.clone();
-                let mut opts = FoldInOptions::for_config(&m2.cfg);
-                run(&mut opts);
-                let report = if item {
-                    stream::fold_in_item(&mut m2, positives, &opts)
-                } else {
-                    stream::fold_in_user(&mut m2, positives, &opts)
-                }
-                .map_err(|e| format!("fold-in: {e}"))?;
-                (m2.cast::<f64>(), report.id)
-            }
-        };
+        // what this snapshot's scoring path would have produced.
+        let (model, new_id) = self.model.fold_in(item, positives, &opts)?;
         let grown = if item {
             self.ctx.with_new_item(positives)
         } else {
@@ -404,8 +434,7 @@ impl ModelSnapshot {
         .map_err(|e| format!("fold-in context: {e}"))?;
         let kind = if item { "item" } else { "user" };
         let source = format!("{} + fold_in {kind} {new_id}", self.source);
-        let snap =
-            Self::build_with_index(model, self.precision, &Arc::new(grown), source, self.index_cfg)?;
+        let snap = Self::assemble(model, self.precision, &Arc::new(grown), source, self.index_cfg)?;
         Ok((snap, new_id))
     }
 
@@ -424,26 +453,13 @@ impl ModelSnapshot {
         let Some(index) = &self.index else { return Ok(None) };
         let seen = self.ctx.seen().seen_of(u)?;
         let nprobe = nprobe.unwrap_or_else(|| index.nprobe());
-        let out = match &self.model {
-            ModelKind::F64(m) => {
-                let st = m.state();
-                index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
-            }
-            ModelKind::F32(m) => {
-                let st = m.state();
-                index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
-            }
-        };
-        Ok(Some(out))
+        Ok(Some(self.model.search(index, u, seen, k, nprobe)))
     }
 
     /// Scores every item for `u` into `out` (higher is better), exactly as
     /// the offline evaluator would.
     pub fn score_user(&self, u: usize, out: &mut [f64]) {
-        match &self.model {
-            ModelKind::F64(m) => m.score_user(u, out),
-            ModelKind::F32(m) => m.score_user(u, out),
-        }
+        self.model.score_user(u, out);
     }
 
     /// The exact top-K response for `u`: score all items into `scratch`,

@@ -9,6 +9,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# perfgate lives in the logirec-bench member, which a root build skips.
+cargo build --release -p logirec-bench --bin perfgate
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
@@ -69,7 +71,9 @@ case "$starved_out" in
   *) echo "tier1: serve smoke FAILED (starved request did not degrade)"; exit 1 ;;
 esac
 # Metrics scrape smoke: the exposition must carry the request counters and
-# the exact-path latency summary the two requests above produced.
+# the exact-path latency summary the two requests above produced, and
+# (this server records into its enabled trace registry) name each metric
+# family exactly once.
 metrics_out=$(./target/release/logirec metrics --addr "$serve_addr")
 for series in \
   "# TYPE logirec_serve_requests_total counter" \
@@ -82,6 +86,9 @@ for series in \
     *) echo "tier1: metrics scrape FAILED (missing: $series)"; echo "$metrics_out"; exit 1 ;;
   esac
 done
+dup_families=$(echo "$metrics_out" | grep '^# TYPE ' | sort | uniq -d)
+[ -z "$dup_families" ] \
+  || { echo "tier1: metrics scrape FAILED (duplicate families: $dup_families)"; exit 1; }
 # Streaming fold-in smoke: a request for an unknown (not yet folded-in)
 # user degrades to the popularity fallback; folding the user in from a few
 # positives publishes the grown snapshot as a new model version off the

@@ -24,27 +24,29 @@ use std::time::Instant;
 use logirec_suite::core::{Geometry, LogiRec, LogiRecConfig, Precision};
 use logirec_suite::data::{DatasetSpec, Scale};
 use logirec_suite::eval::ranking::{top_k_indices, top_k_scored};
+use logirec_suite::flag_value;
 use logirec_suite::hyperbolic::lorentz;
 use logirec_suite::linalg::{Embedding, SplitMix64};
 use logirec_suite::serve::{ClusterIndex, IndexConfig, ModelSnapshot, ServeContext};
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let users: usize = arg(&args, "--users", 100);
-    let seed: u64 = arg(&args, "--seed", 9);
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("index_bench: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
+fn run(args: &[String]) -> Result<(), String> {
+    let users: usize = flag_value(args, "--users", 100)?;
+    let seed: u64 = flag_value(args, "--seed", 9)?;
     paper_sweep(users, seed);
     println!();
     synthetic_sweep(users, seed);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// One sweep row: exact vs approx per-query latency, recall, and scan

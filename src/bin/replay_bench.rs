@@ -25,35 +25,38 @@ use logirec_suite::core::stream::{compact, fold_in_user, CompactionOptions, Even
 use logirec_suite::core::{train, LogiRecConfig};
 use logirec_suite::data::{DatasetSpec, ReplayScenario, Scale, Split};
 use logirec_suite::eval::{evaluate, EvalResult};
-
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use logirec_suite::flag_value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale_raw = arg(&args, "--scale", "paper".to_string());
-    let Some(scale) = Scale::parse(&scale_raw) else {
-        eprintln!("bad --scale {scale_raw:?}");
-        return ExitCode::FAILURE;
-    };
-    let seed: u64 = arg(&args, "--seed", 42);
-    let dim: usize = arg(&args, "--dim", 32);
-    let epochs: usize = arg(&args, "--epochs", 15);
-    let cold_fraction: f64 = arg(&args, "--cold-fraction", 0.1);
-    let threads: usize =
-        arg(&args, "--threads", std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let fold_steps: usize = arg(&args, "--fold-steps", 60);
-    let fold_negatives: usize = arg(&args, "--fold-negatives", 8);
-    let fold_lr: f64 = arg(&args, "--fold-lr", 0.1);
-    let compact_epochs: usize = arg(&args, "--compact-epochs", 16);
-    let compact_lr: f64 = arg(&args, "--compact-lr", 0.02);
-    let rehearsal: f64 = arg(&args, "--rehearsal", 1.0);
-    let out = PathBuf::from(arg(&args, "--out", "results/replay.txt".to_string()));
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("replay_bench: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let scale_raw = flag_value(args, "--scale", "paper".to_string())?;
+    let scale = Scale::parse(&scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
+    let seed: u64 = flag_value(args, "--seed", 42)?;
+    let dim: usize = flag_value(args, "--dim", 32)?;
+    let epochs: usize = flag_value(args, "--epochs", 15)?;
+    let cold_fraction: f64 = flag_value(args, "--cold-fraction", 0.1)?;
+    let threads: usize = flag_value(
+        args,
+        "--threads",
+        std::thread::available_parallelism().map_or(4, |n| n.get()),
+    )?;
+    let fold_steps: usize = flag_value(args, "--fold-steps", 60)?;
+    let fold_negatives: usize = flag_value(args, "--fold-negatives", 8)?;
+    let fold_lr: f64 = flag_value(args, "--fold-lr", 0.1)?;
+    let compact_epochs: usize = flag_value(args, "--compact-epochs", 16)?;
+    let compact_lr: f64 = flag_value(args, "--compact-lr", 0.02)?;
+    let rehearsal: f64 = flag_value(args, "--rehearsal", 1.0)?;
+    let out = PathBuf::from(flag_value(args, "--out", "results/replay.txt".to_string())?);
 
     let spec = DatasetSpec::ciao(scale);
     let sc = ReplayScenario::build(&spec, seed, cold_fraction);
@@ -96,10 +99,8 @@ fn main() -> ExitCode {
     for c in &sc.cold {
         let opts = FoldInOptions { seed: fold_opts.seed ^ c.id as u64, ..fold_opts.clone() };
         let t = Instant::now();
-        let report = fold_in_user(&mut warm_model, &c.fold_in, &opts).unwrap_or_else(|e| {
-            eprintln!("fold-in of cold user {} failed: {e}", c.id);
-            std::process::exit(1);
-        });
+        let report = fold_in_user(&mut warm_model, &c.fold_in, &opts)
+            .map_err(|e| format!("fold-in of cold user {} failed: {e}", c.id))?;
         fold_us.push(t.elapsed().as_micros() as u64);
         loss_initial += report.initial_loss;
         loss_final += report.final_loss;
@@ -127,11 +128,8 @@ fn main() -> ExitCode {
         ..CompactionOptions::for_config(&cfg)
     };
     let t0 = Instant::now();
-    let (_grown, creport) =
-        compact(&mut warm_model, &sc.warm.train, &mut log, &copts).unwrap_or_else(|e| {
-            eprintln!("compaction failed: {e}");
-            std::process::exit(1);
-        });
+    let (_grown, creport) = compact(&mut warm_model, &sc.warm.train, &mut log, &copts)
+        .map_err(|e| format!("compaction failed: {e}"))?;
     let compact_s = t0.elapsed().as_secs_f64();
     if creport.rolled_back {
         eprintln!("compaction rolled back: {:?}", creport.rollback_reason);
@@ -154,10 +152,7 @@ fn main() -> ExitCode {
     if let Some(dir) = out.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(&out, &report) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, &report).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     eprintln!("wrote {}", out.display());
 
     // The acceptance bound: compacted streaming within 10 % relative on
@@ -165,15 +160,14 @@ fn main() -> ExitCode {
     let hr_deficit = relative_deficit(compacted.recall_at(10), retrain.recall_at(10));
     let ndcg_deficit = relative_deficit(compacted.ndcg_at(10), retrain.ndcg_at(10));
     if hr_deficit > 0.10 || ndcg_deficit > 0.10 {
-        eprintln!(
+        return Err(format!(
             "FAIL: streamed deficit HR@10 {:.1}% / NDCG@10 {:.1}% exceeds the 10% \
              acceptance bound",
             100.0 * hr_deficit,
             100.0 * ndcg_deficit
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `(baseline - value) / baseline`, clamped below at 0 (a streamed win is

@@ -39,32 +39,32 @@ use std::sync::Arc;
 
 use logirec_suite::core::{LogiRec, LogiRecConfig, Precision};
 use logirec_suite::data::{DatasetSpec, Scale};
+use logirec_suite::flag_value;
 use logirec_suite::obs::{profile_span_aggs, rss, Telemetry};
 use logirec_suite::serve::{
     Client, IndexConfig, ModelSnapshot, Request, ServeContext, ServedBy, Server, ServerConfig,
 };
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale_raw = arg(&args, "--scale", "small".to_string());
-    let Some(scale) = Scale::parse(&scale_raw) else {
-        eprintln!("bad --scale {scale_raw:?}");
-        return ExitCode::FAILURE;
-    };
-    let seed: u64 = arg(&args, "--seed", 7);
-    let requests: usize = arg(&args, "--requests", 400);
-    let dim: usize = arg(&args, "--dim", 32);
-    let overload_threads: usize = arg(&args, "--overload-threads", 48);
-    let index_clusters: usize = arg(&args, "--index-clusters", 0);
-    let nprobe: usize = arg(&args, "--nprobe", 0);
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("serve_bench: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    let scale_raw = flag_value(args, "--scale", "small".to_string())?;
+    let scale = Scale::parse(&scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
+    let seed: u64 = flag_value(args, "--seed", 7)?;
+    let requests: usize = flag_value(args, "--requests", 400)?;
+    let dim: usize = flag_value(args, "--dim", 32)?;
+    let overload_threads: usize = flag_value(args, "--overload-threads", 48)?;
+    let index_clusters: usize = flag_value(args, "--index-clusters", 0)?;
+    let nprobe: usize = flag_value(args, "--nprobe", 0)?;
     let profile = args.iter().any(|a| a == "--profile");
     let tel = if profile { Telemetry::enabled() } else { Telemetry::disabled() };
 
@@ -186,7 +186,7 @@ fn main() -> ExitCode {
         }
         print!("{}", profile_span_aggs(&tel.span_aggs(), tel.elapsed_us()).render(10));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Fires `total` requests from `threads` workers; returns latencies (µs)
