@@ -1,9 +1,10 @@
 //! Benchmarks of the clustered retrieval index: build cost (the
 //! off-request-path price every snapshot swap pays) and per-query search
-//! at partial and exhaustive probes, against the exact full scan.
+//! at partial and exhaustive probes, against the exact full scan
+//! (`logirec_core::scan`, the exact tier's primitive).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logirec_core::Geometry;
+use logirec_core::{Geometry, ScanTable};
 use logirec_hyperbolic::lorentz;
 use logirec_linalg::{Embedding, SplitMix64};
 use logirec_serve::{ClusterIndex, IndexConfig};
@@ -50,15 +51,14 @@ fn bench_index(c: &mut Criterion) {
         })
     });
 
-    // The exact tier's cost at the same catalog, for the speedup ratio.
+    // The exact tier's cost at the same catalog, for the speedup ratio:
+    // the exact scan primitive the exact tier runs.
+    let scan = ScanTable::new(Geometry::Hyperbolic, &items);
     c.bench_function("exact_scan_k10_10000", |b| {
-        let mut scores = vec![0.0f64; items.rows()];
+        let mut keys = vec![0.0f64; items.rows()];
         b.iter(|| {
             let q = next_user();
-            for (v, s) in scores.iter_mut().enumerate() {
-                *s = -lorentz::distance(users.row(q), items.row(v));
-            }
-            logirec_eval::ranking::top_k_indices(black_box(&scores), 10)
+            scan.top_k(black_box(users.row(q)), &items, &[], 10, &mut keys)
         })
     });
 }

@@ -16,6 +16,8 @@
 //! * [`trainer`] joins everything into the objectives of Eq. 10 / Eq. 15
 //!   with Riemannian SGD (Section V-C), fault-tolerant via [`checkpoint`]
 //!   (durable checkpoint/resume) and divergence rollback with LR backoff.
+//! * [`scan`] is the one exact top-K primitive every ranking path uses:
+//!   a key pass over the item table, then distances for the tie band only.
 //! * [`ablation`] provides the Table III variants.
 
 pub mod ablation;
@@ -30,6 +32,7 @@ pub mod losses;
 pub mod mining;
 pub mod parallel;
 pub mod model;
+pub mod scan;
 pub mod shard;
 pub mod stream;
 pub mod trainer;
@@ -39,6 +42,7 @@ pub use config::{Geometry, LogiRecConfig, Precision};
 pub use filter::{FilterError, FilteredRanker, LogicFilter, SeenFilter};
 pub use graph::PropGraph;
 pub use model::LogiRec;
+pub use scan::{KeyTopK, ScanTable};
 pub use shard::{merge_tree, shard_count, shard_ranges, Merge, SparseGrad};
 pub use stream::{
     compact, fold_in_item, fold_in_user, recover_from_checkpoint, CompactionError,

@@ -11,12 +11,15 @@
 //! the hyperboloid (Eq. 8). The backward pass chains the analytic VJPs of
 //! each stage in reverse.
 
+use std::sync::OnceLock;
+
 use logirec_data::{Dataset, InteractionSet};
 use logirec_hyperbolic::{lorentz, maps, poincare};
 use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 
 use crate::config::{Geometry, LogiRecConfig};
 use crate::graph::PropGraph;
+use crate::scan::{self, ScanTable};
 
 /// Cached forward-pass tensors (recomputed every SGD step).
 #[derive(Debug, Clone)]
@@ -52,6 +55,26 @@ pub struct LogiRec<S: Scalar = f64> {
     /// User carrier points (`U × ambient`).
     pub users: Embedding<S>,
     state: Option<ForwardState<S>>,
+    scan: ScanCache<S>,
+}
+
+/// The exact-scan table of the cached forward state, built on first use
+/// and dropped whenever the item finals change. A clone starts empty — the
+/// table is a cache, so cloning a model (every fold-in does) never copies
+/// it.
+#[derive(Debug)]
+struct ScanCache<S: Scalar>(OnceLock<ScanTable<S>>);
+
+impl<S: Scalar> ScanCache<S> {
+    fn empty() -> Self {
+        Self(OnceLock::new())
+    }
+}
+
+impl<S: Scalar> Clone for ScanCache<S> {
+    fn clone(&self) -> Self {
+        Self::empty()
+    }
 }
 
 impl<S: Scalar> LogiRec<S> {
@@ -135,6 +158,7 @@ impl<S: Scalar> LogiRec<S> {
             items: items.cast(),
             users: users.cast(),
             state: None,
+            scan: ScanCache::empty(),
         }
     }
 
@@ -149,6 +173,7 @@ impl<S: Scalar> LogiRec<S> {
             items: self.items.cast(),
             users: self.users.cast(),
             state: None,
+            scan: ScanCache::empty(),
         }
     }
 
@@ -164,7 +189,7 @@ impl<S: Scalar> LogiRec<S> {
         assert_eq!(tags.dim(), cfg.dim, "tag table width");
         assert_eq!(items.dim(), cfg.dim, "item table width");
         assert_eq!(users.dim(), cfg.ambient_dim(), "user table width");
-        Self { cfg, tags, items, users, state: None }
+        Self { cfg, tags, items, users, state: None, scan: ScanCache::empty() }
     }
 
     /// Runs the forward pass against the training graph and caches the
@@ -227,6 +252,7 @@ impl<S: Scalar> LogiRec<S> {
             Geometry::Euclidean => (user_final_tan.clone(), item_final_tan.clone()),
         };
 
+        self.scan = ScanCache::empty();
         self.state = Some(ForwardState {
             item_carrier,
             z_u0,
@@ -247,6 +273,15 @@ impl<S: Scalar> LogiRec<S> {
     /// True once a forward pass has been cached.
     pub fn has_state(&self) -> bool {
         self.state.is_some()
+    }
+
+    /// The exact-scan table over the cached item finals (see
+    /// [`crate::scan`]), built on first use — once per propagated state,
+    /// never per query. Callers that must not pay the build on a request
+    /// path (snapshot validation) call this up front. Panics if
+    /// [`Self::propagate`] has not run.
+    pub fn scan_table(&self) -> &ScanTable<S> {
+        self.scan.0.get_or_init(|| ScanTable::new(self.cfg.geometry, &self.state().item_final))
     }
 
     /// Backward pass of the ranking head: takes dense ambient gradients
@@ -368,10 +403,12 @@ impl<S: Scalar> LogiRec<S> {
     /// scoring.
     pub fn clear_state(&mut self) {
         self.state = None;
+        self.scan = ScanCache::empty();
     }
 
     /// Appends one user parameter row (carrier coordinates) and, when a
-    /// forward state is cached, extends every state tensor in lockstep.
+    /// forward state is cached, extends every state tensor in lockstep
+    /// (the item finals, and with them the scan table, are untouched).
     ///
     /// A freshly folded-in user has no edges in the propagation graph, so
     /// each GCN layer passes its tangent through unchanged and the layer
@@ -400,11 +437,13 @@ impl<S: Scalar> LogiRec<S> {
     }
 
     /// Appends one item parameter row (Poincaré / Euclidean coordinates),
-    /// extending the cached forward state like [`Self::push_user_row`].
+    /// extending the cached forward state like [`Self::push_user_row`] and
+    /// dropping the scan table, which the grown item finals invalidate.
     /// Returns the new item's id.
     pub fn push_item_row(&mut self, row: &[S]) -> usize {
         assert_eq!(row.len(), self.cfg.dim, "item row width");
         self.items.push_row(row);
+        self.scan = ScanCache::empty();
         if let Some(st) = self.state.as_mut() {
             match self.cfg.geometry {
                 Geometry::Hyperbolic => {
@@ -450,19 +489,22 @@ fn degree_zero_layer_sum<S: Scalar>(z0: &[S], layers: usize) -> Vec<S> {
 impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
     fn score_user(&self, u: usize, out: &mut [f64]) {
         let st = self.state();
-        let urow = st.user_final.row(u);
-        match self.cfg.geometry {
-            Geometry::Hyperbolic => {
-                for (v, o) in out.iter_mut().enumerate() {
-                    *o = -lorentz::distance(urow, st.item_final.row(v)).to_f64();
-                }
-            }
-            Geometry::Euclidean => {
-                for (v, o) in out.iter_mut().enumerate() {
-                    *o = -ops::dist(urow, st.item_final.row(v)).to_f64();
-                }
-            }
+        let geometry = self.cfg.geometry;
+        self.scan_table().keys(st.user_final.row(u), &st.item_final, out);
+        for o in out.iter_mut() {
+            *o = scan::key_score::<S>(geometry, *o);
         }
+    }
+
+    fn top_k(
+        &self,
+        u: usize,
+        masked: &[&[usize]],
+        k: usize,
+        scratch: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let st = self.state();
+        self.scan_table().top_k(st.user_final.row(u), &st.item_final, masked, k, scratch)
     }
 }
 

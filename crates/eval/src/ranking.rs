@@ -20,6 +20,32 @@ pub trait Ranker: Sync {
     /// Fills `out[v]` with the score of item `v` for user `u`;
     /// `out.len() == n_items`.
     fn score_user(&self, u: usize, out: &mut [f64]);
+
+    /// The `k` best items for `u` that no list in `masked` holds, with
+    /// their scores, best first; `scratch.len() == n_items`.
+    ///
+    /// The provided body is the reference path: score every item into
+    /// `scratch`, write `NEG_INFINITY` over the masked ones, select with
+    /// [`top_k_indices`]. A ranker with a faster exact path (LogiRec's
+    /// key scan) overrides it and must return the same items and score
+    /// bits.
+    fn top_k(
+        &self,
+        u: usize,
+        masked: &[&[usize]],
+        k: usize,
+        scratch: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        self.score_user(u, scratch);
+        for &list in masked {
+            for &v in list {
+                scratch[v] = f64::NEG_INFINITY;
+            }
+        }
+        let items = top_k_indices(scratch, k);
+        let scores = items.iter().map(|&v| scratch[v]).collect();
+        (items, scores)
+    }
 }
 
 impl<F: Fn(usize, &mut [f64]) + Sync> Ranker for F {
@@ -72,8 +98,9 @@ pub fn evaluate(
 }
 
 /// [`evaluate`] with per-phase timing telemetry. Each worker thread records
-/// into the `eval.score_user_us` (model scoring) and `eval.rank_metric_us`
-/// (masking + top-K + Recall/NDCG) histograms — lock-free relaxed atomics,
+/// into the `eval.score_user_us` (scoring, masking and top-K selection
+/// through [`Ranker::top_k`]) and `eval.rank_metric_us` (Recall/NDCG)
+/// histograms — lock-free relaxed atomics,
 /// so the scoped threads never contend — and `eval.users` counts the users
 /// evaluated.
 pub fn evaluate_traced(
@@ -114,25 +141,18 @@ pub fn evaluate_traced(
                     (h_score.clone(), h_metric.clone(), c_users.clone());
                 scope.spawn(move || {
                 let timed = h_score.is_enabled();
-                let mut scores = vec![0.0f64; n_items];
+                let mut scratch = vec![0.0f64; n_items];
                 let mut local = vec![0.0f64; chunk_users.len() * row_width];
                 for (slot, &u) in chunk_users.iter().enumerate() {
                     let t0 = timed.then(Instant::now);
-                    ranker.score_user(u, &mut scores);
+                    // Mask known positives from earlier splits.
+                    let seen = [dataset.train.items_of(u), dataset.validation.items_of(u)];
+                    let masked = if split == Split::Test { &seen[..] } else { &seen[..1] };
+                    let (top, _) = ranker.top_k(u, masked, max_k, &mut scratch);
                     let t1 = timed.then(Instant::now);
                     if let (Some(t0), Some(t1)) = (t0, t1) {
                         h_score.record(t1.duration_since(t0).as_micros() as u64);
                     }
-                    // Mask known positives from earlier splits.
-                    for &v in dataset.train.items_of(u) {
-                        scores[v] = f64::NEG_INFINITY;
-                    }
-                    if split == Split::Test {
-                        for &v in dataset.validation.items_of(u) {
-                            scores[v] = f64::NEG_INFINITY;
-                        }
-                    }
-                    let top = top_k_indices(&scores, max_k);
                     let truth = dataset.split(split).items_of(u);
                     let row = &mut local[slot * row_width..(slot + 1) * row_width];
                     for (i, &k) in ks.iter().enumerate() {

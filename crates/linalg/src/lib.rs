@@ -16,12 +16,14 @@
 //! autovectorizer keeps in SIMD registers (see DESIGN.md, "Precision &
 //! kernels").
 
+pub mod block;
 pub mod cluster;
 pub mod matrix;
 pub mod ops;
 pub mod rng;
 pub mod scalar;
 
+pub use block::{RowBlocks, BLOCK_ROWS};
 pub use cluster::{assign_clusters, kmeans, nearest_centroid, update_centroids, KMeans};
 pub use matrix::Embedding;
 pub use rng::SplitMix64;

@@ -48,6 +48,17 @@ pub trait Scalar:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
+    /// Machine epsilon: the gap between 1 and the next larger value.
+    const EPSILON: Self;
+    /// Largest finite value.
+    const MAX: Self;
+    /// True when [`Scalar::dot`] and [`Scalar::dist_sq`] keep one
+    /// sequential accumulator (`f64`), so a kernel that runs one
+    /// accumulator per row across a block of rows
+    /// ([`crate::RowBlocks`]) reproduces them bit for bit. `f32`
+    /// reductions are chunked within a row (already SIMD), so `f32` tables
+    /// are scanned row-major.
+    const SEQUENTIAL_REDUCTIONS: bool;
 
     /// Rounds an `f64` into this precision (identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -92,6 +103,9 @@ pub trait Scalar:
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
+    const EPSILON: Self = f64::EPSILON;
+    const MAX: Self = f64::MAX;
+    const SEQUENTIAL_REDUCTIONS: bool = true;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -167,6 +181,9 @@ const F32_LANES: usize = 8;
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
+    const EPSILON: Self = f32::EPSILON;
+    const MAX: Self = f32::MAX;
+    const SEQUENTIAL_REDUCTIONS: bool = false;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {

@@ -24,23 +24,24 @@
 //!   its member list and a radius `r_c = max_{v∈c} ‖v − centroid_c‖`.
 //! * **Query**: rank clusters by the centroid key (`q·c` for Lorentz,
 //!   `‖q−c‖` for Euclidean), scan the `nprobe` nearest, and re-rank every
-//!   unseen member with the **exact** distance kernel — the same
-//!   `lorentz::distance` / `ops::dist` call the exact tier runs, at the
-//!   snapshot's working precision — so shortlist scores are bit-identical
-//!   to full-scan scores for the items the shortlist covers.
+//!   unseen member through the exact scan's selection
+//!   (`logirec_core::scan`): each member's key comes from the row kernel
+//!   `scan::row_key`, which gives the exact tier's key bits at the
+//!   snapshot's working precision, and only the tie band at the k-th key
+//!   gets a distance. Shortlist scores are therefore bit-identical to
+//!   full-scan scores for the items the shortlist covers.
 //! * **Pruning**: by Cauchy–Schwarz, every member of cluster `c` has
 //!   `q·v ≥ q·centroid_c − ‖q‖·r_c` (triangle inequality in the Euclidean
 //!   case), which upper-bounds the best score the cluster can contain; a
-//!   probed cluster that provably cannot beat the current k-th best is
-//!   skipped. Pruning is disabled when `nprobe ≥ n_clusters` so the
-//!   exhaustive probe reproduces the exact tier bit for bit (no float-
-//!   boundary pruning decisions on that path).
+//!   probed cluster whose bound cannot beat the score of the current k-th
+//!   smallest key is skipped. Pruning is disabled when
+//!   `nprobe ≥ n_clusters` so the exhaustive probe reproduces the exact
+//!   tier bit for bit (no float-boundary pruning decisions on that path).
 
 use std::time::Instant;
 
+use logirec_core::scan::{self, KeyTopK};
 use logirec_core::Geometry;
-use logirec_eval::ranking::TopK;
-use logirec_hyperbolic::lorentz;
 use logirec_linalg::{cluster, ops, Embedding, Scalar};
 
 /// Knobs for [`ClusterIndex::build`]. `0` means "auto" for `clusters`
@@ -263,7 +264,8 @@ impl ClusterIndex {
         // exhaustive probe the tier promises bit-identity with the exact
         // scan, so no float-boundary pruning decision may drop an item.
         let prune = nprobe < clusters;
-        let mut best = TopK::new(k);
+        let mut best = KeyTopK::<S>::new(self.geometry, k);
+        let mut scanned: Vec<(usize, f64)> = Vec::new();
         let mut report = ProbeReport {
             clusters,
             n_items: self.n_items,
@@ -272,7 +274,7 @@ impl ClusterIndex {
 
         for &(key, c) in order.iter().take(nprobe) {
             let c = c as usize;
-            if prune && best.is_full() {
+            if let Some(worst) = prune.then(|| best.kth_score()).flatten() {
                 // Best score any member of `c` can reach, from the radius
                 // bound, with a small slack so f64 bound vs (possibly f32)
                 // exact score can only under-prune, never over-prune.
@@ -284,7 +286,7 @@ impl ClusterIndex {
                     Geometry::Euclidean => -(key - self.radii[c]).max(0.0),
                 };
                 let ub = ub + ub.abs() * 1e-6 + 1e-9;
-                if ub < best.worst() {
+                if ub < worst {
                     report.clusters_pruned += 1;
                     continue;
                 }
@@ -295,19 +297,14 @@ impl ClusterIndex {
                 if seen.binary_search(&v).is_ok() {
                     continue;
                 }
-                // The exact kernel, verbatim from `LogiRec::score_user`.
-                let s = match self.geometry {
-                    Geometry::Hyperbolic => {
-                        -lorentz::distance(user_row, items.row(v)).to_f64()
-                    }
-                    Geometry::Euclidean => -ops::dist(user_row, items.row(v)).to_f64(),
-                };
+                let key = scan::row_key(self.geometry, user_row, items.row(v)).to_f64();
                 report.items_scored += 1;
-                best.offer(v, s);
+                best.offer(key);
+                scanned.push((v, key));
             }
         }
 
-        let (items, scores) = best.into_sorted().into_iter().unzip();
+        let (items, scores) = best.finish(scanned);
         (items, scores, report)
     }
 }
@@ -316,6 +313,7 @@ impl ClusterIndex {
 mod tests {
     use super::*;
     use logirec_eval::ranking::{top_k_indices, top_k_scored};
+    use logirec_hyperbolic::lorentz;
     use logirec_linalg::SplitMix64;
 
     /// A synthetic hyperboloid item table: `exp_origin` of small tangents.

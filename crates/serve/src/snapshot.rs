@@ -2,10 +2,11 @@
 //! filter, popularity prior, canary users) and the hot-swappable
 //! [`ModelSnapshot`] behind a [`SnapshotStore`].
 //!
-//! The exact path is byte-identical to the offline evaluator: the same
-//! [`Ranker::score_user`] scores, the same Train ∪ Validation mask
-//! ([`SeenFilter::eval_mask`]), and the same deterministic
-//! [`top_k_indices`] selection, so a response can be replayed against
+//! The exact path is byte-identical to the offline evaluator: both call
+//! the model's [`Ranker::top_k`] — LogiRec's one exact scan
+//! (`logirec_core::scan`: a key pass over the item table, distances for
+//! the tie band only) — with the same Train ∪ Validation mask
+//! ([`SeenFilter::eval_mask`]), so a response can be replayed against
 //! `evaluate` and compared bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,6 @@ use std::sync::{Arc, Mutex};
 use logirec_core::stream::{self, FoldInOptions};
 use logirec_core::{FilterError, LogiRec, LogiRecConfig, Precision, SeenFilter};
 use logirec_data::{Dataset, InteractionSet};
-use logirec_eval::ranking::top_k_indices;
 use logirec_eval::Ranker;
 use logirec_linalg::Scalar;
 
@@ -101,19 +101,13 @@ impl ServeContext {
     /// sorting or per-item degree gather on the degraded path.
     pub fn fallback_top_k(&self, u: usize, k: usize) -> Result<(Vec<usize>, Vec<f64>), FilterError> {
         let seen = self.seen.seen_of(u)?;
-        let mut items = Vec::with_capacity(k);
-        let mut scores = Vec::with_capacity(k);
-        for (&v, &s) in self.popularity.iter().zip(&self.pop_scores) {
-            if seen.binary_search(&v).is_ok() {
-                continue;
-            }
-            items.push(v);
-            scores.push(s);
-            if items.len() == k {
-                break;
-            }
-        }
-        Ok((items, scores))
+        Ok(self
+            .popularity
+            .iter()
+            .zip(&self.pop_scores)
+            .filter(|&(v, _)| seen.binary_search(v).is_err())
+            .take(k)
+            .unzip())
     }
 
     /// The degraded response for a user the context does not know (a
@@ -165,7 +159,7 @@ impl ServeContext {
 trait ServedModel: Ranker + std::fmt::Debug + Send {
     fn config(&self) -> &LogiRecConfig;
     /// Shape and finiteness checks against `ctx`, then forward propagation
-    /// over its training graph.
+    /// over its training graph and the exact-scan table build.
     fn prepare(&mut self, ctx: &ServeContext) -> Result<(), String>;
     fn build_index(&self, cfg: &IndexConfig) -> ClusterIndex;
     fn search(
@@ -209,6 +203,9 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
             return Err("model has non-finite parameters".to_string());
         }
         self.propagate(ctx.train());
+        // Build the exact-scan table now, so the first request served
+        // from this snapshot does not pay for it.
+        self.scan_table();
         Ok(())
     }
 
@@ -462,9 +459,11 @@ impl ModelSnapshot {
         self.model.score_user(u, out);
     }
 
-    /// The exact top-K response for `u`: score all items into `scratch`,
-    /// mask Train ∪ Validation, select with the evaluator's deterministic
-    /// [`top_k_indices`]. Returns `(items, scores)` best-first.
+    /// The exact top-K response for `u`: the model's [`Ranker::top_k`]
+    /// (the exact scan, with `scratch` as its key buffer) under the
+    /// Train ∪ Validation mask — what scoring every item, masking, and
+    /// selecting with `top_k_indices` returns, bit for bit. Returns
+    /// `(items, scores)` best-first.
     pub fn top_k(
         &self,
         u: usize,
@@ -473,14 +472,10 @@ impl ModelSnapshot {
     ) -> Result<(Vec<usize>, Vec<f64>), FilterError> {
         // Validate the user before touching the embedding tables — the
         // model panics on out-of-range rows.
-        self.ctx.seen().seen_of(u)?;
+        let seen = self.ctx.seen().seen_of(u)?;
         scratch.clear();
         scratch.resize(self.ctx.n_items(), 0.0);
-        self.score_user(u, scratch);
-        self.ctx.seen().mask_scores(u, scratch)?;
-        let items = top_k_indices(scratch, k);
-        let scores = items.iter().map(|&v| scratch[v]).collect();
-        Ok((items, scores))
+        Ok(self.model.top_k(u, &[seen], k, scratch))
     }
 }
 
@@ -528,6 +523,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use logirec_data::{DatasetSpec, Scale, Split};
+    use logirec_eval::ranking::top_k_indices;
 
     fn fixture() -> (Dataset, Arc<ServeContext>, ModelSnapshot) {
         let ds = DatasetSpec::ciao(Scale::Tiny).generate(11);
@@ -568,6 +564,14 @@ mod tests {
         for &v in &items {
             assert!(!ds.train.items_of(0).contains(&v));
         }
+    }
+
+    #[test]
+    fn fallback_with_zero_k_returns_nothing() {
+        let (_, ctx, _) = fixture();
+        assert_eq!(ctx.fallback_top_k(0, 0).expect("in range"), (vec![], vec![]));
+        let (items, _) = ctx.fallback_top_k(0, 3).expect("in range");
+        assert_eq!(items.len(), 3);
     }
 
     #[test]

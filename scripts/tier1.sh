@@ -12,7 +12,7 @@ cargo build --release
 # perfgate lives in the logirec-bench member, which a root build skips.
 cargo build --release -p logirec-bench --bin perfgate
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT

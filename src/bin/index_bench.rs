@@ -10,7 +10,8 @@
 //!    (100,000 items), where the approx tier's asymptotics show.
 //!
 //! Per sweep point it reports mean per-query latency of the exact full
-//! scan and the approx search, recall@10/recall@20 against the exact
+//! scan (the `logirec_core::scan` primitive the exact tier runs) and the
+//! approx search, recall@10/recall@20 against the exact
 //! ranking, and the measured scan fraction; the index build time is
 //! printed once per catalog.
 //!
@@ -21,9 +22,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use logirec_suite::core::{Geometry, LogiRec, LogiRecConfig, Precision};
+use logirec_suite::core::{Geometry, LogiRec, LogiRecConfig, Precision, ScanTable};
 use logirec_suite::data::{DatasetSpec, Scale};
-use logirec_suite::eval::ranking::{top_k_indices, top_k_scored};
+use logirec_suite::eval::ranking::top_k_indices;
 use logirec_suite::flag_value;
 use logirec_suite::hyperbolic::lorentz;
 use logirec_suite::linalg::{Embedding, SplitMix64};
@@ -164,24 +165,21 @@ fn synthetic_sweep(users: usize, seed: u64) {
         t0.elapsed().as_secs_f64(),
     );
 
-    // Exact baseline: the full-scan kernel + deterministic selection.
-    let mut scores = vec![0.0f64; n_items];
+    // Exact baseline: the exact scan primitive the exact tier runs (its
+    // blocked table is built once, outside the timed loop, as a snapshot
+    // build does).
+    let exact = ScanTable::new(Geometry::Hyperbolic, &items);
+    let mut keys = vec![0.0f64; n_items];
     let t0 = Instant::now();
     let exact20: Vec<Vec<usize>> = (0..queries.rows())
-        .map(|q| {
-            for (v, s) in scores.iter_mut().enumerate() {
-                *s = -lorentz::distance(queries.row(q), items.row(v));
-            }
-            top_k_indices(&scores, 20)
-        })
+        .map(|q| exact.top_k(queries.row(q), &items, &[], 20, &mut keys).0)
         .collect();
     let exact_us = t0.elapsed().as_secs_f64() * 1e6 / queries.rows() as f64;
-    // Keep the shared selection helper on the record too: identical order.
-    let pairs = scores.iter().copied().enumerate();
-    assert_eq!(
-        top_k_scored(pairs, 20).into_iter().map(|(i, _)| i).collect::<Vec<_>>(),
-        *exact20.last().expect("non-empty"),
-    );
+    // Cross-check one query against the per-item distance loop.
+    let last = queries.rows() - 1;
+    let scores: Vec<f64> =
+        items.iter_rows().map(|row| -lorentz::distance(queries.row(last), row)).collect();
+    assert_eq!(top_k_indices(&scores, 20), exact20[last], "scan diverged from the distance loop");
 
     for nprobe in [1, 2, 4, 8, 16, 24, 40, 64, 128, clusters] {
         let nprobe = nprobe.min(clusters);

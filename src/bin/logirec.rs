@@ -13,13 +13,14 @@
 //! every N with `--checkpoint-every N`) and `--resume FILE` continues a
 //! killed run bit-identically;
 //! `evaluate` reports full-ranking Recall/NDCG on the temporal test split;
-//! `recommend` prints a user's top-K with tag annotations.
+//! `recommend` prints a user's top-K with tag annotations — the exact
+//! tier's answer, under the same Train ∪ Validation mask `serve` applies.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use logirec_suite::core::io::{load_model, save_model};
-use logirec_suite::core::{train, LogiRecConfig, Precision};
+use logirec_suite::core::{train, LogiRecConfig, Precision, SeenFilter};
 use logirec_suite::data::{load_dataset_traced, save_dataset_traced, Dataset, DatasetSpec, Scale, Split};
 use logirec_suite::eval::{evaluate_traced, Ranker};
 use logirec_suite::obs::json::{self, Json};
@@ -321,19 +322,16 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let ds = load(flags, &Telemetry::disabled())?;
     let model_path = PathBuf::from(flags.require("model")?);
     let user: usize = flags.require("user")?.parse().map_err(|_| "bad --user".to_string())?;
-    if user >= ds.n_users() {
-        return Err(format!("user {user} out of range ({} users)", ds.n_users()));
-    }
+    // The serving mask (Train ∪ Validation), so this prints what the exact
+    // tier of `logirec serve` answers for the same model and user.
+    let seen = SeenFilter::eval_mask(&ds);
+    let masked = seen.seen_of(user).map_err(|e| e.to_string())?;
     let k: usize = flags.parse_or("k", 10)?;
     let mut model =
         load_model(&model_path, LogiRecConfig::default()).map_err(|e| e.to_string())?;
     model.propagate(&ds.train);
-    let mut scores = vec![0.0; ds.n_items()];
-    model.score_user(user, &mut scores);
-    for &v in ds.train.items_of(user) {
-        scores[v] = f64::NEG_INFINITY;
-    }
-    let top = logirec_suite::eval::ranking::top_k_indices(&scores, k);
+    let mut keys = vec![0.0; ds.n_items()];
+    let (top, _) = model.top_k(user, &[masked], k, &mut keys);
     println!("top-{k} for user {user}:");
     for (rank, &v) in top.iter().enumerate() {
         let tags: Vec<&str> = ds.item_tags[v].iter().map(|&t| ds.taxonomy.name(t)).collect();
