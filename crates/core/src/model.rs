@@ -11,7 +11,7 @@
 //! the hyperboloid (Eq. 8). The backward pass chains the analytic VJPs of
 //! each stage in reverse.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use logirec_data::{Dataset, InteractionSet};
 use logirec_hyperbolic::{lorentz, maps, poincare};
@@ -59,11 +59,12 @@ pub struct LogiRec<S: Scalar = f64> {
 }
 
 /// The exact-scan table of the cached forward state, built on first use
-/// and dropped whenever the item finals change. A clone starts empty — the
-/// table is a cache, so cloning a model (every fold-in does) never copies
-/// it.
+/// and dropped whenever the item finals change. A clone shares the built
+/// table (it is a pure function of the item finals, which the clone shares
+/// too), so a user fold-in — which clones the model and leaves the item
+/// finals alone — neither copies nor rebuilds it.
 #[derive(Debug)]
-struct ScanCache<S: Scalar>(OnceLock<ScanTable<S>>);
+struct ScanCache<S: Scalar>(OnceLock<Arc<ScanTable<S>>>);
 
 impl<S: Scalar> ScanCache<S> {
     fn empty() -> Self {
@@ -73,7 +74,7 @@ impl<S: Scalar> ScanCache<S> {
 
 impl<S: Scalar> Clone for ScanCache<S> {
     fn clone(&self) -> Self {
-        Self::empty()
+        Self(self.0.get().map_or_else(OnceLock::new, |table| OnceLock::from(Arc::clone(table))))
     }
 }
 
@@ -281,7 +282,9 @@ impl<S: Scalar> LogiRec<S> {
     /// path (snapshot validation) call this up front. Panics if
     /// [`Self::propagate`] has not run.
     pub fn scan_table(&self) -> &ScanTable<S> {
-        self.scan.0.get_or_init(|| ScanTable::new(self.cfg.geometry, &self.state().item_final))
+        self.scan
+            .0
+            .get_or_init(|| Arc::new(ScanTable::new(self.cfg.geometry, &self.state().item_final)))
     }
 
     /// Backward pass of the ranking head: takes dense ambient gradients
@@ -673,31 +676,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pushed_degree_zero_rows_match_full_repropagation() {
-        let (mut m, ds) = tiny_model();
+    /// Pushes three user and three item rows, interleaved, onto a
+    /// propagated model and checks the extended forward state against a
+    /// full re-propagation over the grown graph (the new rows have no
+    /// edges), bit for bit.
+    fn check_pushes_match_repropagation<S: Scalar>(geometry: Geometry, layers: usize) {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(1);
+        let cfg = LogiRecConfig { geometry, layers, ..LogiRecConfig::test_config() };
+        let mut m = LogiRec::<f64>::new(cfg, &ds).cast::<S>();
         m.propagate(&ds.train);
-        let tangent = vec![0.01; m.cfg.dim];
-        let u = m.push_user_row(&lorentz::exp_origin(&tangent));
-        let v = m.push_item_row(&vec![0.005; m.cfg.dim]);
-        assert_eq!(u, ds.n_users());
-        assert_eq!(v, ds.n_items());
+        let dim = m.cfg.dim;
+        let pushes = 3;
+        for j in 0..pushes {
+            let scale = (j + 1) as f64;
+            let tangent: Vec<S> =
+                (0..dim).map(|i| S::from_f64(0.01 * scale * (1.0 + 0.1 * i as f64))).collect();
+            let user_row = match geometry {
+                Geometry::Hyperbolic => lorentz::exp_origin(&tangent),
+                Geometry::Euclidean => tangent,
+            };
+            assert_eq!(m.push_user_row(&user_row), ds.n_users() + j);
+            let item_row: Vec<S> =
+                (0..dim).map(|i| S::from_f64(0.005 * scale * (1.0 - 0.05 * i as f64))).collect();
+            assert_eq!(m.push_item_row(&item_row), ds.n_items() + j);
+        }
         let incremental = m.state().clone();
 
-        // Re-propagating against the grown graph (the new rows have no
-        // edges) must reproduce the incrementally extended state bit for
-        // bit.
         let pairs: Vec<(usize, usize)> = ds.train.iter_pairs().collect();
-        let grown = InteractionSet::from_pairs(ds.n_users() + 1, ds.n_items() + 1, &pairs);
+        let grown =
+            InteractionSet::from_pairs(ds.n_users() + pushes, ds.n_items() + pushes, &pairs);
         m.propagate(&grown);
         let full = m.state();
-        assert_eq!(incremental.user_final, full.user_final);
-        assert_eq!(incremental.item_final, full.item_final);
-        assert_eq!(incremental.user_final_tan, full.user_final_tan);
-        assert_eq!(incremental.item_final_tan, full.item_final_tan);
-        assert_eq!(incremental.z_u0, full.z_u0);
-        assert_eq!(incremental.z_v0, full.z_v0);
-        assert_eq!(incremental.item_carrier, full.item_carrier);
+        let bits = |t: &Embedding<S>| -> Vec<u64> {
+            t.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+        };
+        for (name, a, b) in [
+            ("user_final", &incremental.user_final, &full.user_final),
+            ("item_final", &incremental.item_final, &full.item_final),
+            ("user_final_tan", &incremental.user_final_tan, &full.user_final_tan),
+            ("item_final_tan", &incremental.item_final_tan, &full.item_final_tan),
+            ("z_u0", &incremental.z_u0, &full.z_u0),
+            ("z_v0", &incremental.z_v0, &full.z_v0),
+            ("item_carrier", &incremental.item_carrier, &full.item_carrier),
+        ] {
+            assert_eq!((a.rows(), a.dim()), (b.rows(), b.dim()), "{name} shape");
+            assert!(
+                bits(a) == bits(b),
+                "{name} differs from re-propagation ({geometry:?}, layers {layers}, {})",
+                std::any::type_name::<S>()
+            );
+        }
+    }
+
+    #[test]
+    fn pushed_degree_zero_rows_match_full_repropagation() {
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            for layers in 0..=3 {
+                check_pushes_match_repropagation::<f64>(geometry, layers);
+                check_pushes_match_repropagation::<f32>(geometry, layers);
+            }
+        }
     }
 
     #[test]

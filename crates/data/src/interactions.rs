@@ -89,6 +89,18 @@ impl InteractionSet {
         self.by_user[u].binary_search(&v).is_ok()
     }
 
+    /// Appends a user with no interactions (id `n_users()` before the call).
+    pub fn push_user(&mut self) {
+        self.by_user.push(Vec::new());
+        self.n_users += 1;
+    }
+
+    /// Appends an item with no interactions (id `n_items()` before the call).
+    pub fn push_item(&mut self) {
+        self.by_item.push(Vec::new());
+        self.n_items += 1;
+    }
+
     /// Iterates all `(user, item)` pairs in user order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.by_user
@@ -235,6 +247,22 @@ mod tests {
         let s = InteractionSet::from_pairs(2, 3, &pairs);
         let got: Vec<_> = s.iter_pairs().collect();
         assert_eq!(got, pairs);
+    }
+
+    #[test]
+    fn pushed_empty_rows_match_rebuilding_from_pairs() {
+        let pairs = vec![(0, 1), (1, 0), (1, 2)];
+        let mut s = InteractionSet::from_pairs(2, 3, &pairs);
+        s.push_user();
+        s.push_item();
+        let rebuilt = InteractionSet::from_pairs(3, 4, &pairs);
+        assert_eq!((s.n_users(), s.n_items(), s.len()), (3, 4, 3));
+        for u in 0..3 {
+            assert_eq!(s.items_of(u), rebuilt.items_of(u));
+        }
+        for v in 0..4 {
+            assert_eq!(s.users_of(v), rebuilt.users_of(v));
+        }
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! never by release builds), extending `logirec_core::faults` from the
 //! training loop into serving.
 //!
-//! Two hook points:
+//! Three hook points:
 //!
 //! * [`ServeFaultPlan::maybe_stall`] — called inside the scoring span, so a
 //!   scheduled stall pushes an otherwise-fast request past its deadline and
 //!   exercises the late-exact → fallback demotion;
 //! * [`ServeFaultPlan::take_connection_drop`] — consulted by the accept
 //!   loop, dropping the next N accepted connections on the floor so the
-//!   client's bounded-retry path is tested against real refused work.
+//!   client's bounded-retry path is tested against real refused work;
+//! * [`ServeFaultPlan::take_fold_in_reload`] — consulted by a fold-in after
+//!   it built its candidate and before it publishes, forcing a reload into
+//!   exactly the window where a lost update could happen.
 //!
 //! Torn/corrupt checkpoint files reuse the core helpers re-exported here
 //! ([`truncate_file`], [`flip_bit`]) — corrupt the watched file on disk and
@@ -27,6 +30,12 @@ struct Inner {
     stall_us: AtomicU64,
     stalls_left: AtomicU64,
     conn_drops_left: AtomicU64,
+    fold_in_reloads_left: AtomicU64,
+}
+
+/// Consumes one unit of a scheduled budget; false once it is spent.
+fn take_one(left: &AtomicU64) -> bool {
+    left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok()
 }
 
 /// A shared, thread-safe schedule of serve-path faults. Cloning shares the
@@ -50,17 +59,9 @@ impl ServeFaultPlan {
 
     /// Scoring-path hook: sleeps if a stall is scheduled, consuming one.
     pub fn maybe_stall(&self) {
-        let left = &self.inner.stalls_left;
-        let mut cur = left.load(Ordering::SeqCst);
-        while cur > 0 {
-            match left.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => {
-                    let us = self.inner.stall_us.load(Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_micros(us));
-                    return;
-                }
-                Err(now) => cur = now,
-            }
+        if take_one(&self.inner.stalls_left) {
+            let us = self.inner.stall_us.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(us));
         }
     }
 
@@ -72,15 +73,19 @@ impl ServeFaultPlan {
     /// Accept-loop hook: true when the connection should be dropped,
     /// consuming one scheduled drop.
     pub fn take_connection_drop(&self) -> bool {
-        let left = &self.inner.conn_drops_left;
-        let mut cur = left.load(Ordering::SeqCst);
-        while cur > 0 {
-            match left.compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
+        take_one(&self.inner.conn_drops_left)
+    }
+
+    /// Schedules a forced reload inside each of the next `n` fold-in
+    /// publish attempts, between reading the live snapshot and installing
+    /// the candidate built from it.
+    pub fn reload_during_fold_ins(&self, n: u64) {
+        self.inner.fold_in_reloads_left.store(n, Ordering::SeqCst);
+    }
+
+    /// Fold-in hook: true when a reload should land now, consuming one.
+    pub fn take_fold_in_reload(&self) -> bool {
+        take_one(&self.inner.fold_in_reloads_left)
     }
 
     /// Stalls still scheduled (tests assert exhaustion).
@@ -91,6 +96,11 @@ impl ServeFaultPlan {
     /// Connection drops still scheduled.
     pub fn pending_connection_drops(&self) -> u64 {
         self.inner.conn_drops_left.load(Ordering::SeqCst)
+    }
+
+    /// Fold-in reloads still scheduled.
+    pub fn pending_fold_in_reloads(&self) -> u64 {
+        self.inner.fold_in_reloads_left.load(Ordering::SeqCst)
     }
 }
 
@@ -115,5 +125,11 @@ mod tests {
         plan.drop_connections(1);
         assert!(other.take_connection_drop());
         assert!(!plan.take_connection_drop());
+
+        plan.reload_during_fold_ins(2);
+        assert!(plan.take_fold_in_reload());
+        assert!(other.take_fold_in_reload());
+        assert!(!plan.take_fold_in_reload());
+        assert_eq!(plan.pending_fold_in_reloads(), 0);
     }
 }

@@ -110,8 +110,11 @@ impl ProbeReport {
 ///
 /// Centroids and radii are always `f64` (they only *select* candidates);
 /// the exact re-rank runs at the snapshot's working precision through the
-/// row slices the caller passes to [`ClusterIndex::search`].
-#[derive(Debug)]
+/// row slices the caller passes to [`ClusterIndex::search`]. A clone is
+/// cheap (the centroid table is shared copy-on-write; members are 4 bytes
+/// an item): a user fold-in hands its candidate a clone of the live index
+/// instead of re-running k-means over unchanged item finals.
+#[derive(Debug, Clone)]
 pub struct ClusterIndex {
     geometry: Geometry,
     n_items: usize,

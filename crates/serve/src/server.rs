@@ -27,10 +27,14 @@
 //! leaves the connection open.
 //!
 //! Fold-in requests run off the request path: they optimize the single new
-//! row against the frozen model, grow the serving context, rebuild the
-//! index, and publish the result through the same validated
-//! [`SnapshotStore`] swap as a reload. A rejected candidate (e.g. a
-//! divergent row) keeps the last-good snapshot serving.
+//! row against the frozen model, grow the serving context, validate the
+//! candidate with the same canaries as a reload (see
+//! [`ModelSnapshot::fold_in`] for what a publish copies and reuses), and
+//! install it only if the snapshot they folded into is still live
+//! ([`SnapshotStore::swap_if`]). A reload that lands mid-fold-in makes the
+//! fold-in start over from the reloaded snapshot instead of being
+//! overwritten by it. A rejected candidate (e.g. a divergent row) keeps
+//! the last-good snapshot serving.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -221,8 +225,8 @@ struct ServerInner {
     shutdown: AtomicBool,
     inflight: AtomicUsize,
     reloader: Option<Mutex<Reloader>>,
-    // Serializes fold-ins: each builds from the current snapshot and
-    // swaps, so racing two would silently drop one entity.
+    // Serializes fold-ins: each builds from the current snapshot, so two
+    // racing would keep refusing each other's base at `swap_if`.
     fold_in_lock: Mutex<()>,
 }
 
@@ -508,6 +512,10 @@ fn handle_line(inner: &ServerInner, line: &str, scratch: &mut Vec<f64>) -> (Stri
     }
 }
 
+/// How many times a fold-in folds again from a newer live snapshot after
+/// another install (a reload) beat it to the store, before it gives up.
+const FOLD_IN_ATTEMPTS: usize = 3;
+
 /// Handles one fold-in admin request: grow the current snapshot by one
 /// entity off the request path and publish it, or keep the last-good
 /// snapshot when validation rejects the candidate.
@@ -515,10 +523,8 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
     let _serial = inner.fold_in_lock.lock().expect("fold-in lock poisoned");
     let tel = &inner.cfg.telemetry;
     let entity = if verb.item { "item" } else { "user" };
-    let snap = inner.store.get();
-    match snap.fold_in(verb.item, &verb.positives, verb.steps, verb.lr) {
-        Ok((candidate, new_id)) => {
-            let version = inner.store.swap(candidate);
+    match publish_fold_in(inner, verb) {
+        Ok((new_id, version)) => {
             inner.metrics.fold_in_success.incr();
             let mut span = tel.span("fold_in");
             span.field("entity", entity);
@@ -538,6 +544,31 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
             s
         }
     }
+}
+
+/// Folds `verb` into the live snapshot and installs the candidate if that
+/// snapshot is still live; on a conflict, folds again from the one that
+/// replaced it. Returns the new id and the installed version.
+fn publish_fold_in(
+    inner: &ServerInner,
+    verb: &protocol::FoldInVerb,
+) -> Result<(usize, u64), String> {
+    for _ in 0..FOLD_IN_ATTEMPTS {
+        let base = inner.store.get();
+        let (candidate, new_id) = base.fold_in(verb.item, &verb.positives, verb.steps, verb.lr)?;
+        #[cfg(feature = "fault-injection")]
+        if let Some(f) = &inner.cfg.faults {
+            if f.take_fold_in_reload() {
+                try_reload(inner, true);
+            }
+        }
+        if let Ok(version) = inner.store.swap_if(base.version(), candidate) {
+            return Ok((new_id, version));
+        }
+    }
+    Err(format!(
+        "conflict: the live snapshot was replaced during each of {FOLD_IN_ATTEMPTS} attempts"
+    ))
 }
 
 fn stats_line(inner: &ServerInner) -> String {

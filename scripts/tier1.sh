@@ -118,6 +118,9 @@ wait "$serve_pid" \
 
 # Approx-serving smoke: a live server carrying the clustered retrieval
 # index with --approx must tag every healthy request served_by: approx.
+# Two signups then fold in as versions 2 and 3; user fold-ins keep the
+# index of the snapshot they grow, so the second folded user is answered
+# by the index behind a chain of two published snapshots.
 ./target/release/logirec serve --data "$smoke/data" --model "$smoke/m.logirec" \
   --addr "127.0.0.1:0" --approx > "$smoke/approx.log" 2>&1 &
 approx_pid=$!
@@ -135,6 +138,21 @@ echo "$approx_out"
 case "$approx_out" in
   *"served_by: approx (requested)"*) ;;
   *) echo "tier1: approx smoke FAILED (request not served by the index)"; exit 1 ;;
+esac
+for signup in "1,4,9 60 2" "2,5,8 61 3"; do
+  read -r positives new_id version <<< "$signup"
+  fold_out=$(./target/release/logirec request --addr "$approx_addr" --fold-in "$positives")
+  echo "$fold_out"
+  case "$fold_out" in
+    *"fold_in: swapped  entity: user  new_id: $new_id  model_version: $version"*) ;;
+    *) echo "tier1: approx fold-in smoke FAILED (user $new_id not swapped as v$version)"; exit 1 ;;
+  esac
+done
+folded_out=$(./target/release/logirec request --addr "$approx_addr" --user 61 --k 5)
+echo "$folded_out"
+case "$folded_out" in
+  *"served_by: approx (requested)"*) ;;
+  *) echo "tier1: approx fold-in smoke FAILED (folded user not served by the index)"; exit 1 ;;
 esac
 ./target/release/logirec request --addr "$approx_addr" --shutdown
 wait "$approx_pid" \

@@ -299,7 +299,7 @@ fn client_errors_leave_the_connection_and_server_healthy() {
 /// to fallback, a rejected fold-in (divergent row) keeps the last-good
 /// snapshot, and a successful `{"fold_in":..}` publishes a new snapshot
 /// version whose user is immediately servable on all three tiers — exact,
-/// approx (index rebuilt in lockstep), and the seen-filtered fallback.
+/// approx (index carried over in lockstep), and the seen-filtered fallback.
 #[test]
 fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     let ds = dataset();
@@ -335,7 +335,7 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     assert_eq!(server.store().get().version(), 1, "rejected candidate never went live");
 
     // The real fold-in publishes version 2 carrying the new user, with the
-    // retrieval index rebuilt and stamped in lockstep.
+    // retrieval index carried over and stamped in lockstep.
     let positives = vec![1usize, 4, 9];
     let j = client.fold_in(false, &positives, None, None).expect("round-trips");
     assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("swapped"));
@@ -344,7 +344,7 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     assert_eq!(j.get("model_version").and_then(|v| v.as_u64()), Some(2));
     let live = server.store().get();
     assert_eq!(live.version(), 2);
-    assert_eq!(live.index().expect("index rebuilt").model_version(), 2, "lockstep");
+    assert_eq!(live.index().expect("index kept").model_version(), 2, "lockstep");
 
     // Exact tier: served, on the new version, with the positives masked.
     let resp = client.recommend(&request(new_user, 10, Some(10_000))).expect("exact");
@@ -355,7 +355,7 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
         assert!(!resp.items.contains(&v), "seen item {v} must stay masked");
     }
 
-    // Approx tier: the tight-deadline route probes the rebuilt index.
+    // Approx tier: the tight-deadline route probes the index.
     let resp = client.recommend(&request(new_user, 10, Some(1000))).expect("approx");
     assert_eq!(resp.served_by, ServedBy::Approx);
     assert_eq!(resp.model_version, 2);
@@ -381,6 +381,59 @@ fn fold_in_verb_publishes_a_new_version_serving_the_cold_user_on_every_tier() {
     assert_eq!(j.get("fold_in_rejected").and_then(|v| v.as_u64()), Some(1));
     drop(client);
     server.shutdown();
+}
+
+/// A reload that lands while a fold-in builds its candidate is never
+/// overwritten by that candidate: the publish is refused, the fold-in
+/// folds again on top of the reloaded snapshot, and both updates are live.
+/// A fold-in that loses the race on every attempt answers `rejected` and
+/// leaves the reloads live.
+#[test]
+fn a_reload_during_a_fold_in_is_never_lost() {
+    let ds = dataset();
+    let path = tmp("fold-in-race.logirec");
+    let reloaded = LogiRec::new(LogiRecConfig { seed: 99, ..LogiRecConfig::test_config() }, &ds);
+    save_model(&reloaded, &path).expect("save model");
+    let faults = ServeFaultPlan::new();
+    let cfg = ServerConfig {
+        // Reloads happen only when forced, here by the fault plan.
+        watch: Some(WatchConfig { path: path.clone(), poll: Duration::from_secs(3600) }),
+        faults: Some(faults.clone()),
+        ..ServerConfig::default()
+    };
+    let (server, ctx) = start_server(cfg, &ds, trained_model(&ds));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let new_user = ctx.n_users();
+
+    faults.reload_during_fold_ins(1);
+    let j = client.fold_in(false, &[1, 4, 9], None, None).expect("round-trips");
+    assert_eq!(faults.pending_fold_in_reloads(), 0, "the reload must have fired");
+    assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("swapped"));
+    assert_eq!(j.get("new_id").and_then(|v| v.as_u64()), Some(new_user as u64));
+    // Version 2 is the reload; the fold-in published on top of it.
+    assert_eq!(j.get("model_version").and_then(|v| v.as_u64()), Some(3));
+    let live = server.store().get();
+    assert_eq!(live.version(), 3);
+    assert_eq!(live.source(), format!("{} + fold_in user {new_user}", path.display()));
+    assert_eq!(live.ctx().n_users(), new_user + 1);
+    let resp = client.recommend(&request(new_user, 5, Some(10_000))).expect("serves");
+    assert_eq!(resp.served_by, ServedBy::Exact);
+
+    faults.reload_during_fold_ins(3);
+    let j = client.fold_in(false, &[2, 5], None, None).expect("round-trips");
+    assert_eq!(faults.pending_fold_in_reloads(), 0);
+    assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("rejected"));
+    let reason = j.get("reason").and_then(|v| v.as_str()).unwrap_or_default();
+    assert!(reason.contains("conflict"), "{reason}");
+    let live = server.store().get();
+    assert_eq!(live.version(), 6, "three reloads, no fold-in");
+    assert_eq!(live.source(), path.display().to_string());
+
+    let stats = server.stats();
+    assert_eq!((stats.reload_success, stats.fold_in_success, stats.fold_in_rejected), (4, 1, 1));
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The CLI wiring end to end: `logirec serve` as a real process, driven by
