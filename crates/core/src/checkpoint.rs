@@ -33,9 +33,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use logirec_linalg::Embedding;
+use logirec_linalg::{Embedding, Scalar};
 
-use crate::config::{Geometry, Precision};
+use crate::config::{Geometry, LogiRecConfig, Precision};
+use crate::model::LogiRec;
 use crate::trainer::{EpochStats, Recovery, RecoveryAction};
 
 /// File magic for checkpoint files.
@@ -129,6 +130,44 @@ pub struct Checkpoint {
     pub items: Embedding,
     /// Current user embeddings.
     pub users: Embedding,
+}
+
+impl Checkpoint {
+    /// A checkpoint of `model`'s parameter tables at the start of a run:
+    /// epoch 0, the RNG at `rng_state`, no LR backoff, no history. The
+    /// trainer overrides the progress fields; compaction writes it as is.
+    pub(crate) fn of_model<S: Scalar>(model: &LogiRec<S>, rng_state: u64) -> Self {
+        Self {
+            geometry: model.cfg.geometry,
+            dim: model.cfg.dim,
+            layers: model.cfg.layers,
+            precision: model.cfg.precision,
+            epoch: 0,
+            rng_state,
+            lr_scale: 1.0,
+            bad_rounds: 0,
+            history: Vec::new(),
+            recoveries: Vec::new(),
+            alpha: None,
+            best: None,
+            tags: model.tags.cast(),
+            items: model.items.cast(),
+            users: model.users.cast(),
+        }
+    }
+
+    /// Errors unless the checkpoint's geometry, dim and layer count match
+    /// `cfg` (its tables could not be installed into such a model).
+    pub(crate) fn check_layout(&self, cfg: &LogiRecConfig) -> Result<(), String> {
+        if self.geometry != cfg.geometry || self.dim != cfg.dim || self.layers != cfg.layers {
+            return Err(format!(
+                "checkpoint geometry/dim/layers ({:?}/{}/{}) do not match the config \
+                 ({:?}/{}/{})",
+                self.geometry, self.dim, self.layers, cfg.geometry, cfg.dim, cfg.layers
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Serializes `ck` and writes it to `path` atomically and durably

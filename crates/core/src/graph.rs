@@ -106,31 +106,18 @@ impl<S: Scalar> PropGraph<S> {
 
 /// Forward propagation: returns the final tangent embeddings
 /// `(user_final, item_final)`; with `layers == 0` these are copies of the
-/// inputs (the "w/o HGCN" variant).
+/// inputs (the "w/o HGCN" variant). Builds a throwaway [`PropGraph`]; hot
+/// loops should build one and call [`propagate_forward_graph`].
 pub fn propagate_forward<S: Scalar>(
     adj: &InteractionSet,
     z_u0: &Embedding<S>,
     z_v0: &Embedding<S>,
     layers: usize,
 ) -> (Embedding<S>, Embedding<S>) {
-    propagate_forward_par(adj, z_u0, z_v0, layers, 1)
-}
-
-/// [`propagate_forward`] with row-parallel aggregation across `threads`
-/// scoped threads (identical output; used at `paper` scale). Builds a
-/// throwaway [`PropGraph`]; hot loops should build one and call
-/// [`propagate_forward_graph`].
-pub fn propagate_forward_par<S: Scalar>(
-    adj: &InteractionSet,
-    z_u0: &Embedding<S>,
-    z_v0: &Embedding<S>,
-    layers: usize,
-    threads: usize,
-) -> (Embedding<S>, Embedding<S>) {
     if layers == 0 {
         return (z_u0.clone(), z_v0.clone());
     }
-    propagate_forward_graph(&PropGraph::build(adj), z_u0, z_v0, layers, threads)
+    propagate_forward_graph(&PropGraph::build(adj), z_u0, z_v0, layers, 1)
 }
 
 /// Forward propagation against a cached [`PropGraph`].
@@ -162,30 +149,19 @@ pub fn propagate_forward_graph<S: Scalar>(
 }
 
 /// Backward pass: given gradients w.r.t. the final tangent embeddings,
-/// returns gradients w.r.t. the layer-0 embeddings.
+/// returns gradients w.r.t. the layer-0 embeddings (the exact adjoint of
+/// [`propagate_forward`]). Builds a throwaway [`PropGraph`]; hot loops
+/// should build one and call [`propagate_backward_graph`].
 pub fn propagate_backward<S: Scalar>(
     adj: &InteractionSet,
     g_fu: &Embedding<S>,
     g_fv: &Embedding<S>,
     layers: usize,
 ) -> (Embedding<S>, Embedding<S>) {
-    propagate_backward_par(adj, g_fu, g_fv, layers, 1)
-}
-
-/// [`propagate_backward`] with row-parallel aggregation (exact adjoint of
-/// [`propagate_forward_par`]). Builds a throwaway [`PropGraph`]; hot loops
-/// should build one and call [`propagate_backward_graph`].
-pub fn propagate_backward_par<S: Scalar>(
-    adj: &InteractionSet,
-    g_fu: &Embedding<S>,
-    g_fv: &Embedding<S>,
-    layers: usize,
-    threads: usize,
-) -> (Embedding<S>, Embedding<S>) {
     if layers == 0 {
         return (g_fu.clone(), g_fv.clone());
     }
-    propagate_backward_graph(&PropGraph::build(adj), g_fu, g_fv, layers, threads)
+    propagate_backward_graph(&PropGraph::build(adj), g_fu, g_fv, layers, 1)
 }
 
 /// Backward propagation against a cached [`PropGraph`].
@@ -401,15 +377,16 @@ mod tests {
         let pairs: Vec<(usize, usize)> =
             (0..2000).map(|_| (rng.index(50), rng.index(80))).collect();
         let adj = InteractionSet::from_pairs(50, 80, &pairs);
+        let graph = PropGraph::build(&adj);
         let zu: Embedding = Embedding::normal(50, 8, 1.0, &mut rng);
         let zv = Embedding::normal(80, 8, 1.0, &mut rng);
         for layers in [1usize, 3] {
             let (a_u, a_v) = propagate_forward(&adj, &zu, &zv, layers);
-            let (b_u, b_v) = propagate_forward_par(&adj, &zu, &zv, layers, 6);
+            let (b_u, b_v) = propagate_forward_graph(&graph, &zu, &zv, layers, 6);
             assert_eq!(a_u, b_u);
             assert_eq!(a_v, b_v);
             let (c_u, c_v) = propagate_backward(&adj, &zu, &zv, layers);
-            let (d_u, d_v) = propagate_backward_par(&adj, &zu, &zv, layers, 6);
+            let (d_u, d_v) = propagate_backward_graph(&graph, &zu, &zv, layers, 6);
             assert_eq!(c_u, d_u);
             assert_eq!(c_v, d_v);
         }

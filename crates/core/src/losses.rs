@@ -13,7 +13,7 @@
 //!
 //! Everything here is generic over the working precision [`Scalar`] and
 //! **allocation-free per sample**: each loss function owns a small
-//! [`LogicScratch`] / [`RankScratch`] (allocated once per call — i.e. once
+//! `LogicScratch` / `RankScratch` (allocated once per call — i.e. once
 //! per shard job in the parallel trainer) and every per-pair or per-triplet
 //! kernel writes into those buffers via the `*_into` variants. The `f64`
 //! instantiation performs the identical floating-point operation sequence
@@ -330,8 +330,10 @@ pub fn rank_loss_grad<S: Scalar>(
     };
     let (user_final, item_final) = (&mut out.user_final, &mut out.item_final);
     let (loss, active) = rank_accumulate(
-        model,
-        triplets,
+        model.cfg.geometry,
+        |u| st.user_final.row(u),
+        &st.item_final,
+        triplets.iter().copied(),
         margin,
         alpha,
         per_triplet_weight,
@@ -351,28 +353,36 @@ struct RankScratch<S: Scalar> {
     gy: Vec<S>,
 }
 
-/// The triplet walk shared by the dense and sharded ranking paths: calls
-/// `add_user(u, g)` / `add_item(v, g)` for every gradient contribution, in
-/// a fixed per-triplet order (`u⁺, v⁺, u⁻, v⁻` gradient computation with
-/// adds ordered `u⁺, u⁻, v⁺, v⁻`), and returns `(loss, active)`.
-fn rank_accumulate<S: Scalar>(
-    model: &LogiRec<S>,
-    triplets: &[(usize, usize, usize)],
+/// The one LMNN hinge walk (Eq. 9), shared by the trainer's dense and
+/// sharded ranking paths and by the streaming fold-in objective
+/// (`crate::stream`). For each triplet `(u, v⁺, v⁻)` it hinges
+/// `[m + d(q_u, t_{v⁺}) − d(q_u, t_{v⁻})]₊` of the query row
+/// `q_u = query(u)` against the rows of `table`, weighted by
+/// `per_triplet_weight · alpha[u]`. The trainer queries the final user
+/// table; a fold-in queries its one candidate row. It calls
+/// `add_query(u, g)` / `add_table(v, g)` for every gradient contribution,
+/// in a fixed per-triplet order (`u⁺, v⁺, u⁻, v⁻` gradient computation
+/// with adds ordered `u⁺, u⁻, v⁺, v⁻`), and returns `(loss, active)`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rank_accumulate<'q, S: Scalar>(
+    geometry: Geometry,
+    query: impl Fn(usize) -> &'q [S],
+    table: &Embedding<S>,
+    triplets: impl IntoIterator<Item = (usize, usize, usize)>,
     margin: f64,
     alpha: Option<&[f64]>,
     per_triplet_weight: f64,
-    mut add_user: impl FnMut(usize, &[S]),
-    mut add_item: impl FnMut(usize, &[S]),
+    mut add_query: impl FnMut(usize, &[S]),
+    mut add_table: impl FnMut(usize, &[S]),
 ) -> (f64, usize) {
-    let st = model.state();
-    let ambient = st.user_final.dim();
+    let ambient = table.dim();
     let mut sp = RankScratch { gx: vec![S::ZERO; ambient], gy: vec![S::ZERO; ambient] };
     let mut sq = RankScratch { gx: vec![S::ZERO; ambient], gy: vec![S::ZERO; ambient] };
     let (mut loss, mut active) = (0.0, 0usize);
-    for &(u, vp, vq) in triplets {
-        let urow = st.user_final.row(u);
-        let dp = carrier_distance(model.cfg.geometry, urow, st.item_final.row(vp));
-        let dq = carrier_distance(model.cfg.geometry, urow, st.item_final.row(vq));
+    for (u, vp, vq) in triplets {
+        let q = query(u);
+        let dp = carrier_distance(geometry, q, table.row(vp));
+        let dq = carrier_distance(geometry, q, table.row(vq));
         let hinge = S::from_f64(margin) + dp - dq;
         if hinge <= S::ZERO {
             continue;
@@ -381,25 +391,13 @@ fn rank_accumulate<S: Scalar>(
         let w = per_triplet_weight * alpha.map_or(1.0, |a| a[u]);
         loss += w * hinge.to_f64();
         // + d(u, v⁺): upstream +w on both ends.
-        carrier_distance_vjp(
-            model.cfg.geometry,
-            urow,
-            st.item_final.row(vp),
-            S::from_f64(w),
-            &mut sp,
-        );
+        carrier_distance_vjp(geometry, q, table.row(vp), S::from_f64(w), &mut sp);
         // − d(u, v⁻): upstream −w.
-        carrier_distance_vjp(
-            model.cfg.geometry,
-            urow,
-            st.item_final.row(vq),
-            S::from_f64(-w),
-            &mut sq,
-        );
-        add_user(u, &sp.gx);
-        add_user(u, &sq.gx);
-        add_item(vp, &sp.gy);
-        add_item(vq, &sq.gy);
+        carrier_distance_vjp(geometry, q, table.row(vq), S::from_f64(-w), &mut sq);
+        add_query(u, &sp.gx);
+        add_query(u, &sq.gx);
+        add_table(vp, &sp.gy);
+        add_table(vq, &sq.gy);
     }
     (loss, active)
 }
@@ -436,12 +434,15 @@ pub fn rank_loss_shard<S: Scalar>(
     alpha: Option<&[f64]>,
     per_triplet_weight: f64,
 ) -> RankShard<S> {
-    let ambient = model.state().user_final.dim();
+    let st = model.state();
+    let ambient = st.user_final.dim();
     let mut users = SparseGrad::new(ambient);
     let mut items = SparseGrad::new(ambient);
     let (loss, active) = rank_accumulate(
-        model,
-        triplets,
+        model.cfg.geometry,
+        |u| st.user_final.row(u),
+        &st.item_final,
+        triplets.iter().copied(),
         margin,
         alpha,
         per_triplet_weight,

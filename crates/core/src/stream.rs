@@ -18,6 +18,14 @@
 //!   pre-compaction checkpoint ([`recover_from_checkpoint`] is the
 //!   kill-recovery path) and in-memory rollback when an epoch diverges.
 //!
+//! Both run the trainer's code rather than copies of it: fold-in's
+//! objective is the trainer's hinge walk with the candidate row as the
+//! query, and compaction takes the trainer's update rule, model-fault
+//! hook, health check and checkpoint constructor. What lives here is what
+//! only streaming needs: the row initialisation, the degree-0 inversion,
+//! the sheet tolerance, the divergence guard, the event log and the
+//! rehearsal sampling.
+//!
 //! ## Why optimizing in final space is sound
 //!
 //! A brand-new entity has no edges in the propagation graph, so every GCN
@@ -44,8 +52,9 @@ use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::{Geometry, LogiRecConfig};
 use crate::graph::PropGraph;
-use crate::losses::rank_loss_grad_sharded;
+use crate::losses::{rank_accumulate, rank_loss_grad_sharded};
 use crate::model::LogiRec;
+use crate::trainer::{apply_updates, check_health, inject_model_faults, EpochStats};
 
 /// Typed errors from the fold-in path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,8 +165,9 @@ pub fn fold_in_triplets(
 
 /// The fold-in objective: mean hinge
 /// `(1/|T|) Σ [m + d(x, f_pos) − d(x, f_neg)]₊` of a candidate final-space
-/// point `x` against the frozen final embeddings `finals`. Public so the
-/// finite-difference gradient tests can probe it directly.
+/// point `x` against the frozen final embeddings `finals` — the trainer's
+/// ranking walk (`losses::rank_accumulate`) with `x` as the query row.
+/// Public so the finite-difference gradient tests can probe it directly.
 pub fn fold_in_objective<S: Scalar>(
     geometry: Geometry,
     x: &[S],
@@ -165,19 +175,18 @@ pub fn fold_in_objective<S: Scalar>(
     triplets: &[(usize, usize)],
     margin: f64,
 ) -> f64 {
-    if triplets.is_empty() {
-        return 0.0;
-    }
-    let w = 1.0 / triplets.len() as f64;
-    let mut loss = 0.0;
-    for &(vp, vq) in triplets {
-        let hinge = S::from_f64(margin) + carrier_distance(geometry, x, finals.row(vp))
-            - carrier_distance(geometry, x, finals.row(vq));
-        if hinge > S::ZERO {
-            loss += w * hinge.to_f64();
-        }
-    }
-    loss
+    rank_accumulate(
+        geometry,
+        |_| x,
+        finals,
+        triplets.iter().map(|&(vp, vq)| (0, vp, vq)),
+        margin,
+        None,
+        1.0 / triplets.len() as f64,
+        |_, _| {},
+        |_, _| {},
+    )
+    .0
 }
 
 /// Analytic gradient of [`fold_in_objective`] w.r.t. `x` (ambient
@@ -190,28 +199,19 @@ pub fn fold_in_grad_into<S: Scalar>(
     margin: f64,
     gx: &mut [S],
 ) -> f64 {
-    debug_assert_eq!(gx.len(), x.len());
     gx.fill(S::ZERO);
-    if triplets.is_empty() {
-        return 0.0;
-    }
-    let w = 1.0 / triplets.len() as f64;
-    let mut tmp_gx = vec![S::ZERO; x.len()];
-    let mut tmp_gy = vec![S::ZERO; x.len()];
-    let mut loss = 0.0;
-    for &(vp, vq) in triplets {
-        let fp = finals.row(vp);
-        let fq = finals.row(vq);
-        let hinge = S::from_f64(margin) + carrier_distance(geometry, x, fp)
-            - carrier_distance(geometry, x, fq);
-        if hinge <= S::ZERO {
-            continue;
-        }
-        loss += w * hinge.to_f64();
-        accumulate_distance_grad(geometry, x, fp, S::from_f64(w), gx, &mut tmp_gx, &mut tmp_gy);
-        accumulate_distance_grad(geometry, x, fq, S::from_f64(-w), gx, &mut tmp_gx, &mut tmp_gy);
-    }
-    loss
+    rank_accumulate(
+        geometry,
+        |_| x,
+        finals,
+        triplets.iter().map(|&(vp, vq)| (0, vp, vq)),
+        margin,
+        None,
+        1.0 / triplets.len() as f64,
+        |_, g| ops::axpy(S::ONE, g, gx),
+        |_, _| {},
+    )
+    .0
 }
 
 /// Folds a brand-new user with the given interacted items into the model:
@@ -423,42 +423,6 @@ fn sheet_tolerance<S: Scalar>(x: &[S]) -> f64 {
     (SHEET_MARGIN * (x.len() as f64 + 1.0) * eps * (1.0 + x0 * x0)).max(1e-6)
 }
 
-/// Carrier-space distance matching the ranking head.
-fn carrier_distance<S: Scalar>(geometry: Geometry, x: &[S], y: &[S]) -> S {
-    match geometry {
-        Geometry::Hyperbolic => lorentz::distance(x, y),
-        Geometry::Euclidean => ops::dist(x, y),
-    }
-}
-
-/// Accumulates `upstream · ∂d(x, y)/∂x` into `acc` (the `y` side is
-/// frozen and discarded).
-fn accumulate_distance_grad<S: Scalar>(
-    geometry: Geometry,
-    x: &[S],
-    y: &[S],
-    upstream: S,
-    acc: &mut [S],
-    tmp_gx: &mut [S],
-    tmp_gy: &mut [S],
-) {
-    match geometry {
-        Geometry::Hyperbolic => {
-            lorentz::distance_vjp_into(x, y, upstream, tmp_gx, tmp_gy);
-            ops::axpy(S::ONE, tmp_gx, acc);
-        }
-        Geometry::Euclidean => {
-            let d = ops::dist(x, y);
-            if d > S::from_f64(1e-12) {
-                let s = upstream / d;
-                for ((a, &xi), &yi) in acc.iter_mut().zip(x).zip(y) {
-                    *a += s * (xi - yi);
-                }
-            }
-        }
-    }
-}
-
 fn scale_in_place<S: Scalar>(v: &mut [S], factor: f64) {
     let f = S::from_f64(factor);
     for x in v.iter_mut() {
@@ -641,10 +605,10 @@ pub struct CompactionReport {
 /// 3. rebuilds the training graph with the streamed interactions;
 /// 4. runs a few epochs of rank-SGD over the streamed pairs plus a seeded
 ///    rehearsal sample of warm pairs (deterministic serial sampling; the
-///    sharded gradient and per-row updates are bit-identical across
-///    `train_threads`);
-/// 5. health-checks after every epoch and rolls back to the
-///    pre-compaction parameters on divergence.
+///    sharded gradient and the trainer's per-row updates, which leave the
+///    tags alone, are bit-identical across `train_threads`);
+/// 5. runs the trainer's health check after every epoch and rolls back to
+///    the pre-compaction parameters on divergence.
 ///
 /// Returns the grown training set (use it for serving masks and future
 /// propagation) alongside the report. On success the model's forward state
@@ -675,8 +639,7 @@ pub fn compact<S: Scalar>(
     }
 
     if let Some(path) = &opts.checkpoint_path {
-        let ck = pre_compaction_checkpoint(model, opts.seed);
-        checkpoint::save(&ck, path)?;
+        checkpoint::save(&Checkpoint::of_model(model, opts.seed), path)?;
     }
 
     // Grow the tables. Items first: a new user's positives may include new
@@ -723,9 +686,11 @@ pub fn compact<S: Scalar>(
     let grown = InteractionSet::from_pairs(model.users.rows(), model.items.rows(), &pairs);
     let graph = PropGraph::build(&grown);
 
-    // Incremental rank-SGD over the streamed pairs (plus rehearsal).
+    // Incremental rank-SGD over the streamed pairs (plus rehearsal), under
+    // the trainer's update rule, model-fault hook and health check.
     let pre = model.clone();
-    let threads = model.cfg.train_threads.max(1);
+    let cfg = model.cfg.clone();
+    let threads = cfg.train_threads.max(1);
     let negatives = opts.negatives.max(1);
     let per_triplet = 1.0 / negatives as f64;
     let mut rng = SplitMix64::new(opts.seed);
@@ -735,6 +700,14 @@ pub fn compact<S: Scalar>(
         p.dedup();
         p
     };
+    // Rehearsal: a seeded sample of warm pairs joins every epoch so the
+    // incremental gradient pulls against the frozen geometry's own training
+    // signal rather than the streamed pairs alone.
+    let n_rehearsal = if opts.rehearsal > 0.0 && !warm_pairs.is_empty() {
+        (opts.rehearsal * event_pairs.len() as f64).round() as usize
+    } else {
+        0
+    };
     let mut rolled_back = false;
     let mut rollback_reason = None;
     let mut final_loss = 0.0;
@@ -743,8 +716,14 @@ pub fn compact<S: Scalar>(
     for epoch in 0..opts.epochs {
         model.propagate_graph(&graph);
         // Serial, seeded sampling: bit-identical for every thread count.
+        // The streamed pairs come first, then the rehearsal draws; every
+        // positive gets `negatives` draws that veto its known items.
         triplets.clear();
-        for &(u, vp) in &event_pairs {
+        for i in 0..event_pairs.len() + n_rehearsal {
+            let (u, vp) = match event_pairs.get(i) {
+                Some(&pair) => pair,
+                None => warm_pairs[rng.index(warm_pairs.len())],
+            };
             for _ in 0..negatives {
                 let mut vq = rng.index(grown.n_items());
                 for _ in 0..16 {
@@ -756,39 +735,23 @@ pub fn compact<S: Scalar>(
                 triplets.push((u, vp, vq));
             }
         }
-        // Rehearsal: a seeded sample of warm pairs joins every epoch so
-        // the incremental gradient pulls against the frozen geometry's own
-        // training signal rather than the streamed pairs alone.
-        if opts.rehearsal > 0.0 && !warm_pairs.is_empty() {
-            let n_rehearsal = (opts.rehearsal * event_pairs.len() as f64).round() as usize;
-            for _ in 0..n_rehearsal {
-                let (u, vp) = warm_pairs[rng.index(warm_pairs.len())];
-                for _ in 0..negatives {
-                    let mut vq = rng.index(grown.n_items());
-                    for _ in 0..16 {
-                        if !grown.contains(u, vq) {
-                            break;
-                        }
-                        vq = rng.index(grown.n_items());
-                    }
-                    triplets.push((u, vp, vq));
-                }
-            }
-        }
         let shard =
             rank_loss_grad_sharded(model, &triplets, opts.margin, None, per_triplet, threads);
         let loss = shard.loss / triplets.len().max(1) as f64;
-        let ambient = model.cfg.ambient_dim();
+        let ambient = cfg.ambient_dim();
         let mut g_user_final = Embedding::zeros(model.users.rows(), ambient);
         let mut g_item_final = Embedding::zeros(model.items.rows(), ambient);
         shard.users.scatter_add(&mut g_user_final);
         shard.items.scatter_add(&mut g_item_final);
         let (g_users, g_items) = model.backward_rank_graph(&g_user_final, &g_item_final, &graph);
-        apply_stream_updates(model, &g_users, &g_items, opts.lr);
-        inject_compaction_faults(model, epoch);
+        apply_updates(model, &g_users, &g_items, None, opts.lr);
+        inject_model_faults(&cfg, epoch, model);
         epochs_run += 1;
         final_loss = loss;
-        if let Some(reason) = stream_health_violation(model, loss) {
+        // Compaction keeps no loss history, so the trainer's loss-explosion
+        // test is off; its finiteness and manifold checks apply.
+        let stats = EpochStats { epoch, rank_loss: loss, logic_loss: 0.0, val_recall10: None };
+        if let Some(reason) = check_health(model, &stats, None, 0.0) {
             *model = pre.clone();
             rolled_back = true;
             rollback_reason = Some(reason);
@@ -823,16 +786,7 @@ pub fn recover_from_checkpoint<S: Scalar>(
     path: &Path,
 ) -> Result<(), CheckpointError> {
     let ck = checkpoint::load(path)?;
-    if ck.geometry != model.cfg.geometry
-        || ck.dim != model.cfg.dim
-        || ck.layers != model.cfg.layers
-    {
-        return Err(CheckpointError::Corrupt(format!(
-            "checkpoint geometry/dim/layers ({:?}/{}/{}) do not match the model \
-             ({:?}/{}/{})",
-            ck.geometry, ck.dim, ck.layers, model.cfg.geometry, model.cfg.dim, model.cfg.layers
-        )));
-    }
+    ck.check_layout(&model.cfg).map_err(CheckpointError::Corrupt)?;
     model.tags = ck.tags.cast();
     model.items = ck.items.cast();
     model.users = ck.users.cast();
@@ -847,99 +801,6 @@ fn entity_seed(base: u64, side: u64, id: usize) -> u64 {
     base ^ (id as u64 ^ (side << 62)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-fn pre_compaction_checkpoint<S: Scalar>(model: &LogiRec<S>, seed: u64) -> Checkpoint {
-    Checkpoint {
-        geometry: model.cfg.geometry,
-        dim: model.cfg.dim,
-        layers: model.cfg.layers,
-        precision: model.cfg.precision,
-        epoch: 0,
-        rng_state: seed,
-        lr_scale: 1.0,
-        bad_rounds: 0,
-        history: Vec::new(),
-        recoveries: Vec::new(),
-        alpha: None,
-        best: None,
-        tags: model.tags.cast(),
-        items: model.items.cast(),
-        users: model.users.cast(),
-    }
-}
-
-/// One optimizer step per parameter family, mirroring the trainer's rules
-/// (tags are untouched: compaction only moves users/items). Per-row steps
-/// are independent, so the result is bit-identical across thread counts.
-fn apply_stream_updates<S: Scalar>(
-    model: &mut LogiRec<S>,
-    g_users: &Embedding<S>,
-    g_items: &Embedding<S>,
-    lr: f64,
-) {
-    let threads = model.cfg.train_threads.max(1);
-    match model.cfg.geometry {
-        Geometry::Hyperbolic => {
-            crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
-                let g = g_users.row(u);
-                if g.iter().any(|&x| x != S::ZERO) {
-                    rsgd::lorentz_step(row, g, lr);
-                }
-            });
-            crate::parallel::for_each_row(&mut model.items, threads, |v, row| {
-                let g = g_items.row(v);
-                if g.iter().any(|&x| x != S::ZERO) {
-                    rsgd::poincare_step(row, g, lr);
-                }
-            });
-        }
-        Geometry::Euclidean => {
-            crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
-                rsgd::euclidean_step(row, g_users.row(u), lr);
-            });
-            crate::parallel::for_each_row(&mut model.items, threads, |v, row| {
-                rsgd::euclidean_step(row, g_items.row(v), lr);
-                ops::clip_norm(row, S::from_f64(1.0 - 1e-5));
-            });
-        }
-    }
-}
-
-/// The trainer's health predicate, mirrored for the compaction mini-loop:
-/// finite loss, finite parameters, items in the ball, users on the
-/// hyperboloid.
-fn stream_health_violation<S: Scalar>(model: &LogiRec<S>, loss: f64) -> Option<String> {
-    if !loss.is_finite() {
-        return Some(format!("non-finite rank loss {loss}"));
-    }
-    if !model.all_finite() {
-        return Some("non-finite parameter after update".into());
-    }
-    if model.cfg.geometry == Geometry::Hyperbolic {
-        for v in 0..model.items.rows() {
-            if !poincare::in_ball(model.items.row(v)) {
-                return Some(format!("item {v} escaped the Poincaré ball"));
-            }
-        }
-        for u in 0..model.users.rows() {
-            if !lorentz::on_manifold(model.users.row(u), 1e-6) {
-                return Some(format!("user {u} left the hyperboloid"));
-            }
-        }
-    }
-    None
-}
-
-#[cfg(feature = "fault-injection")]
-fn inject_compaction_faults<S: Scalar>(model: &mut LogiRec<S>, epoch: usize) {
-    let plan = model.cfg.faults.clone();
-    if let Some(plan) = plan {
-        plan.corrupt_model(epoch, model);
-    }
-}
-
-#[cfg(not(feature = "fault-injection"))]
-fn inject_compaction_faults<S: Scalar>(_model: &mut LogiRec<S>, _epoch: usize) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,8 +809,13 @@ mod tests {
     use logirec_data::{Dataset, DatasetSpec, Scale};
 
     fn trained() -> (LogiRec, Dataset) {
+        trained_in(Geometry::Hyperbolic)
+    }
+
+    fn trained_in(geometry: Geometry) -> (LogiRec, Dataset) {
         let ds = DatasetSpec::ciao(Scale::Tiny).generate(71);
-        let cfg = LogiRecConfig { epochs: 8, eval_every: 0, ..LogiRecConfig::test_config() };
+        let cfg =
+            LogiRecConfig { geometry, epochs: 8, eval_every: 0, ..LogiRecConfig::test_config() };
         let (mut m, _) = train(cfg, &ds);
         m.propagate(&ds.train);
         (m, ds)
@@ -1097,9 +963,14 @@ mod tests {
         assert_eq!(log.events().len(), 3);
     }
 
-    #[test]
-    fn compaction_folds_events_and_stays_healthy() {
-        let (mut m, ds) = trained();
+    /// Compacts two brand-new entities and a few warm events into a model
+    /// trained in `geometry` and run at precision `S`.
+    fn compaction_folds_events_and_stays_healthy_at<S: Scalar>(geometry: Geometry) {
+        let case = format!("{geometry:?}/{}", std::any::type_name::<S>());
+        let (trained, ds) = trained_in(geometry);
+        let mut m = trained.cast::<S>();
+        m.propagate(&ds.train);
+        let tags_before = m.tags.clone();
         let mut log = EventLog::new();
         // Existing users interact with existing items, plus one brand-new
         // user and one brand-new item.
@@ -1110,22 +981,36 @@ mod tests {
         log.append(2, ds.n_items(), 104);
         let opts = CompactionOptions::for_config(&m.cfg);
         let (grown, report) = compact(&mut m, &ds.train, &mut log, &opts).expect("compact");
-        assert_eq!(report.events_folded, 5);
-        assert_eq!(report.new_users, 1);
-        assert_eq!(report.new_items, 1);
-        assert!(!report.rolled_back, "{:?}", report.rollback_reason);
-        assert_eq!(report.epochs_run, opts.epochs);
-        assert_eq!(grown.n_users(), ds.n_users() + 1);
-        assert_eq!(grown.n_items(), ds.n_items() + 1);
-        assert!(grown.contains(ds.n_users(), 5));
-        assert!(grown.contains(2, ds.n_items()));
-        assert!(m.all_finite());
-        assert!(m.has_state());
-        assert!(log.pending().is_empty());
+        assert_eq!(report.events_folded, 5, "{case}");
+        assert_eq!(report.new_users, 1, "{case}");
+        assert_eq!(report.new_items, 1, "{case}");
+        assert!(!report.rolled_back, "{case}: {:?}", report.rollback_reason);
+        assert_eq!(report.epochs_run, opts.epochs, "{case}");
+        assert_eq!(grown.n_users(), ds.n_users() + 1, "{case}");
+        assert_eq!(grown.n_items(), ds.n_items() + 1, "{case}");
+        assert!(grown.contains(ds.n_users(), 5), "{case}");
+        assert!(grown.contains(2, ds.n_items()), "{case}");
+        assert!(m.all_finite(), "{case}");
+        assert!(m.has_state(), "{case}");
+        assert!(log.pending().is_empty(), "{case}");
+        // Compaction moves users and items only.
+        assert_eq!(m.tags, tags_before, "{case}: compaction moved a tag");
+        // Hyperbolic steps stay in the ball; the Euclidean update clips.
+        for v in 0..m.items.rows() {
+            assert!(poincare::in_ball(m.items.row(v)), "{case}: item {v} outside the ball");
+        }
         // A second compaction with no new events is a no-op.
         let (again, r2) = compact(&mut m, &grown, &mut log, &opts).expect("no-op");
-        assert_eq!(r2.events_folded, 0);
-        assert_eq!(again.len(), grown.len());
+        assert_eq!(r2.events_folded, 0, "{case}");
+        assert_eq!(again.len(), grown.len(), "{case}");
+    }
+
+    #[test]
+    fn compaction_folds_events_and_stays_healthy() {
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            compaction_folds_events_and_stays_healthy_at::<f64>(geometry);
+            compaction_folds_events_and_stays_healthy_at::<f32>(geometry);
+        }
     }
 
     #[test]

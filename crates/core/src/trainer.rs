@@ -380,7 +380,7 @@ pub fn train_typed<S: Scalar>(
             // steps have their own per-row guards, but skipping here keeps
             // the whole update consistent and lets us report it.
             if g_users.all_finite() && g_items.all_finite() && g_tags.all_finite() {
-                apply_updates(&mut model, &g_users, &g_items, &g_tags, lr);
+                apply_updates(&mut model, &g_users, &g_items, Some(&g_tags), lr);
                 c_steps.incr();
             } else {
                 skipped_steps += 1;
@@ -505,7 +505,7 @@ pub fn train_typed<S: Scalar>(
                 let mut ck_span = tel.span("checkpoint");
                 ck_span.field("op", "epoch");
                 ck_span.field("epoch", state.epoch as u64);
-                let ck = make_checkpoint(&cfg, &state, &model, &recoveries);
+                let ck = make_checkpoint(&state, &model, &recoveries);
                 logirec_obs::rss::set_peak_rss_gauge(&tel);
                 match checkpoint::save(&ck, path) {
                     Ok(bytes) => ck_span.field("bytes", bytes),
@@ -581,8 +581,10 @@ fn record_recovery(tel: &Telemetry, r: &Recovery) {
 }
 
 /// Validates the post-epoch state; returns a reason string when the epoch
-/// must be rolled back.
-fn check_health<S: Scalar>(
+/// must be rolled back. The loss-explosion test needs a
+/// `baseline_rank_loss` and a positive `explosion_factor`. Compaction
+/// (`crate::stream::compact`) runs this check after each of its epochs.
+pub(crate) fn check_health<S: Scalar>(
     model: &LogiRec<S>,
     stats: &EpochStats,
     baseline_rank_loss: Option<f64>,
@@ -630,18 +632,12 @@ fn check_health<S: Scalar>(
 }
 
 fn make_checkpoint<S: Scalar>(
-    cfg: &LogiRecConfig,
     state: &TrainerState<S>,
     model: &LogiRec<S>,
     recoveries: &[Recovery],
 ) -> Checkpoint {
     Checkpoint {
-        geometry: cfg.geometry,
-        dim: cfg.dim,
-        layers: cfg.layers,
-        precision: cfg.precision,
         epoch: state.epoch,
-        rng_state: state.rng.state(),
         lr_scale: state.lr_scale,
         bad_rounds: state.bad_rounds,
         history: state.history.clone(),
@@ -653,9 +649,7 @@ fn make_checkpoint<S: Scalar>(
             items: items.cast(),
             users: users.cast(),
         }),
-        tags: model.tags.cast(),
-        items: model.items.cast(),
-        users: model.users.cast(),
+        ..Checkpoint::of_model(model, state.rng.state())
     }
 }
 
@@ -675,13 +669,7 @@ fn apply_checkpoint<S: Scalar>(
             ck.precision, cfg.precision
         ));
     }
-    if ck.geometry != cfg.geometry || ck.dim != cfg.dim || ck.layers != cfg.layers {
-        return Err(format!(
-            "checkpoint geometry/dim/layers ({:?}/{}/{}) do not match the config \
-             ({:?}/{}/{})",
-            ck.geometry, ck.dim, ck.layers, cfg.geometry, cfg.dim, cfg.layers
-        ));
-    }
+    ck.check_layout(cfg)?;
     if ck.epoch > cfg.epochs {
         return Err(format!(
             "checkpoint is at epoch {} but the config trains only {}",
@@ -758,23 +746,36 @@ fn inject_gradient_faults<S: Scalar>(
 ) {
 }
 
+/// The model-fault hook, run after an epoch's updates by the trainer and by
+/// compaction (`crate::stream::compact`).
 #[cfg(feature = "fault-injection")]
-fn inject_model_faults<S: Scalar>(cfg: &LogiRecConfig, epoch: usize, model: &mut LogiRec<S>) {
+pub(crate) fn inject_model_faults<S: Scalar>(
+    cfg: &LogiRecConfig,
+    epoch: usize,
+    model: &mut LogiRec<S>,
+) {
     if let Some(plan) = &cfg.faults {
         plan.corrupt_model(epoch, model);
     }
 }
 
 #[cfg(not(feature = "fault-injection"))]
-fn inject_model_faults<S: Scalar>(_cfg: &LogiRecConfig, _epoch: usize, _model: &mut LogiRec<S>) {}
+pub(crate) fn inject_model_faults<S: Scalar>(
+    _cfg: &LogiRecConfig,
+    _epoch: usize,
+    _model: &mut LogiRec<S>,
+) {
+}
 
 /// Applies one optimizer step per parameter family with the geometry's
-/// Riemannian (or plain) SGD rules.
-fn apply_updates<S: Scalar>(
+/// Riemannian (or plain) SGD rules. Per-row steps are independent, so the
+/// result is bit-identical across thread counts. With `g_tags` absent the
+/// tag table is left untouched (compaction moves only users and items).
+pub(crate) fn apply_updates<S: Scalar>(
     model: &mut LogiRec<S>,
     g_users: &Embedding<S>,
     g_items: &Embedding<S>,
-    g_tags: &Embedding<S>,
+    g_tags: Option<&Embedding<S>>,
     lr: f64,
 ) {
     let threads = model.cfg.train_threads;
@@ -792,12 +793,14 @@ fn apply_updates<S: Scalar>(
                     rsgd::poincare_step(row, g, lr);
                 }
             });
-            crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
-                let g = g_tags.row(t);
-                if !is_zero(g) {
-                    rsgd::hyperplane_step(row, g, lr);
-                }
-            });
+            if let Some(g_tags) = g_tags {
+                crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
+                    let g = g_tags.row(t);
+                    if !is_zero(g) {
+                        rsgd::hyperplane_step(row, g, lr);
+                    }
+                });
+            }
         }
         Geometry::Euclidean => {
             crate::parallel::for_each_row(&mut model.users, threads, |u, row| {
@@ -808,10 +811,12 @@ fn apply_updates<S: Scalar>(
                 // Keep the ball parametrization of the tag losses valid.
                 ops::clip_norm(row, S::from_f64(1.0 - 1e-5));
             });
-            crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
-                rsgd::euclidean_step(row, g_tags.row(t), lr);
-                logirec_hyperbolic::hyperplane::clamp_center(row);
-            });
+            if let Some(g_tags) = g_tags {
+                crate::parallel::for_each_row(&mut model.tags, threads, |t, row| {
+                    rsgd::euclidean_step(row, g_tags.row(t), lr);
+                    logirec_hyperbolic::hyperplane::clamp_center(row);
+                });
+            }
         }
     }
 }

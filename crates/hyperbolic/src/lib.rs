@@ -20,7 +20,6 @@
 //! against central finite differences, so the model crates can chain them
 //! with confidence.
 
-pub mod extra;
 pub mod hyperplane;
 pub mod lorentz;
 pub mod maps;

@@ -23,7 +23,7 @@
 //!   user or item off the request path.
 //! * [`reload`] — change-driven reload with validation and rollback.
 //! * [`client`] — a protocol client plus bounded-retry/backoff helpers.
-//! * [`faults`] — deterministic serve-path fault injection (behind the
+//! * `faults` — deterministic serve-path fault injection (behind the
 //!   `fault-injection` feature; extends `logirec_core::faults`).
 
 pub mod client;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 pre-merge gate: release build, full workspace test suite (the test
-# profile runs with overflow-checks on), clippy with warnings denied, then a
-# telemetry smoke run — generate and train with --trace-json and validate
-# both traces with trace_check (every line parses, spans well-nested, all
-# instrumented phases present).
+# profile runs with overflow-checks on), clippy and rustdoc with warnings
+# denied (so no doc link dangles), then a telemetry smoke run — generate
+# and train with --trace-json and validate both traces with trace_check
+# (every line parses, spans well-nested, all instrumented phases present).
 # Run from the repository root. Any failure fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,6 +13,7 @@ cargo build --release
 cargo build --release -p logirec-bench --bin perfgate
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT

@@ -37,8 +37,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = Flags::parse(&args[1..]);
-    let result = match command.as_str() {
+    let result = Flags::parse(&args[1..]).and_then(|flags| match command.as_str() {
         "generate" => cmd_generate(&flags),
         "train" => cmd_train(&flags),
         "evaluate" => cmd_evaluate(&flags),
@@ -51,7 +50,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -115,28 +114,47 @@ const BOOL_FLAGS: &[&str] = &[
     "fold-in-item",
 ];
 
-/// Minimal flag parser: `--key value` pairs plus the boolean flags in
-/// [`BOOL_FLAGS`].
+/// Flags followed by a value argument.
+const VALUE_FLAGS: &[&str] = &[
+    "addr", "approx-deadline-ms", "checkpoint", "checkpoint-every", "data", "dataset",
+    "deadline-ms", "dim", "epochs", "fold-in", "id", "index-clusters", "k", "lambda", "lr",
+    "max-inflight", "max-k", "model", "nprobe", "out", "precision", "resume", "retries", "scale",
+    "seed", "shed-limit", "steps", "threads", "trace-json", "train-threads", "user", "watch",
+    "watch-poll-ms",
+];
+
+/// Minimal flag parser: `--key value` pairs for the flags in
+/// [`VALUE_FLAGS`] plus the boolean flags in [`BOOL_FLAGS`].
 struct Flags {
     pairs: Vec<(String, String)>,
     bools: Vec<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Self {
+    /// Rejects a flag in neither list, a value flag with no value after
+    /// it, and any argument that is not a flag or a flag's value.
+    fn parse(args: &[String]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut bools = Vec::new();
         let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if let Some(key) = flag.strip_prefix("--") {
-                if BOOL_FLAGS.contains(&key) {
-                    bools.push(key.to_string());
-                } else if let Some(value) = it.next() {
-                    pairs.push((key.to_string(), value.clone()));
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}\n{USAGE}"));
+            };
+            if BOOL_FLAGS.contains(&key) {
+                bools.push(key.to_string());
+            } else if !VALUE_FLAGS.contains(&key) {
+                return Err(format!("unknown flag --{key}\n{USAGE}"));
+            } else {
+                match it.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        pairs.push((key.to_string(), value.clone()));
+                    }
+                    _ => return Err(format!("missing value for --{key}\n{USAGE}")),
                 }
             }
         }
-        Self { pairs, bools }
+        Ok(Self { pairs, bools })
     }
 
     fn get(&self, key: &str) -> Option<&str> {

@@ -120,6 +120,43 @@ fn cli_reports_errors_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A misspelled flag, a value flag with no value, and a stray argument
+/// each fail before any work is done, naming the offender and printing
+/// the usage text: each of these commands would otherwise train a model.
+#[test]
+fn cli_rejects_unknown_flags_and_missing_values() {
+    let dir = work_dir("flags");
+    let data = dir.join("data");
+    let model = dir.join("m.bin");
+    assert!(bin()
+        .args(["generate", "--dataset", "ciao", "--scale", "tiny", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    for (tail, expected) in [
+        (&["--epocs", "1", "--dim", "8"][..], "unknown flag --epocs"),
+        (&["--dim", "8", "--epochs"][..], "missing value for --epochs"),
+        (&["--epochs", "--dim", "8"][..], "missing value for --epochs"),
+        (&["--epochs", "1", "8"][..], "unexpected argument \"8\""),
+    ] {
+        let out = bin()
+            .args(["train", "--data"])
+            .arg(&data)
+            .arg("--model")
+            .arg(&model)
+            .args(tail)
+            .output()
+            .expect("run train");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{tail:?} was accepted");
+        assert!(stderr.contains(expected), "{tail:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{tail:?}: no usage text in {stderr}");
+        assert!(!model.exists(), "{tail:?} trained a model");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The item ids `logirec recommend` prints, in rank order.
 fn printed_items(stdout: &[u8]) -> Vec<usize> {
     String::from_utf8_lossy(stdout)
