@@ -9,8 +9,6 @@
 //! table rendering in the paper's `mean±std` percent format.
 
 pub mod harness;
-pub mod perf;
 pub mod table;
 
 pub use harness::{bin_telemetry, ExpMetrics, RunArgs};
-pub use perf::{compare, find_latest_baseline, PerfMetric, PerfSuite};

@@ -16,9 +16,10 @@
 //! ```
 //!
 //! `fold_in` optionally carries `steps` / `lr` overrides for the RSGD
-//! fold-in loop; it answers `{"fold_in":"swapped",...}` with the new
-//! entity id and snapshot version, or `{"fold_in":"rejected","reason":..}`
-//! when validation keeps the last-good snapshot.
+//! fold-in loop (`steps` at most [`MAX_FOLD_IN_STEPS`]); it answers
+//! `{"fold_in":"swapped",...}` with the new entity id and snapshot
+//! version, or `{"fold_in":"rejected","reason":..}` when validation keeps
+//! the last-good snapshot.
 //!
 //! Recommendation responses carry `served_by` — the degradation matrix's
 //! outcome — plus the snapshot version that produced them:
@@ -160,6 +161,11 @@ pub struct Response {
     pub approx: Option<ApproxInfo>,
 }
 
+/// The largest `steps` a wire fold-in may ask for. A fold-in holds the
+/// server's fold-in lock for all its steps, so an unbounded count would
+/// stall every other fold-in; the default is 30.
+pub const MAX_FOLD_IN_STEPS: usize = 1_000;
+
 /// Parses one request line.
 pub fn parse_message(line: &str) -> Result<Message, String> {
     let j = json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
@@ -187,10 +193,14 @@ pub fn parse_message(line: &str) -> Result<Message, String> {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("fold_in needs a \"positives\" array".to_string()),
         };
+        let steps = f.get("steps").and_then(Json::as_u64);
+        if let Some(n) = steps.filter(|&n| n > MAX_FOLD_IN_STEPS as u64) {
+            return Err(format!("fold_in steps {n} is above the cap of {MAX_FOLD_IN_STEPS}"));
+        }
         return Ok(Message::FoldIn(FoldInVerb {
             item: f.get("item").and_then(Json::as_bool).unwrap_or(false),
             positives,
-            steps: f.get("steps").and_then(Json::as_u64).map(|n| n as usize),
+            steps: steps.map(|n| n as usize),
             lr: f.get("lr").and_then(Json::as_f64),
         }));
     }
@@ -385,6 +395,17 @@ mod tests {
             "fold_in without positives is a client error"
         );
         assert!(parse_message("{\"fold_in\":{\"positives\":[-1]}}").is_err());
+    }
+
+    #[test]
+    fn fold_in_steps_are_capped() {
+        let verb = |steps| FoldInVerb { item: false, positives: vec![3], steps, lr: None };
+        let at_cap = verb(Some(MAX_FOLD_IN_STEPS));
+        assert_eq!(parse_message(&encode_fold_in(&at_cap)), Ok(Message::FoldIn(at_cap)));
+        for steps in [MAX_FOLD_IN_STEPS + 1, 1_000_000_000] {
+            let err = parse_message(&encode_fold_in(&verb(Some(steps)))).unwrap_err();
+            assert!(err.contains(&MAX_FOLD_IN_STEPS.to_string()), "{err}");
+        }
     }
 
     #[test]

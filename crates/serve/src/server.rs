@@ -70,7 +70,7 @@ pub struct ServerConfig {
     pub shed_limit: usize,
     /// Deadline applied when a request does not carry `deadline_ms`.
     pub default_deadline_ms: u64,
-    /// Upper bound on requested `k`.
+    /// Upper bound on requested `k`; at least 1.
     pub max_k: usize,
     /// Requests whose effective deadline is at or below this route to the
     /// `approx` tier (when the snapshot has an index) instead of gambling
@@ -264,11 +264,17 @@ pub struct Server {
 impl Server {
     /// Binds, spawns the accept loop (and the reload watcher when
     /// configured), and starts serving `initial` as snapshot version 1.
+    ///
+    /// Fails with [`io::ErrorKind::InvalidInput`] when `cfg.max_k` is 0,
+    /// since no request could then be answered.
     pub fn start(
         cfg: ServerConfig,
         ctx: Arc<ServeContext>,
         initial: ModelSnapshot,
     ) -> io::Result<Server> {
+        if cfg.max_k == 0 {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "max_k must be at least 1"));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let reloader = cfg.watch.as_ref().map(|w| {

@@ -4,14 +4,15 @@
 # denied (so no doc link dangles), then a telemetry smoke run — generate
 # and train with --trace-json and validate both traces with trace_check
 # (every line parses, spans well-nested, all instrumented phases present).
+# The hard slowdown check is the end-to-end benchmark's comparator test,
+# compare::tests::a_thirty_percent_tail_slowdown_is_flagged (`compare` must
+# flag a 1.3x tail slowdown); the workspace test run prints it by name.
 # Run from the repository root. Any failure fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-# perfgate lives in the logirec-bench member, which a root build skips.
-cargo build --release -p logirec-bench --bin perfgate
-cargo test --workspace -q
+cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
@@ -185,14 +186,4 @@ case "$f32_out" in
   *NaN*|*nan*) echo "tier1: f32 smoke FAILED (NaN in metrics)"; exit 1 ;;
 esac
 
-# Perf-regression gate. The self-test (gate logic must flag a synthetic 2×
-# slowdown) is a hard gate; the live measurement against the committed
-# BENCH_<n>.json baseline is advisory here — shared CI machines are too
-# noisy to block merges on wall time, so a regression prints loudly instead.
-# --out points into the smoke dir so the committed baseline stays clean;
-# perfgate runs from the repo root, so `auto` still finds that baseline.
-./target/release/perfgate --self-test \
-  || { echo "tier1: perfgate self-test FAILED"; exit 1; }
-./target/release/perfgate --out "$smoke/bench.json" \
-  || echo "tier1: perfgate ADVISORY — perf regressed vs committed baseline (not blocking)"
 echo "tier1: all green"

@@ -25,10 +25,10 @@ use std::time::Instant;
 use logirec_suite::core::{Geometry, LogiRec, LogiRecConfig, Precision, ScanTable};
 use logirec_suite::data::{DatasetSpec, Scale};
 use logirec_suite::eval::ranking::top_k_indices;
-use logirec_suite::flag_value;
 use logirec_suite::hyperbolic::lorentz;
 use logirec_suite::linalg::{Embedding, SplitMix64};
 use logirec_suite::serve::{ClusterIndex, IndexConfig, ModelSnapshot, ServeContext};
+use logirec_suite::Flags;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,9 +41,12 @@ fn main() -> ExitCode {
     }
 }
 
+const USAGE: &str = "usage: index_bench [--users N] [--seed N]";
+
 fn run(args: &[String]) -> Result<(), String> {
-    let users: usize = flag_value(args, "--users", 100)?;
-    let seed: u64 = flag_value(args, "--seed", 9)?;
+    let flags = Flags::parse(args, &["users", "seed"], &[], USAGE)?;
+    let users: usize = flags.parse_or("users", 100)?;
+    let seed: u64 = flags.parse_or("seed", 9)?;
     paper_sweep(users, seed);
     println!();
     synthetic_sweep(users, seed);

@@ -30,6 +30,7 @@ use logirec_suite::serve::{
     Server, ServerConfig, WatchConfig,
 };
 use logirec_suite::taxonomy::ExclusionRule;
+use logirec_suite::Flags;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +38,8 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = Flags::parse(&args[1..]).and_then(|flags| match command.as_str() {
+    let flags = Flags::parse(&args[1..], VALUE_FLAGS, BOOL_FLAGS, USAGE);
+    let result = flags.and_then(|flags| match command.as_str() {
         "generate" => cmd_generate(&flags),
         "train" => cmd_train(&flags),
         "evaluate" => cmd_evaluate(&flags),
@@ -123,85 +125,31 @@ const VALUE_FLAGS: &[&str] = &[
     "watch-poll-ms",
 ];
 
-/// Minimal flag parser: `--key value` pairs for the flags in
-/// [`VALUE_FLAGS`] plus the boolean flags in [`BOOL_FLAGS`].
-struct Flags {
-    pairs: Vec<(String, String)>,
-    bools: Vec<String>,
+/// Builds the telemetry handle requested by `--trace-json` /
+/// `--metrics-summary` / `--profile` (disabled when none is present).
+fn telemetry(flags: &Flags) -> Result<Telemetry, String> {
+    let trace_json = flags.get("trace-json");
+    if trace_json.is_none() && !flags.has("metrics-summary") && !flags.has("profile") {
+        return Ok(Telemetry::disabled());
+    }
+    let mut builder = Telemetry::builder();
+    if let Some(path) = trace_json {
+        builder = builder.jsonl(path);
+    }
+    builder.build().map_err(|e| format!("cannot open trace file: {e}"))
 }
 
-impl Flags {
-    /// Rejects a flag in neither list, a value flag with no value after
-    /// it, and any argument that is not a flag or a flag's value.
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut bools = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let Some(key) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected argument {arg:?}\n{USAGE}"));
-            };
-            if BOOL_FLAGS.contains(&key) {
-                bools.push(key.to_string());
-            } else if !VALUE_FLAGS.contains(&key) {
-                return Err(format!("unknown flag --{key}\n{USAGE}"));
-            } else {
-                match it.next() {
-                    Some(value) if !value.starts_with("--") => {
-                        pairs.push((key.to_string(), value.clone()));
-                    }
-                    _ => return Err(format!("missing value for --{key}\n{USAGE}")),
-                }
-            }
-        }
-        Ok(Self { pairs, bools })
+/// Flushes `tel` and prints the summary table / profile when requested.
+fn finish_telemetry(flags: &Flags, tel: &Telemetry) {
+    tel.finish();
+    if flags.has("metrics-summary") {
+        print!("{}", tel.summary());
     }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    if flags.has("profile") {
+        print!("{}", profile_span_aggs(&tel.span_aggs(), tel.elapsed_us()).render(12));
     }
-
-    fn has(&self, key: &str) -> bool {
-        self.bools.iter().any(|k| k == key)
-    }
-
-    /// Builds the telemetry handle requested by `--trace-json` /
-    /// `--metrics-summary` / `--profile` (disabled when none is present).
-    fn telemetry(&self) -> Result<Telemetry, String> {
-        let trace_json = self.get("trace-json");
-        if trace_json.is_none() && !self.has("metrics-summary") && !self.has("profile") {
-            return Ok(Telemetry::disabled());
-        }
-        let mut builder = Telemetry::builder();
-        if let Some(path) = trace_json {
-            builder = builder.jsonl(path);
-        }
-        builder.build().map_err(|e| format!("cannot open trace file: {e}"))
-    }
-
-    /// Flushes `tel` and prints the summary table / profile when requested.
-    fn finish_telemetry(&self, tel: &Telemetry) {
-        tel.finish();
-        if self.has("metrics-summary") {
-            print!("{}", tel.summary());
-        }
-        if self.has("profile") {
-            print!("{}", profile_span_aggs(&tel.span_aggs(), tel.elapsed_us()).render(12));
-        }
-        if let Some(path) = self.get("trace-json") {
-            println!("trace written to {path}");
-        }
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing --{key}\n{USAGE}"))
-    }
-
-    fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v:?}")),
-        }
+    if let Some(path) = flags.get("trace-json") {
+        println!("trace written to {path}");
     }
 }
 
@@ -218,10 +166,10 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.parse_or("seed", 42)?;
     let out = PathBuf::from(flags.require("out")?);
     let spec = DatasetSpec::by_name(name, scale).ok_or_else(|| format!("unknown dataset {name:?}"))?;
-    let tel = flags.telemetry()?;
+    let tel = telemetry(flags)?;
     let ds = spec.generate_traced(seed, &tel);
     save_dataset_traced(&ds, &out, &tel).map_err(|e| e.to_string())?;
-    flags.finish_telemetry(&tel);
+    finish_telemetry(flags, &tel);
     let (m, h, e) = ds.relations.counts();
     println!(
         "wrote {} to {}: {} users, {} items, {} interactions, {} tags \
@@ -237,7 +185,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
-    let tel = flags.telemetry()?;
+    let tel = telemetry(flags)?;
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
     let checkpoint_path = flags.get("checkpoint").map(PathBuf::from);
@@ -277,12 +225,12 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             save_span.field("failed", true);
             save_span.close();
             tel.counter("checkpoint.write_failures").incr();
-            flags.finish_telemetry(&tel);
+            finish_telemetry(flags, &tel);
             return Err(e.to_string());
         }
     }
     save_span.close();
-    flags.finish_telemetry(&tel);
+    finish_telemetry(flags, &tel);
     println!(
         "done in {} epochs; best validation Recall@10: {}",
         report.epochs_run,
@@ -298,7 +246,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
-    let tel = flags.telemetry()?;
+    let tel = telemetry(flags)?;
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
     let base_cfg = LogiRecConfig { telemetry: tel.clone(), ..LogiRecConfig::default() };
@@ -324,7 +272,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
             }
         }
     };
-    flags.finish_telemetry(&tel);
+    finish_telemetry(flags, &tel);
     println!(
         "test: Recall@10 {:.4}  Recall@20 {:.4}  NDCG@10 {:.4}  NDCG@20 {:.4}  ({} users)",
         res.recall_at(10),
@@ -359,7 +307,7 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    let tel = flags.telemetry()?;
+    let tel = telemetry(flags)?;
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
     let precision = parse_precision(flags)?;
@@ -415,7 +363,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         index_banner.unwrap_or_default(),
     );
     server.wait();
-    flags.finish_telemetry(&tel);
+    finish_telemetry(flags, &tel);
     Ok(())
 }
 

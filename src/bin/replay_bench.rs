@@ -14,7 +14,10 @@
 //!
 //! ```text
 //! replay_bench [--scale tiny|small|paper] [--seed N] [--dim N]
-//!              [--epochs N] [--cold-fraction X] [--threads N] [--out FILE]
+//!              [--epochs N] [--cold-fraction X] [--threads N]
+//!              [--fold-steps N] [--fold-negatives N] [--fold-lr X]
+//!              [--compact-epochs N] [--compact-lr X] [--rehearsal X]
+//!              [--out FILE]
 //! ```
 
 use std::path::PathBuf;
@@ -25,7 +28,7 @@ use logirec_suite::core::stream::{compact, fold_in_user, CompactionOptions, Even
 use logirec_suite::core::{train, LogiRecConfig};
 use logirec_suite::data::{DatasetSpec, ReplayScenario, Scale, Split};
 use logirec_suite::eval::{evaluate, EvalResult};
-use logirec_suite::flag_value;
+use logirec_suite::Flags;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,25 +41,37 @@ fn main() -> ExitCode {
     }
 }
 
+const USAGE: &str = "usage: replay_bench [--scale tiny|small|paper] [--seed N] [--dim N]
+                    [--epochs N] [--cold-fraction X] [--threads N]
+                    [--fold-steps N] [--fold-negatives N] [--fold-lr X]
+                    [--compact-epochs N] [--compact-lr X] [--rehearsal X]
+                    [--out FILE]";
+
 fn run(args: &[String]) -> Result<(), String> {
-    let scale_raw = flag_value(args, "--scale", "paper".to_string())?;
-    let scale = Scale::parse(&scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
-    let seed: u64 = flag_value(args, "--seed", 42)?;
-    let dim: usize = flag_value(args, "--dim", 32)?;
-    let epochs: usize = flag_value(args, "--epochs", 15)?;
-    let cold_fraction: f64 = flag_value(args, "--cold-fraction", 0.1)?;
-    let threads: usize = flag_value(
+    let flags = Flags::parse(
         args,
-        "--threads",
-        std::thread::available_parallelism().map_or(4, |n| n.get()),
+        &[
+            "scale", "seed", "dim", "epochs", "cold-fraction", "threads", "fold-steps",
+            "fold-negatives", "fold-lr", "compact-epochs", "compact-lr", "rehearsal", "out",
+        ],
+        &[],
+        USAGE,
     )?;
-    let fold_steps: usize = flag_value(args, "--fold-steps", 60)?;
-    let fold_negatives: usize = flag_value(args, "--fold-negatives", 8)?;
-    let fold_lr: f64 = flag_value(args, "--fold-lr", 0.1)?;
-    let compact_epochs: usize = flag_value(args, "--compact-epochs", 16)?;
-    let compact_lr: f64 = flag_value(args, "--compact-lr", 0.02)?;
-    let rehearsal: f64 = flag_value(args, "--rehearsal", 1.0)?;
-    let out = PathBuf::from(flag_value(args, "--out", "results/replay.txt".to_string())?);
+    let scale_raw = flags.get("scale").unwrap_or("paper");
+    let scale = Scale::parse(scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
+    let seed: u64 = flags.parse_or("seed", 42)?;
+    let dim: usize = flags.parse_or("dim", 32)?;
+    let epochs: usize = flags.parse_or("epochs", 15)?;
+    let cold_fraction: f64 = flags.parse_or("cold-fraction", 0.1)?;
+    let threads: usize =
+        flags.parse_or("threads", std::thread::available_parallelism().map_or(4, |n| n.get()))?;
+    let fold_steps: usize = flags.parse_or("fold-steps", 60)?;
+    let fold_negatives: usize = flags.parse_or("fold-negatives", 8)?;
+    let fold_lr: f64 = flags.parse_or("fold-lr", 0.1)?;
+    let compact_epochs: usize = flags.parse_or("compact-epochs", 16)?;
+    let compact_lr: f64 = flags.parse_or("compact-lr", 0.02)?;
+    let rehearsal: f64 = flags.parse_or("rehearsal", 1.0)?;
+    let out = PathBuf::from(flags.get("out").unwrap_or("results/replay.txt"));
 
     let spec = DatasetSpec::ciao(scale);
     let sc = ReplayScenario::build(&spec, seed, cold_fraction);
@@ -145,7 +160,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let retrain = evaluate(&retrain_model, &sc.replay, Split::Test, &[10], threads);
 
     let report = render(
-        &scale_raw, seed, dim, epochs, &sc, &fold_us, &folded, &compacted, &retrain, &creport,
+        scale_raw, seed, dim, epochs, &sc, &fold_us, &folded, &compacted, &retrain, &creport,
         warm_s, compact_s, retrain_s,
     );
     print!("{report}");

@@ -39,11 +39,11 @@ use std::sync::Arc;
 
 use logirec_suite::core::{LogiRec, LogiRecConfig, Precision};
 use logirec_suite::data::{DatasetSpec, Scale};
-use logirec_suite::flag_value;
 use logirec_suite::obs::{profile_span_aggs, rss, Telemetry};
 use logirec_suite::serve::{
     Client, IndexConfig, ModelSnapshot, Request, ServeContext, ServedBy, Server, ServerConfig,
 };
+use logirec_suite::Flags;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,16 +56,26 @@ fn main() -> ExitCode {
     }
 }
 
+const USAGE: &str = "usage: serve_bench [--scale tiny|small|paper] [--seed N] [--requests N]
+                   [--dim N] [--overload-threads N] [--profile]
+                   [--index-clusters N] [--nprobe N]";
+
 fn run(args: &[String]) -> Result<(), String> {
-    let scale_raw = flag_value(args, "--scale", "small".to_string())?;
-    let scale = Scale::parse(&scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
-    let seed: u64 = flag_value(args, "--seed", 7)?;
-    let requests: usize = flag_value(args, "--requests", 400)?;
-    let dim: usize = flag_value(args, "--dim", 32)?;
-    let overload_threads: usize = flag_value(args, "--overload-threads", 48)?;
-    let index_clusters: usize = flag_value(args, "--index-clusters", 0)?;
-    let nprobe: usize = flag_value(args, "--nprobe", 0)?;
-    let profile = args.iter().any(|a| a == "--profile");
+    let flags = Flags::parse(
+        args,
+        &["scale", "seed", "requests", "dim", "overload-threads", "index-clusters", "nprobe"],
+        &["profile"],
+        USAGE,
+    )?;
+    let scale_raw = flags.get("scale").unwrap_or("small");
+    let scale = Scale::parse(scale_raw).ok_or_else(|| format!("bad --scale {scale_raw:?}"))?;
+    let seed: u64 = flags.parse_or("seed", 7)?;
+    let requests: usize = flags.parse_or("requests", 400)?;
+    let dim: usize = flags.parse_or("dim", 32)?;
+    let overload_threads: usize = flags.parse_or("overload-threads", 48)?;
+    let index_clusters: usize = flags.parse_or("index-clusters", 0)?;
+    let nprobe: usize = flags.parse_or("nprobe", 0)?;
+    let profile = flags.has("profile");
     let tel = if profile { Telemetry::enabled() } else { Telemetry::disabled() };
 
     let ds = DatasetSpec::ciao(scale).generate(seed);

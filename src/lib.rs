@@ -16,59 +16,125 @@ pub use logirec_obs as obs;
 pub use logirec_serve as serve;
 pub use logirec_taxonomy as taxonomy;
 
-/// Reads the value that follows `flag` in a bench binary's arguments.
+/// The command-line flags of one binary (`logirec` and the bench
+/// binaries): `--key value` pairs and boolean `--key` switches.
 ///
-/// Returns `default` when `flag` is absent. Returns an error naming the
-/// flag when it is present but has no value (it is the last argument, or
-/// the next one is another `--flag`) or its value does not parse as `T`,
-/// so a typo such as `--requests 1e3` fails instead of silently running
+/// Parsing rejects a flag the binary does not read, a value flag with no
+/// value after it, and a stray argument, each with the binary's usage
+/// text, so a typo such as `--nprob 16` fails instead of silently running
 /// with the default.
-pub fn flag_value<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
-    };
-    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-        None => Err(format!("{flag} needs a value")),
-        Some(v) => v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}")),
+pub struct Flags {
+    pairs: Vec<(String, String)>,
+    bools: Vec<String>,
+    usage: &'static str,
+}
+
+impl Flags {
+    /// Parses `args` against the flags (named without the leading `--`)
+    /// that take a value and the ones that do not.
+    pub fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+        usage: &'static str,
+    ) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut bools = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}\n{usage}"));
+            };
+            if bool_flags.contains(&key) {
+                bools.push(key.to_string());
+            } else if !value_flags.contains(&key) {
+                return Err(format!("unknown flag --{key}\n{usage}"));
+            } else {
+                match it.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        pairs.push((key.to_string(), value.clone()));
+                    }
+                    _ => return Err(format!("missing value for --{key}\n{usage}")),
+                }
+            }
+        }
+        Ok(Self { pairs, bools, usage })
+    }
+
+    /// The value given for `key`, if any.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the boolean flag `key` was given.
+    pub fn has(&self, key: &str) -> bool {
+        self.bools.iter().any(|k| k == key)
+    }
+
+    /// The value given for `key`, or an error naming it.
+    pub fn require(&self, key: &str) -> Result<&str, String> {
+        self.get(key).ok_or_else(|| format!("missing --{key}\n{}", self.usage))
+    }
+
+    /// The value given for `key` parsed as `T`, or `default` when absent.
+    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v:?}")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::flag_value;
+    use super::Flags;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|a| a.to_string()).collect()
+    fn flags(s: &[&str]) -> Result<Flags, String> {
+        let args: Vec<String> = s.iter().map(|a| a.to_string()).collect();
+        Flags::parse(&args, &["requests", "seed"], &["profile"], "usage: bench")
     }
 
     #[test]
     fn absent_flag_takes_the_default() {
-        let a = args(&["--seed", "3"]);
-        assert_eq!(flag_value(&a, "--requests", 400usize), Ok(400));
+        let f = flags(&["--seed", "3"]).unwrap();
+        assert_eq!(f.parse_or("requests", 400usize), Ok(400));
+        assert!(!f.has("profile"));
     }
 
     #[test]
     fn valid_value_is_parsed() {
-        let a = args(&["--seed", "3", "--requests", "1000"]);
-        assert_eq!(flag_value(&a, "--requests", 400usize), Ok(1000));
-        assert_eq!(flag_value(&a, "--seed", 7u64), Ok(3));
+        let f = flags(&["--seed", "3", "--profile", "--requests", "1000"]).unwrap();
+        assert_eq!(f.parse_or("requests", 400usize), Ok(1000));
+        assert_eq!(f.parse_or("seed", 7u64), Ok(3));
+        assert!(f.has("profile"));
     }
 
     #[test]
     fn malformed_value_is_an_error() {
-        let err = flag_value(&args(&["--requests", "1e3"]), "--requests", 400usize).unwrap_err();
+        let f = flags(&["--requests", "1e3"]).unwrap();
+        let err = f.parse_or("requests", 400usize).unwrap_err();
         assert!(err.contains("--requests") && err.contains("1e3"), "{err}");
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        for a in [args(&["--requests"]), args(&["--requests", "--seed", "3"])] {
-            let err = flag_value(&a, "--requests", 400usize).unwrap_err();
-            assert!(err.contains("--requests needs a value"), "{err}");
+        for a in [&["--requests"][..], &["--requests", "--seed", "3"]] {
+            let err = flags(a).err().expect("rejected");
+            assert!(err.contains("missing value for --requests"), "{err}");
+            assert!(err.contains("usage: bench"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        for (a, expected) in [
+            (&["--nprob", "16"][..], "unknown flag --nprob"),
+            (&["--seed", "3", "--bogus"], "unknown flag --bogus"),
+            (&["--seed", "3", "4"], "unexpected argument \"4\""),
+        ] {
+            let err = flags(a).err().expect("rejected");
+            assert!(err.contains(expected), "{err}");
+            assert!(err.contains("usage: bench"), "{err}");
         }
     }
 }

@@ -157,6 +157,34 @@ fn cli_rejects_unknown_flags_and_missing_values() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The bench binaries parse their flags with the same parser: a misspelled
+/// flag fails before any work, naming the offender and printing the usage
+/// text. A `--nprob 16` taken as nothing would run the approx phase with
+/// the default nprobe and report a recall the caller did not ask for.
+#[test]
+fn bench_binaries_reject_unknown_flags() {
+    let dir = work_dir("bench-flags");
+    let replay_out = dir.join("replay.txt");
+    let replay_out_arg = replay_out.to_str().expect("utf-8 temp path");
+    for (exe, args, flag) in [
+        (env!("CARGO_BIN_EXE_serve_bench"), &["--scale", "tiny", "--nprob", "16"][..], "--nprob"),
+        (env!("CARGO_BIN_EXE_index_bench"), &["--users", "4", "--user", "5"], "--user"),
+        (
+            env!("CARGO_BIN_EXE_replay_bench"),
+            &["--out", replay_out_arg, "--scale", "tiny", "--fold-step", "9"],
+            "--fold-step",
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("run bench binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{exe} {args:?} was accepted");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{exe}: {stderr}");
+        assert!(stderr.contains("usage:"), "{exe}: no usage text in {stderr}");
+    }
+    assert!(!replay_out.exists(), "replay_bench ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The item ids `logirec recommend` prints, in rank order.
 fn printed_items(stdout: &[u8]) -> Vec<usize> {
     String::from_utf8_lossy(stdout)

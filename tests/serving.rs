@@ -15,6 +15,7 @@ use logirec_suite::data::interactions::Dataset;
 use logirec_suite::data::{DatasetSpec, Scale, Split};
 use logirec_suite::eval::ranking::top_k_indices;
 use logirec_suite::serve::faults::{truncate_file, ServeFaultPlan};
+use logirec_suite::serve::protocol::MAX_FOLD_IN_STEPS;
 use logirec_suite::serve::{
     recommend_with_retry, Client, IndexConfig, ModelSnapshot, Request, RetryPolicy, ServeContext,
     ServedBy, Server, ServerConfig, WatchConfig,
@@ -292,6 +293,40 @@ fn client_errors_leave_the_connection_and_server_healthy() {
     assert_eq!(stats.errors, 1, "only the malformed line is an error");
     assert_eq!(stats.fallback, 1, "the unknown user degraded instead");
     drop(client);
+    server.shutdown();
+}
+
+/// A `max_k` of 0 leaves no `k` a request could be answered with, so the
+/// server refuses to start instead of failing every read.
+#[test]
+fn a_zero_max_k_is_refused_at_startup() {
+    let ds = dataset();
+    let ctx = Arc::new(ServeContext::from_dataset(&ds));
+    let model = LogiRec::new(LogiRecConfig::test_config(), &ds);
+    let snap = ModelSnapshot::build(model, Precision::F64, &ctx, "test").expect("valid snapshot");
+    let cfg = ServerConfig { max_k: 0, ..ServerConfig::default() };
+    let err = Server::start(cfg, ctx, snap).err().expect("max_k 0 must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+/// A fold-in asking for more RSGD steps than the protocol's cap gets an
+/// error reply naming the cap, and the fold-in lock stays free for the
+/// next fold-in.
+#[test]
+fn an_over_cap_fold_in_gets_an_error_reply() {
+    let ds = dataset();
+    let (server, _ctx) = start_server(ServerConfig::default(), &ds, trained_model(&ds));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let cap = MAX_FOLD_IN_STEPS;
+    let line = format!("{{\"fold_in\":{{\"positives\":[1,4],\"steps\":{}}}}}", cap + 1);
+    let reply = client.roundtrip_line(&line).expect("connection stays open");
+    assert!(reply.contains("\"error\"") && reply.contains(&cap.to_string()), "{reply}");
+
+    let mut other = Client::connect(server.addr()).expect("connect");
+    let j = other.fold_in(false, &[1, 4], Some(cap), None).expect("round-trips");
+    assert_eq!(j.get("fold_in").and_then(|v| v.as_str()), Some("swapped"));
+    assert_eq!(server.stats().errors, 1);
+    drop((client, other));
     server.shutdown();
 }
 
