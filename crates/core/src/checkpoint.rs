@@ -1,10 +1,12 @@
-//! Durable training checkpoints.
+//! Durable training checkpoints, which are also the model file format.
 //!
 //! A checkpoint captures everything the trainer needs to continue a run
 //! bit-identically after a crash: the three parameter tables plus the
 //! optimizer/trainer state (completed-epoch count, RNG state, LR backoff
 //! scale, best-validation snapshot, bad-round counter, mining weights,
-//! epoch history, and recovery log).
+//! epoch history, and recovery log). A model file
+//! ([`crate::io::save_model`]) is a checkpoint at epoch 0 with no trainer
+//! state, so every parameter file is read by one CRC-checked decoder.
 //!
 //! ## On-disk format (all integers little-endian)
 //!
@@ -22,12 +24,13 @@
 //! trained in. Version-1 files (always double precision) still load and
 //! decode as [`Precision::F64`].
 //!
-//! Writes are atomic and durable: the bytes go to a `.tmp` sibling, the file
-//! is fsynced, then renamed over the destination (and the directory synced),
-//! so a crash at any point leaves either the previous checkpoint or the new
-//! one — never a torn file. Loads verify magic, version, length, and CRC
-//! before any field is parsed, so truncation and bit corruption surface as
-//! [`CheckpointError::Corrupt`] instead of garbage state.
+//! Writes go through [`logirec_data::atomic_write`] (`.tmp` sibling, fsync,
+//! rename, directory sync), so a crash at any point leaves either the
+//! previous file or the new one — never a torn file. Loads verify magic,
+//! version, length, and CRC before any field is parsed, then check that
+//! every table is finite and as wide as the header says, so truncation and
+//! bit corruption surface as [`CheckpointError::Corrupt`] instead of
+//! garbage state.
 
 use std::fs;
 use std::io;
@@ -66,7 +69,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "io error: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a LogiRec checkpoint file"),
+            CheckpointError::BadMagic => write!(f, "not a LogiRec model or checkpoint file"),
             CheckpointError::BadVersion(v) => {
                 write!(f, "unsupported checkpoint version {v} (supported: 1..={VERSION})")
             }
@@ -171,8 +174,7 @@ impl Checkpoint {
 }
 
 /// Serializes `ck` and writes it to `path` atomically and durably
-/// (`.tmp` sibling + fsync + rename + directory sync). Returns the number
-/// of bytes written.
+/// ([`logirec_data::atomic_write`]). Returns the number of bytes written.
 pub fn save(ck: &Checkpoint, path: &Path) -> Result<u64, CheckpointError> {
     let payload = encode_payload(ck);
     let mut bytes = Vec::with_capacity(24 + payload.len());
@@ -181,7 +183,7 @@ pub fn save(ck: &Checkpoint, path: &Path) -> Result<u64, CheckpointError> {
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    crate::io::atomic_write(path, &bytes)?;
+    logirec_data::atomic_write(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -387,9 +389,30 @@ fn decode_payload(bytes: &[u8], version: u32) -> Result<Checkpoint, CheckpointEr
             bytes.len() - r.pos
         )));
     }
-    for (name, table) in [("tags", &tags), ("items", &items), ("users", &users)] {
+    // Every table, the best snapshot's too, must be finite and as wide as
+    // the header's geometry and dim say, so a decoded checkpoint can always
+    // be installed into a model of that layout.
+    let user_dim = match geometry {
+        Geometry::Hyperbolic => dim + 1,
+        Geometry::Euclidean => dim,
+    };
+    let current = [("tags", &tags, dim), ("items", &items, dim), ("users", &users, user_dim)];
+    let best_tables = best.iter().flat_map(|b| {
+        [
+            ("best tags", &b.tags, dim),
+            ("best items", &b.items, dim),
+            ("best users", &b.users, user_dim),
+        ]
+    });
+    for (name, table, width) in current.into_iter().chain(best_tables) {
         if !table.all_finite() {
             return Err(corrupt(format!("non-finite parameter in {name} table")));
+        }
+        if table.dim() != width {
+            return Err(corrupt(format!(
+                "{name} table is {} wide, but the header ({geometry:?}, d={dim}) implies {width}",
+                table.dim()
+            )));
         }
     }
     Ok(Checkpoint {
@@ -522,20 +545,26 @@ impl Reader<'_> {
                 "table shape {rows}×{dim} exceeds the remaining payload"
             )));
         }
+        let bytes = self.take(n)?;
         let mut m = Embedding::zeros(rows, dim);
-        for x in m.as_mut_slice() {
-            *x = self.f64()?;
+        for (x, b) in m.as_mut_slice().iter_mut().zip(bytes.chunks_exact(8)) {
+            *x = f64::from_le_bytes(b.try_into().expect("8 bytes"));
         }
         Ok(m)
     }
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven
+// CRC-32 (IEEE 802.3, reflected), slice-by-8
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables. `CRC_TABLES[0]` is the classic byte table;
+/// `CRC_TABLES[k][b]` advances the CRC of byte `b` over `k` more zero
+/// bytes, so eight table lookups consume eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -544,20 +573,41 @@ fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// CRC-32 (IEEE) of `bytes`, as used in the checkpoint header.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // The table is tiny to build; recomputing it per call keeps this
-    // dependency-free without statics. Checkpoint writes are epoch-rate.
-    let table = crc32_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -711,6 +761,62 @@ mod tests {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_definition() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let mut bytes = vec![0u8; 300];
+        SplitMix64::new(5).fill_bytes(&mut bytes);
+        // Every length across several words, from every start alignment.
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                assert_eq!(crc32(&bytes[start..end]), bytewise(&bytes[start..end]));
+            }
+        }
+    }
+
+    /// The bytes of a saved checkpoint are pinned: files written before
+    /// model files became checkpoints decode exactly as they did then.
+    #[test]
+    fn the_byte_layout_is_unchanged() {
+        let path = tmp("layout");
+        save(&sample_checkpoint(), &path).expect("save");
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (1392, 0x7fcc_91fe));
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A CRC only proves the bytes are the ones written; the decoder must
+    /// still refuse tables that are non-finite or do not fit the header.
+    #[test]
+    fn rejects_non_finite_and_misshapen_tables_under_a_valid_crc() {
+        let path = tmp("tables");
+        let mut nan = sample_checkpoint();
+        nan.items.row_mut(2)[1] = f64::NAN;
+        let mut best_nan = sample_checkpoint();
+        best_nan.best.as_mut().expect("sample has a best snapshot").users.row_mut(0)[0] =
+            f64::INFINITY;
+        let mut narrow = sample_checkpoint();
+        narrow.users = Embedding::zeros(6, 4); // hyperbolic users need d+1 = 5
+        for (ck, want) in [
+            (nan, "non-finite parameter in items table"),
+            (best_nan, "non-finite parameter in best users table"),
+            (narrow, "users table is 4 wide"),
+        ] {
+            save(&ck, &path).expect("save");
+            match load(&path).unwrap_err() {
+                CheckpointError::Corrupt(m) => assert!(m.contains(want), "{m}"),
+                other => panic!("expected Corrupt({want}), got {other}"),
+            }
+        }
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

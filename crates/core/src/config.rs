@@ -128,9 +128,10 @@ pub struct LogiRecConfig {
     /// Destination file for checkpoints (written atomically; see
     /// `crate::checkpoint`).
     pub checkpoint_path: Option<PathBuf>,
-    /// Resume training from this checkpoint. An unreadable or mismatched
-    /// checkpoint falls back to a fresh start and records a recovery in the
-    /// `TrainReport` rather than failing the run.
+    /// Resume training from this checkpoint (a model file is a checkpoint
+    /// at epoch 0, so it starts training at epoch 0 from its tables). An
+    /// unreadable or mismatched checkpoint falls back to a fresh start and
+    /// records a recovery in the `TrainReport` rather than failing the run.
     pub resume_from: Option<PathBuf>,
     /// Retry budget for divergence recovery: how many rollback-and-halve-LR
     /// recoveries are attempted before training stops at the last healthy

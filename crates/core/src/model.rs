@@ -26,10 +26,6 @@ use crate::scan::{self, ScanTable};
 pub struct ForwardState<S: Scalar = f64> {
     /// Items in the carrier space (`p⁻¹(v^P)`; `V × ambient`).
     pub item_carrier: Embedding<S>,
-    /// Layer-0 user tangents (`U × d`).
-    pub z_u0: Embedding<S>,
-    /// Layer-0 item tangents (`V × d`).
-    pub z_v0: Embedding<S>,
     /// Final user tangents `Σ_l z_u^l` (`U × d`).
     pub user_final_tan: Embedding<S>,
     /// Final item tangents (`V × d`).
@@ -229,6 +225,9 @@ impl<S: Scalar> LogiRec<S> {
             Geometry::Euclidean => (self.items.clone(), self.users.clone(), self.items.clone()),
         };
 
+        // The layer-0 tangents only feed the graph pass. Dropping them here,
+        // before the finals are allocated, keeps them out of every state
+        // and out of the pass's peak.
         let (user_final_tan, item_final_tan) = crate::graph::propagate_forward_graph(
             adj,
             &z_u0,
@@ -236,6 +235,7 @@ impl<S: Scalar> LogiRec<S> {
             self.cfg.layers,
             self.cfg.train_threads,
         );
+        drop((z_u0, z_v0));
 
         let (user_final, item_final) = match self.cfg.geometry {
             Geometry::Hyperbolic => {
@@ -256,8 +256,6 @@ impl<S: Scalar> LogiRec<S> {
         self.scan = ScanCache::empty();
         self.state = Some(ForwardState {
             item_carrier,
-            z_u0,
-            z_v0,
             user_final_tan,
             item_final_tan,
             user_final,
@@ -385,16 +383,6 @@ impl<S: Scalar> LogiRec<S> {
         row.iter().map(|x| x.to_f64()).collect()
     }
 
-    /// Final user embedding projected to Poincaré coordinates.
-    pub fn user_poincare(&self, u: usize) -> Vec<f64> {
-        let st = self.state();
-        let row = match self.cfg.geometry {
-            Geometry::Hyperbolic => maps::lorentz_to_poincare(st.user_final.row(u)),
-            Geometry::Euclidean => st.user_final.row(u).to_vec(),
-        };
-        row.iter().map(|x| x.to_f64()).collect()
-    }
-
     /// Checks every parameter table for NaN/∞ — the invariant each
     /// optimizer step must preserve.
     pub fn all_finite(&self) -> bool {
@@ -432,7 +420,6 @@ impl<S: Scalar> LogiRec<S> {
                 Geometry::Hyperbolic => lorentz::exp_origin(&tan),
                 Geometry::Euclidean => tan.clone(),
             };
-            st.z_u0.push_row(&z0);
             st.user_final_tan.push_row(&tan);
             st.user_final.push_row(&final_row);
         }
@@ -455,7 +442,6 @@ impl<S: Scalar> LogiRec<S> {
                     let tan = degree_zero_layer_sum(&z0, self.cfg.layers);
                     let final_row = lorentz::exp_origin(&tan);
                     st.item_carrier.push_row(&carrier);
-                    st.z_v0.push_row(&z0);
                     st.item_final_tan.push_row(&tan);
                     st.item_final.push_row(&final_row);
                 }
@@ -464,7 +450,6 @@ impl<S: Scalar> LogiRec<S> {
                     // as both carrier and layer-0 tangent.
                     let tan = degree_zero_layer_sum(row, self.cfg.layers);
                     st.item_carrier.push_row(row);
-                    st.z_v0.push_row(row);
                     st.item_final_tan.push_row(&tan);
                     st.item_final.push_row(&tan);
                 }
@@ -508,15 +493,6 @@ impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
     ) -> (Vec<usize>, Vec<f64>) {
         let st = self.state();
         self.scan_table().top_k(st.user_final.row(u), &st.item_final, masked, k, scratch)
-    }
-}
-
-/// Sanity helper for tests: asserts all item parameters stay in the ball.
-pub fn assert_items_in_ball<S: Scalar>(model: &LogiRec<S>) {
-    if model.cfg.geometry == Geometry::Hyperbolic {
-        for v in 0..model.items.rows() {
-            assert!(poincare::in_ball(model.items.row(v)), "item {v} escaped the ball");
-        }
     }
 }
 
@@ -715,8 +691,6 @@ mod tests {
             ("item_final", &incremental.item_final, &full.item_final),
             ("user_final_tan", &incremental.user_final_tan, &full.user_final_tan),
             ("item_final_tan", &incremental.item_final_tan, &full.item_final_tan),
-            ("z_u0", &incremental.z_u0, &full.z_u0),
-            ("z_v0", &incremental.z_v0, &full.z_v0),
             ("item_carrier", &incremental.item_carrier, &full.item_carrier),
         ] {
             assert_eq!((a.rows(), a.dim()), (b.rows(), b.dim()), "{name} shape");

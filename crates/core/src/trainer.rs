@@ -14,8 +14,10 @@
 //!   a durable [`crate::checkpoint`] is written after healthy epochs; with
 //!   `resume_from`, training continues bit-identically from where the
 //!   checkpoint left off (same RNG stream, LR schedule position, best-val
-//!   snapshot, and history). An unreadable checkpoint falls back to a fresh
-//!   start and records a [`Recovery`].
+//!   snapshot, and history). A model file ([`crate::io::save_model`]) is a
+//!   checkpoint at epoch 0 with RNG state 0, so resuming from one starts
+//!   training at epoch 0 from its tables. An unreadable checkpoint falls
+//!   back to a fresh start and records a [`Recovery`].
 //! * **Step guards** — a batch whose gradients contain non-finite values is
 //!   skipped (and recorded) instead of poisoning the tables.
 //! * **Divergence rollback** — after every epoch the trainer validates that
@@ -506,7 +508,6 @@ pub fn train_typed<S: Scalar>(
                 ck_span.field("op", "epoch");
                 ck_span.field("epoch", state.epoch as u64);
                 let ck = make_checkpoint(&state, &model, &recoveries);
-                logirec_obs::rss::set_peak_rss_gauge(&tel);
                 match checkpoint::save(&ck, path) {
                     Ok(bytes) => ck_span.field("bytes", bytes),
                     Err(e) => {
@@ -522,8 +523,8 @@ pub fn train_typed<S: Scalar>(
                 }
             }
         }
-        // Epoch boundaries are the natural RSS sampling points: peak
-        // memory grows with the propagation buffers allocated per epoch.
+        // Publish the kernel's peak-RSS mark once per epoch; it already
+        // covers every spike in between (checkpoint buffers included).
         logirec_obs::rss::set_peak_rss_gauge(&tel);
         ep_span.close();
     }
@@ -1002,6 +1003,31 @@ mod tests {
         assert_eq!(report.epochs_run, 2);
         assert_eq!(report.recoveries.len(), 1);
         assert!(matches!(report.recoveries[0].action, RecoveryAction::RestartedFresh));
+    }
+
+    #[test]
+    fn a_model_file_resumes_at_epoch_zero_from_its_tables() {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(12);
+        let path = std::env::temp_dir()
+            .join(format!("logirec-trainer-model-resume-{}", std::process::id()));
+        let (trained, _) = train(LogiRecConfig { epochs: 2, ..quick_cfg() }, &ds);
+        crate::io::save_model(&trained, &path).expect("save model");
+
+        // No epochs to run: the resumed run returns the file's tables.
+        let cfg = LogiRecConfig { epochs: 0, resume_from: Some(path.clone()), ..quick_cfg() };
+        let (model, report) = train(cfg, &ds);
+        assert!(report.recoveries.is_empty(), "{:?}", report.recoveries);
+        assert_eq!(report.epochs_run, 0);
+        assert_eq!(model.tags, trained.tags);
+        assert_eq!(model.items, trained.items);
+        assert_eq!(model.users, trained.users);
+
+        // With epochs to run, training starts at epoch 0.
+        let cfg = LogiRecConfig { epochs: 1, resume_from: Some(path.clone()), ..quick_cfg() };
+        let (_, report) = train(cfg, &ds);
+        assert!(report.recoveries.is_empty(), "{:?}", report.recoveries);
+        assert_eq!(report.history.iter().map(|h| h.epoch).collect::<Vec<_>>(), [0]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod synth;
 
 pub use interactions::{Dataset, InteractionSet, Split};
 pub use loader::{
-    load_dataset, load_dataset_traced, save_dataset, save_dataset_traced, LoadError,
+    atomic_write, load_dataset, load_dataset_traced, save_dataset, save_dataset_traced, LoadError,
 };
 pub use replay::{ColdUser, ReplayScenario};
 pub use sampling::{BatchIter, NegativeSampler};

@@ -185,10 +185,13 @@ pub fn load_dataset(
     })
 }
 
-/// Writes `bytes` to `path` atomically: `<name>.tmp` sibling, fsync,
-/// rename. A crash mid-save leaves either the old file or the new one,
-/// never a torn TSV (which [`load_dataset`] would misparse as data).
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes `bytes` to `path` atomically and durably: the bytes go to a
+/// `<name>.tmp` sibling in the same directory, the file is fsynced, then
+/// renamed over `path`, and finally the directory entry is synced. A crash
+/// at any point leaves either the old file or the complete new one, never
+/// a torn write (which [`load_dataset`] would misparse as data). Dataset
+/// saves, model saves and checkpoints all write through it.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
@@ -199,7 +202,15 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        // Make the rename itself durable. Directory fsync is best-effort:
+        // some filesystems refuse to sync directory handles.
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            if let Ok(d) = fs::File::open(dir) {
+                let _ = d.sync_all();
+            }
+        }
+        Ok(())
     })();
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
@@ -209,7 +220,7 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// Saves a dataset into `dir` in the format [`load_dataset`] reads,
 /// returning the total number of bytes written across the three TSVs. Each
-/// file is written atomically (`.tmp` + fsync + rename).
+/// file is written with [`atomic_write`].
 ///
 /// The temporal split cannot be reconstructed exactly without timestamps,
 /// so interactions are written with synthetic times that preserve the
@@ -376,6 +387,12 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_write_to_invalid_path_cleans_up() {
+        let err = atomic_write(Path::new("/"), b"x");
+        assert!(err.is_err());
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next raw 32-bit value (high half of the 64-bit output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[lo, hi)` rounded into precision `S`.
     ///
     /// The draw itself always consumes the `f64` stream (one `next_u64`),
@@ -123,13 +117,6 @@ impl SplitMix64 {
     #[inline]
     pub fn uniform_in<S: crate::Scalar>(&mut self, lo: f64, hi: f64) -> S {
         S::from_f64(self.uniform(lo, hi))
-    }
-
-    /// Standard normal draw rounded into precision `S`; same stream-sharing
-    /// contract as [`SplitMix64::uniform_in`].
-    #[inline]
-    pub fn normal_in<S: crate::Scalar>(&mut self) -> S {
-        S::from_f64(self.normal())
     }
 
     /// Fills `dest` with random bytes.

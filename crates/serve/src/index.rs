@@ -44,24 +44,19 @@ use logirec_core::scan::{self, KeyTopK};
 use logirec_core::Geometry;
 use logirec_linalg::{cluster, ops, Embedding, Scalar};
 
+/// Lloyd iteration cap for the k-means build.
+const KMEANS_ITERS: usize = 10;
+/// Seed of the SplitMix64 stream that picks the initial centers.
+const KMEANS_SEED: u64 = 0x1dece5ed;
+
 /// Knobs for [`ClusterIndex::build`]. `0` means "auto" for `clusters`
 /// (≈√n_items) and `nprobe` (≈ clusters/8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexConfig {
     /// Number of k-means clusters (0 = `⌈√n_items⌉`).
     pub clusters: usize,
     /// Default clusters probed per query (0 = `max(1, clusters/8)`).
     pub nprobe: usize,
-    /// Lloyd iteration cap for the build.
-    pub iters: usize,
-    /// Seed of the SplitMix64 stream that picks the initial centers.
-    pub seed: u64,
-}
-
-impl Default for IndexConfig {
-    fn default() -> Self {
-        Self { clusters: 0, nprobe: 0, iters: 10, seed: 0x1dece5ed }
-    }
 }
 
 impl IndexConfig {
@@ -145,7 +140,7 @@ impl ClusterIndex {
         // widening is exact, so both precisions get the same determinism
         // story, and selection quality never degrades with the model.
         let points: Embedding<f64> = items.cast();
-        let km = cluster::kmeans(&points, clusters, cfg.iters, cfg.seed);
+        let km = cluster::kmeans(&points, clusters, KMEANS_ITERS, KMEANS_SEED);
         let k = km.centroids.rows();
 
         let mut counts = vec![0usize; k];
@@ -427,7 +422,7 @@ mod tests {
         assert_eq!(p, 12);
         let (c, p) = cfg.resolve(1);
         assert_eq!((c, p), (1, 1));
-        let (c, p) = IndexConfig { clusters: 999, nprobe: 999, ..cfg }.resolve(50);
+        let (c, p) = IndexConfig { clusters: 999, nprobe: 999 }.resolve(50);
         assert_eq!((c, p), (50, 50));
     }
 }

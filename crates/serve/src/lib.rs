@@ -38,6 +38,6 @@ pub mod snapshot;
 pub use client::{recommend_with_retry, Client, ClientError, RetryPolicy};
 pub use index::{ClusterIndex, IndexConfig, ProbeReport};
 pub use protocol::{ApproxInfo, FoldInVerb, Request, Response, ServedBy};
-pub use reload::{load_serving_model, ReloadOutcome, Reloader};
+pub use reload::{ReloadOutcome, Reloader};
 pub use server::{Server, ServerConfig, StatsSnapshot, WatchConfig};
 pub use snapshot::{ModelSnapshot, ServeContext, SnapshotStore};

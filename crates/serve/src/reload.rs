@@ -1,24 +1,22 @@
 //! Hot-swap model reload with validation and rollback.
 //!
-//! A [`Reloader`] watches one path — either a `LOGIREC1` model file or a
-//! `LOGICKP1` training checkpoint (sniffed by magic) — and, when it
-//! changes, builds a **candidate** [`ModelSnapshot`] off the request path:
-//! full structural validation (CRC for checkpoints, length checks for
-//! models), shape/finiteness checks, propagation, and the canary probe.
-//! Only a candidate that passes everything is swapped into the
+//! A [`Reloader`] watches one path (a model file or a training checkpoint:
+//! both are checkpoints, read by [`load_model`]) and, when it changes,
+//! builds a **candidate** [`ModelSnapshot`] off the request path: the
+//! checkpoint decoder's checks (magic, version, length, CRC, table widths
+//! and finiteness), the dataset shape check, propagation, and the canary
+//! probe. Only a candidate that passes everything is swapped into the
 //! [`SnapshotStore`]; any failure returns [`ReloadOutcome::Rejected`] and
 //! the server keeps serving the last-good snapshot — a torn or corrupt
 //! file can never become live.
 
 use std::fs;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use logirec_core::checkpoint;
 use logirec_core::io::load_model;
-use logirec_core::{LogiRec, LogiRecConfig};
 
 use crate::snapshot::{ModelSnapshot, ServeContext, SnapshotStore};
 
@@ -37,46 +35,6 @@ pub enum ReloadOutcome {
     },
     /// Nothing to do: the watched file is absent or unchanged.
     Unchanged,
-}
-
-/// Loads a model for serving from either supported on-disk format,
-/// dispatching on the file magic. Checkpoints serve their best-validation
-/// snapshot when one exists (that is what training restores at the end),
-/// falling back to the current tables otherwise.
-pub fn load_serving_model(path: &Path, base_cfg: LogiRecConfig) -> Result<LogiRec, String> {
-    let mut magic = [0u8; 8];
-    let mut f = fs::File::open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    f.read_exact(&mut magic)
-        .map_err(|e| format!("{}: cannot read file magic: {e}", path.display()))?;
-    drop(f);
-    if &magic == checkpoint::MAGIC {
-        let ck = checkpoint::load(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let cfg = LogiRecConfig {
-            dim: ck.dim,
-            layers: ck.layers,
-            geometry: ck.geometry,
-            precision: ck.precision,
-            ..base_cfg
-        };
-        let (tags, items, users) = match ck.best {
-            Some(best) => (best.tags, best.items, best.users),
-            None => (ck.tags, ck.items, ck.users),
-        };
-        if tags.dim() != cfg.dim || items.dim() != cfg.dim || users.dim() != cfg.ambient_dim() {
-            return Err(format!(
-                "{}: checkpoint table widths do not match its header (d={})",
-                path.display(),
-                cfg.dim
-            ));
-        }
-        Ok(LogiRec::from_parts(cfg, tags, items, users))
-    } else {
-        // Not a checkpoint: let the model loader produce its (path- and
-        // offset-annotated) error for model files and garbage alike.
-        load_model(path, base_cfg).map_err(|e| e.to_string())
-    }
 }
 
 /// Watches one file and turns changes into validated snapshot swaps.
@@ -143,7 +101,7 @@ impl Reloader {
         // model and index swap as one unit, and an index canary failure
         // rolls back exactly like a model validation failure.
         let index_cfg = current.index_config();
-        let model = match load_serving_model(&self.path, base_cfg) {
+        let model = match load_model(&self.path, base_cfg) {
             Ok(m) => m,
             Err(reason) => return ReloadOutcome::Rejected { reason },
         };
@@ -163,8 +121,10 @@ impl Reloader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logirec_core::checkpoint;
     use logirec_core::config::Precision;
     use logirec_core::io::save_model;
+    use logirec_core::{LogiRec, LogiRecConfig};
     use logirec_data::{DatasetSpec, Scale};
 
     fn fixture() -> (logirec_data::Dataset, Arc<ServeContext>, SnapshotStore) {
@@ -191,7 +151,7 @@ mod tests {
         fs::write(&path, b"definitely not a model file").expect("write");
         match r.attempt(false, &ctx, &store) {
             ReloadOutcome::Rejected { reason } => {
-                assert!(reason.contains("not a LogiRec model file"), "{reason}");
+                assert!(reason.contains("not a LogiRec model or checkpoint file"), "{reason}");
             }
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -230,8 +190,37 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// One flipped mantissa bit keeps every parameter finite and the file
+    /// its length; only the CRC sees it. The candidate must be rejected and
+    /// the live version must not move.
     #[test]
-    fn checkpoints_load_by_magic_and_serve_the_best_snapshot() {
+    fn a_flipped_parameter_bit_in_a_model_file_is_rejected() {
+        let (ds, ctx, store) = fixture();
+        let path = temp_path("bitflip.logirec");
+        let model = LogiRec::new(LogiRecConfig { seed: 78, ..LogiRecConfig::test_config() }, &ds);
+        save_model(&model, &path).expect("save");
+        let mut r = Reloader::new(&path);
+        assert_eq!(r.attempt(false, &ctx, &store), ReloadOutcome::Swapped { version: 2 });
+
+        // The last byte is the precision tag; the 8 before it hold the last
+        // user parameter. Flip its lowest mantissa bit.
+        let mut bytes = fs::read(&path).expect("read");
+        let last_param = bytes.len() - 9;
+        bytes[last_param] ^= 1;
+        fs::write(&path, &bytes).expect("write corrupted");
+        match r.attempt(true, &ctx, &store) {
+            ReloadOutcome::Rejected { reason } => {
+                assert!(reason.contains("CRC mismatch"), "{reason}");
+                assert!(reason.contains(&path.display().to_string()), "{reason}");
+            }
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        assert_eq!(store.get().version(), 2, "the corrupt model never went live");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn training_checkpoints_swap_in_and_a_crc_failure_rolls_back() {
         let (ds, ctx, store) = fixture();
         let path = temp_path("reload.ckpt");
         let model = LogiRec::new(LogiRecConfig::test_config(), &ds);

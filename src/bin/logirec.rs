@@ -11,7 +11,8 @@
 //! LogiRec++ (or plain LogiRec with `--no-mining`) and saves the model —
 //! `--checkpoint FILE` makes the run durable (checkpoint every epoch, or
 //! every N with `--checkpoint-every N`) and `--resume FILE` continues a
-//! killed run bit-identically;
+//! killed run bit-identically (a model file, which is a checkpoint at
+//! epoch 0, starts training at epoch 0 from its tables);
 //! `evaluate` reports full-ranking Recall/NDCG on the temporal test split;
 //! `recommend` prints a user's top-K with tag annotations — the exact
 //! tier's answer, under the same Train ∪ Validation mask `serve` applies.
@@ -68,9 +69,6 @@ const USAGE: &str = "usage:
                     [--precision f32|f64] [--train-threads N]
                     [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
   logirec evaluate  --data DIR --model FILE [--threads N] [--precision f32|f64]
-
-precision: f64 (default) is the bit-reproducible double-precision path;
-f32 runs the same kernels in single precision (model files stay f64).
   logirec recommend --data DIR --model FILE --user N [--k N]
   logirec serve     --data DIR --model FILE [--addr HOST:PORT] [--deadline-ms N]
                     [--max-inflight N] [--shed-limit N] [--max-k N]
@@ -82,6 +80,12 @@ f32 runs the same kernels in single precision (model files stay f64).
                     [--steps N] [--lr X] | --stats | --metrics | --reload
                     | --shutdown)
   logirec metrics   --addr HOST:PORT
+
+precision: f64 (default) is the bit-reproducible double-precision path;
+f32 runs the same kernels in single precision (model files stay f64).
+
+model files: --model reads a saved model or a training checkpoint (one
+CRC-checked format; a checkpoint serves its best-validation tables).
 
 serve: fault-tolerant top-K serving over a line-JSON TCP protocol. Every
 request carries a deadline; deadline misses and overload degrade through
@@ -226,7 +230,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             save_span.close();
             tel.counter("checkpoint.write_failures").incr();
             finish_telemetry(flags, &tel);
-            return Err(e.to_string());
+            return Err(format!("{}: {e}", model_path.display()));
         }
     }
     save_span.close();
@@ -250,7 +254,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
     let base_cfg = LogiRecConfig { telemetry: tel.clone(), ..LogiRecConfig::default() };
-    let model = load_model(&model_path, base_cfg).map_err(|e| e.to_string())?;
+    let model = load_model(&model_path, base_cfg)?;
     let threads = flags.parse_or("threads", default_threads())?;
     let precision = parse_precision(flags)?;
     let res = {
@@ -293,8 +297,7 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let seen = SeenFilter::eval_mask(&ds);
     let masked = seen.seen_of(user).map_err(|e| e.to_string())?;
     let k: usize = flags.parse_or("k", 10)?;
-    let mut model =
-        load_model(&model_path, LogiRecConfig::default()).map_err(|e| e.to_string())?;
+    let mut model = load_model(&model_path, LogiRecConfig::default())?;
     model.propagate(&ds.train);
     let mut keys = vec![0.0; ds.n_items()];
     let (top, _) = model.top_k(user, &[masked], k, &mut keys);
@@ -312,7 +315,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let model_path = PathBuf::from(flags.require("model")?);
     let precision = parse_precision(flags)?;
     let base_cfg = LogiRecConfig { telemetry: tel.clone(), ..LogiRecConfig::default() };
-    let model = load_model(&model_path, base_cfg).map_err(|e| e.to_string())?;
+    let model = load_model(&model_path, base_cfg)?;
     let ctx = std::sync::Arc::new(ServeContext::from_dataset(&ds));
     // Any index flag turns the clustered retrieval index (and with it the
     // approx tier) on; 0 keeps the auto knobs.
@@ -322,7 +325,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     .then_some(IndexConfig {
         clusters: flags.parse_or("index-clusters", 0)?,
         nprobe: flags.parse_or("nprobe", 0)?,
-        ..IndexConfig::default()
     });
     let snapshot = ModelSnapshot::build_with_index(
         model,

@@ -150,8 +150,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
     // Phase 6: approx — a clustered-index server with force_approx, so
     // every request goes through the retrieval index + exact re-rank.
-    let index_cfg =
-        IndexConfig { clusters: index_clusters, nprobe, ..IndexConfig::default() };
+    let index_cfg = IndexConfig { clusters: index_clusters, nprobe };
     let approx = start("approx", 4, 16, Some(index_cfg));
     let lat = run_phase(approx.addr(), requests, 2, n_users, Some(1000));
     report("approx (forced, deadline 1000ms, concurrency 2)", &lat, requests);

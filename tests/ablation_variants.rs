@@ -5,6 +5,7 @@
 use logirec_suite::core::{train, Geometry, LogiRecConfig, Variant};
 use logirec_suite::data::{DatasetSpec, Scale, Split};
 use logirec_suite::eval::evaluate;
+use logirec_suite::hyperbolic::lorentz;
 
 fn base_cfg() -> LogiRecConfig {
     LogiRecConfig {
@@ -38,7 +39,7 @@ fn without_hgcn_uses_zero_layers() {
     // With L = 0 the final tangent equals the layer-0 tangent.
     let st = model.state();
     for u in 0..5 {
-        assert_eq!(st.user_final_tan.row(u), st.z_u0.row(u));
+        assert_eq!(st.user_final_tan.row(u), lorentz::log_origin(model.users.row(u)));
     }
 }
 

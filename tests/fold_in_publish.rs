@@ -130,11 +130,10 @@ fn published_fold_ins_answer_like_a_full_build_at_f32() {
 }
 
 /// Whether each user-side table of `a` shares its buffer with `b`'s.
-fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 4] {
+fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 3] {
     let (sa, sb) = (a.state(), b.state());
     [
         ("users", a.users.shares_storage_with(&b.users)),
-        ("z_u0", sa.z_u0.shares_storage_with(&sb.z_u0)),
         ("user_final_tan", sa.user_final_tan.shares_storage_with(&sb.user_final_tan)),
         ("user_final", sa.user_final.shares_storage_with(&sb.user_final)),
     ]
@@ -143,7 +142,7 @@ fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 4] {
 /// Value copies of the user-side tables.
 fn user_side_values(m: &LogiRec) -> Vec<Vec<f64>> {
     let st = m.state();
-    [&m.users, &st.z_u0, &st.user_final_tan, &st.user_final]
+    [&m.users, &st.user_final_tan, &st.user_final]
         .iter()
         .map(|t| t.as_slice().to_vec())
         .collect()
@@ -164,7 +163,6 @@ fn user_fold_ins_share_the_item_side_and_append_the_user_side() {
         ("items", grown.items.shares_storage_with(&base.items)),
         ("tags", grown.tags.shares_storage_with(&base.tags)),
         ("item_carrier", g.item_carrier.shares_storage_with(&b.item_carrier)),
-        ("z_v0", g.z_v0.shares_storage_with(&b.z_v0)),
         ("item_final_tan", g.item_final_tan.shares_storage_with(&b.item_final_tan)),
         ("item_final", g.item_final.shares_storage_with(&b.item_final)),
     ] {

@@ -119,7 +119,7 @@ fn reload_keeps_index_version_in_lockstep_and_torn_reload_rolls_back() {
     let _ = std::fs::remove_file(&path);
 
     let ctx = Arc::new(ServeContext::from_dataset(&ds));
-    let index_cfg = Some(IndexConfig { clusters: 11, nprobe: 3, ..IndexConfig::default() });
+    let index_cfg = Some(IndexConfig { clusters: 11, nprobe: 3 });
     let snap =
         ModelSnapshot::build_with_index(model, Precision::F64, &ctx, "initial", index_cfg)
             .expect("valid snapshot");
