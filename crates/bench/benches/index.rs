@@ -1,7 +1,8 @@
-//! Benchmarks of the clustered retrieval index: build cost (the
-//! off-request-path price every snapshot swap pays) and per-query search
-//! at partial and exhaustive probes, against the exact full scan
-//! (`logirec_core::scan`, the exact tier's primitive).
+//! Benchmarks of the clustered retrieval index: build cost (k-means and the
+//! cluster-ordered scan table, the off-request-path price every snapshot
+//! swap pays) and per-query search at partial and exhaustive probes over
+//! that table, against the exact full scan of an item-order table
+//! (`logirec_core::scan`, the unindexed exact tier's primitive).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use logirec_core::{Geometry, ScanTable};
@@ -27,11 +28,12 @@ fn bench_index(c: &mut Criterion) {
     let cfg = IndexConfig::default();
 
     c.bench_function("index_build_10000x17", |b| {
-        b.iter(|| ClusterIndex::build(black_box(&items), Geometry::Hyperbolic, &cfg))
+        b.iter(|| ClusterIndex::build_with_table(black_box(&items), Geometry::Hyperbolic, &cfg))
     });
 
-    let index = ClusterIndex::build(&items, Geometry::Hyperbolic, &cfg);
+    let (index, table) = ClusterIndex::build_with_table(&items, Geometry::Hyperbolic, &cfg);
     let clusters = index.clusters();
+    let mut keys = vec![0.0f64; items.rows()];
     let mut u = 0usize;
     let mut next_user = || {
         u = (u + 1) % users.rows();
@@ -41,13 +43,13 @@ fn bench_index(c: &mut Criterion) {
     c.bench_function("index_search_k10_default_nprobe", |b| {
         b.iter(|| {
             let q = next_user();
-            index.search(black_box(users.row(q)), &items, &[], 10, index.nprobe())
+            index.search(&table, black_box(users.row(q)), &[], 10, index.nprobe(), &mut keys)
         })
     });
     c.bench_function("index_search_k10_exhaustive", |b| {
         b.iter(|| {
             let q = next_user();
-            index.search(black_box(users.row(q)), &items, &[], 10, clusters)
+            index.search(&table, black_box(users.row(q)), &[], 10, clusters, &mut keys)
         })
     });
 
@@ -55,7 +57,6 @@ fn bench_index(c: &mut Criterion) {
     // the exact scan primitive the exact tier runs.
     let scan = ScanTable::new(Geometry::Hyperbolic, &items);
     c.bench_function("exact_scan_k10_10000", |b| {
-        let mut keys = vec![0.0f64; items.rows()];
         b.iter(|| {
             let q = next_user();
             scan.top_k(black_box(users.row(q)), &items, &[], 10, &mut keys)

@@ -129,7 +129,8 @@ pub struct LogiRecConfig {
     /// `crate::checkpoint`).
     pub checkpoint_path: Option<PathBuf>,
     /// Resume training from this checkpoint (a model file is a checkpoint
-    /// at epoch 0, so it starts training at epoch 0 from its tables). An
+    /// at epoch 0, so it starts training at epoch 0 from its tables, on
+    /// the RNG stream `seed` gives a fresh run). An
     /// unreadable or mismatched checkpoint falls back to a fresh start and
     /// records a recovery in the `TrainReport` rather than failing the run.
     pub resume_from: Option<PathBuf>,

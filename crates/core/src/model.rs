@@ -54,11 +54,13 @@ pub struct LogiRec<S: Scalar = f64> {
     scan: ScanCache<S>,
 }
 
-/// The exact-scan table of the cached forward state, built on first use
-/// and dropped whenever the item finals change. A clone shares the built
-/// table (it is a pure function of the item finals, which the clone shares
-/// too), so a user fold-in — which clones the model and leaves the item
-/// finals alone — neither copies nor rebuilds it.
+/// The exact-scan table of the cached forward state, built on first use in
+/// item order (or installed in cluster order by a serving index, through
+/// [`LogiRec::set_scan_table`]) and dropped whenever the item finals
+/// change. A clone shares the table (it is a pure function of the item
+/// finals, which the clone shares too), so a user fold-in — which clones
+/// the model and leaves the item finals alone — neither copies nor
+/// rebuilds it.
 #[derive(Debug)]
 struct ScanCache<S: Scalar>(OnceLock<Arc<ScanTable<S>>>);
 
@@ -285,6 +287,17 @@ impl<S: Scalar> LogiRec<S> {
             .get_or_init(|| Arc::new(ScanTable::new(self.cfg.geometry, &self.state().item_final)))
     }
 
+    /// Installs `table` as the exact-scan table of the cached item finals,
+    /// in place of the item-order one [`Self::scan_table`] would build: a
+    /// serving index lays the table out in cluster order, and the exact
+    /// scan then walks that one table too. It is kept and shared exactly
+    /// like a built one. Panics unless a forward state is cached and
+    /// `table` covers its item finals.
+    pub fn set_scan_table(&mut self, table: ScanTable<S>) {
+        assert_eq!(table.len(), self.state().item_final.rows(), "scan table size");
+        self.scan = ScanCache(OnceLock::from(Arc::new(table)));
+    }
+
     /// Backward pass of the ranking head: takes dense ambient gradients
     /// w.r.t. the **final** user/item embeddings and returns gradients
     /// w.r.t. the user parameters (ambient) and item parameters (Poincaré /
@@ -381,6 +394,20 @@ impl<S: Scalar> LogiRec<S> {
             Geometry::Euclidean => st.item_final.row(v).to_vec(),
         };
         row.iter().map(|x| x.to_f64()).collect()
+    }
+
+    /// Checks that the user and item tables have one row per user and item
+    /// of a catalog of `n_users` × `n_items` — the check every consumer of
+    /// a loaded model runs before propagating over a dataset.
+    pub fn check_catalog(&self, n_users: usize, n_items: usize) -> Result<(), String> {
+        for (what, rows, want) in
+            [("items", self.items.rows(), n_items), ("users", self.users.rows(), n_users)]
+        {
+            if rows != want {
+                return Err(format!("model has {rows} {what} but the dataset has {want}"));
+            }
+        }
+        Ok(())
     }
 
     /// Checks every parameter table for NaN/∞ — the invariant each

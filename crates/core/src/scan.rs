@@ -17,10 +17,19 @@
 //! bit and the band's distances equal `lorentz::distance` / `ops::dist`.
 //! At `f64` the keys come from a blocked copy of the item table
 //! ([`RowBlocks`]: one sequential accumulator per row, eight rows per
-//! vector); at `f32` from the row-major table through the 8-lane
-//! [`Scalar::dot`], which is already SIMD within a row, so `f32` holds no
-//! extra table. Keys are widened to `f64` (exact), so one `f64` scratch
-//! buffer serves both precisions.
+//! vector); at `f32` from row-major rows through the 8-lane
+//! [`Scalar::dot`], which is already SIMD within a row, so an item-order
+//! `f32` table holds no extra copy. Keys are widened to `f64` (exact), so
+//! one `f64` scratch buffer serves both precisions.
+//!
+//! The rows may sit in any order of **positions** ([`ScanTable::in_order`]:
+//! a serving index lays them out cluster by cluster, each cluster one
+//! contiguous run), and a query may walk all runs or some
+//! ([`ScanTable::top_k_runs`]). Order never changes an answer: a key
+//! depends only on its row, the selection keeps the k smallest keys as a
+//! multiset, and the band is ranked by score, then item id — never by
+//! position. So a walk over every run is bit-identical to the item-order
+//! scan, and a walk over some runs to the exact scan of just their items.
 //!
 //! # Why the tie band is enough
 //!
@@ -56,6 +65,7 @@
 //! and with `√(4κ) = 2√κ` clear of every tie.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use logirec_eval::ranking::TopK;
 use logirec_hyperbolic::lorentz;
@@ -99,36 +109,90 @@ pub(crate) fn key_score<S: Scalar>(geometry: Geometry, key: f64) -> f64 {
 }
 
 /// The item side of the exact scan for one propagated item table: its
-/// geometry and, at `f64`, the blocked copy of the rows the key kernel
-/// streams (`items.rows() × items.dim() × 8` bytes). At `f32` it holds
-/// nothing and scans the row-major table it is handed.
-#[derive(Debug, Clone)]
+/// geometry, the rows the key kernel streams (at `f64` a blocked copy,
+/// `items.rows() × items.dim() × 8` bytes; at `f32` row-major, in item
+/// order a shared handle on the caller's table), and, when the rows are not
+/// in item order, the map between positions and items. Positions never
+/// reach the caller: answers carry item ids, and [`ScanTable::keys`] writes
+/// item-indexed keys, whatever the order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanTable<S: Scalar = f64> {
     geometry: Geometry,
-    blocks: Option<RowBlocks<S>>,
+    rows: Rows<S>,
+    /// `None` in item order (position `p` holds item `p`).
+    order: Option<Order>,
+}
+
+/// The rows the key kernel streams, in position order.
+#[derive(Debug, Clone, PartialEq)]
+enum Rows<S: Scalar> {
+    Blocked(RowBlocks<S>),
+    RowMajor(Embedding<S>),
+}
+
+/// A table's position order: the item at each position and each item's
+/// position (`u32`, so 8 bytes an item for both).
+#[derive(Debug, Clone, PartialEq)]
+struct Order {
+    item_at: Vec<u32>,
+    position_of: Vec<u32>,
 }
 
 impl<S: Scalar> ScanTable<S> {
-    /// Prepares the scan over `items` (blocks a copy at `f64`).
+    /// Prepares the scan over `items` in item order (blocks a copy at
+    /// `f64`).
     pub fn new(geometry: Geometry, items: &Embedding<S>) -> Self {
-        Self {
-            geometry,
-            blocks: S::SEQUENTIAL_REDUCTIONS.then(|| RowBlocks::new(items)),
+        let rows = if S::SEQUENTIAL_REDUCTIONS {
+            Rows::Blocked(RowBlocks::new(items))
+        } else {
+            Rows::RowMajor(items.clone())
+        };
+        Self { geometry, rows, order: None }
+    }
+
+    /// Prepares the scan over `items` with item `order[p]` at position `p`
+    /// (`order` is a permutation of `0..items.rows()`), copying the rows
+    /// straight from `items` into position order.
+    pub fn in_order(geometry: Geometry, items: &Embedding<S>, order: Vec<u32>) -> Self {
+        let n = items.rows();
+        assert_eq!(order.len(), n, "order length");
+        let mut position_of = vec![u32::MAX; n];
+        for (p, &v) in order.iter().enumerate() {
+            let slot = &mut position_of[v as usize];
+            assert_eq!(*slot, u32::MAX, "item {v} placed twice");
+            *slot = p as u32;
+        }
+        let sources = order.iter().map(|&v| v as usize);
+        let rows = if S::SEQUENTIAL_REDUCTIONS {
+            Rows::Blocked(RowBlocks::gather(items, sources))
+        } else {
+            let mut copy = Embedding::zeros(n, items.dim());
+            for (p, v) in sources.enumerate() {
+                copy.row_mut(p).copy_from_slice(items.row(v));
+            }
+            Rows::RowMajor(copy)
+        };
+        Self { geometry, rows, order: Some(Order { item_at: order, position_of }) }
+    }
+
+    /// Number of positions (= items) in the table.
+    pub(crate) fn len(&self) -> usize {
+        match &self.rows {
+            Rows::Blocked(blocks) => blocks.rows(),
+            Rows::RowMajor(table) => table.rows(),
         }
     }
 
-    /// Writes every item's key for query `q` into `keys`, widened to `f64`.
-    /// `items` must be the table this scan was built from and
-    /// `keys.len() == items.rows()`.
+    /// Writes every item's key for query `q` into `keys`, widened to `f64`
+    /// and indexed by item. `items` must be the table this scan was built
+    /// from and `keys.len() == items.rows()`.
     pub fn keys(&self, q: &[S], items: &Embedding<S>, keys: &mut [f64]) {
         assert_eq!(keys.len(), items.rows(), "key buffer length");
-        match (&self.blocks, self.geometry) {
-            (Some(blocks), Geometry::Hyperbolic) => blocks.lorentz_keys(q, keys),
-            (Some(blocks), Geometry::Euclidean) => blocks.dist_sq_keys(q, keys),
-            (None, geometry) => {
-                for (key, row) in keys.iter_mut().zip(items.iter_rows()) {
-                    *key = row_key(geometry, q, row).to_f64();
-                }
+        self.run_keys(q, 0..self.len(), keys);
+        if let Some(order) = &self.order {
+            let by_position = keys.to_vec();
+            for (&v, key) in order.item_at.iter().zip(by_position) {
+                keys[v as usize] = key;
             }
         }
     }
@@ -136,8 +200,10 @@ impl<S: Scalar> ScanTable<S> {
     /// The exact top-K for query `q`: the `k` best items that no list in
     /// `masked` holds, with their scores, best first — bit-identical to
     /// scoring every item, writing `NEG_INFINITY` over the masked ones and
-    /// selecting with `top_k_indices`. `keys` is scratch of
-    /// `items.rows()` entries.
+    /// selecting with `top_k_indices`. `items` must be the table this scan
+    /// was built from; `keys` is scratch of `items.rows()` entries.
+    ///
+    /// This is the walk over every run: one run covering every position.
     pub fn top_k(
         &self,
         q: &[S],
@@ -146,20 +212,118 @@ impl<S: Scalar> ScanTable<S> {
         k: usize,
         keys: &mut [f64],
     ) -> (Vec<usize>, Vec<f64>) {
+        assert_eq!(items.rows(), self.len(), "item table");
         if k == 0 {
             return (Vec::new(), Vec::new());
         }
-        self.keys(q, items, keys);
-        for &list in masked {
-            for &v in list {
-                keys[v] = f64::INFINITY;
+        let mut all = Some(0..self.len());
+        // One run over every position, so its keys are indexed by position.
+        let mask = |_: &Range<usize>, keys: &mut [f64]| {
+            for &list in masked {
+                for &v in list {
+                    keys[self.position(v)] = f64::INFINITY;
+                }
+            }
+        };
+        self.walk(q, k, keys, |_| all.take(), mask)
+    }
+
+    /// The exact top-K over the runs `next_run` yields: of the items at
+    /// those positions, the `k` best that `seen` (ascending, without
+    /// repeats, as `SeenFilter` keeps its lists) does not hold, with their
+    /// scores, best first — what [`ScanTable::top_k`] returns over a table
+    /// of just those items — and how many candidates were scored (positions
+    /// walked, less the masked ones). `next_run` is shown the selection so
+    /// far before each run, so a caller can skip a run that cannot beat
+    /// [`KeyTopK::kth_score`]; `None` ends the walk. Runs must not overlap;
+    /// their order does not change the answer. `keys` is scratch of one
+    /// entry per item.
+    pub fn top_k_runs(
+        &self,
+        q: &[S],
+        seen: &[usize],
+        k: usize,
+        keys: &mut [f64],
+        next_run: impl FnMut(&KeyTopK<S>) -> Option<Range<usize>>,
+    ) -> (Vec<usize>, Vec<f64>, usize) {
+        // The seen list as positions, ascending: mapped once per query.
+        let mut mapped: Vec<usize> = Vec::new();
+        let positions = match &self.order {
+            None => seen,
+            Some(order) => {
+                mapped.extend(seen.iter().map(|&v| order.position_of[v] as usize));
+                mapped.sort_unstable();
+                &mapped
+            }
+        };
+        let mut unmasked = 0;
+        let mask = |run: &Range<usize>, keys: &mut [f64]| {
+            let first = positions.partition_point(|&p| p < run.start);
+            let last = positions.partition_point(|&p| p < run.end);
+            for &p in &positions[first..last] {
+                keys[p - run.start] = f64::INFINITY;
+            }
+            unmasked += run.len() - (last - first);
+        };
+        let (items, scores) = self.walk(q, k, keys, next_run, mask);
+        (items, scores, unmasked)
+    }
+
+    /// The position of item `v`.
+    fn position(&self, v: usize) -> usize {
+        self.order.as_ref().map_or(v, |order| order.position_of[v] as usize)
+    }
+
+    /// Writes the keys of positions `run` into `out` (`out.len() ==
+    /// run.len()`).
+    fn run_keys(&self, q: &[S], run: Range<usize>, out: &mut [f64]) {
+        match (&self.rows, self.geometry) {
+            (Rows::Blocked(blocks), Geometry::Hyperbolic) => blocks.lorentz_keys(q, run, out),
+            (Rows::Blocked(blocks), Geometry::Euclidean) => blocks.dist_sq_keys(q, run, out),
+            (Rows::RowMajor(table), geometry) => {
+                for (key, p) in out.iter_mut().zip(run) {
+                    *key = row_key(geometry, q, table.row(p)).to_f64();
+                }
             }
         }
+    }
+
+    /// The one scan loop: for each run `next_run` yields, the run's keys,
+    /// then `mask` (which sets masked keys of the run to `+∞`), then every
+    /// key offered to the selection; the tie band is ranked over the walked
+    /// positions at the end.
+    fn walk(
+        &self,
+        q: &[S],
+        k: usize,
+        keys: &mut [f64],
+        mut next_run: impl FnMut(&KeyTopK<S>) -> Option<Range<usize>>,
+        mut mask: impl FnMut(&Range<usize>, &mut [f64]),
+    ) -> (Vec<usize>, Vec<f64>) {
+        assert_eq!(keys.len(), self.len(), "key buffer length");
         let mut best = KeyTopK::<S>::new(self.geometry, k);
-        for &key in keys.iter() {
-            best.offer(key);
+        let mut walked: Vec<Range<usize>> = Vec::new();
+        while let Some(run) = next_run(&best) {
+            let run_keys = &mut keys[run.clone()];
+            self.run_keys(q, run.clone(), run_keys);
+            mask(&run, run_keys);
+            for &key in run_keys.iter() {
+                best.offer(key);
+            }
+            walked.push(run);
         }
-        best.finish(keys.iter().copied().enumerate())
+        // The band's candidates (a superset: `finish` checks again), named
+        // by item.
+        let end = best.band_end().unwrap_or(f64::INFINITY);
+        let mut band = Vec::new();
+        for run in walked {
+            for (p, &key) in run.clone().zip(&keys[run]) {
+                if key <= end {
+                    band.push((self.order.as_ref().map_or(p, |o| o.item_at[p] as usize), key));
+                }
+            }
+        }
+        best.finish(band)
     }
 }
 

@@ -15,9 +15,10 @@
 //!   `resume_from`, training continues bit-identically from where the
 //!   checkpoint left off (same RNG stream, LR schedule position, best-val
 //!   snapshot, and history). A model file ([`crate::io::save_model`]) is a
-//!   checkpoint at epoch 0 with RNG state 0, so resuming from one starts
-//!   training at epoch 0 from its tables. An unreadable checkpoint falls
-//!   back to a fresh start and records a [`Recovery`].
+//!   checkpoint at epoch 0, so resuming from one starts training at epoch 0
+//!   from its tables, on the RNG stream `seed` gives a fresh run (an
+//!   epoch-0 checkpoint has no stream position to continue). An unreadable
+//!   checkpoint falls back to a fresh start and records a [`Recovery`].
 //! * **Step guards** — a batch whose gradients contain non-finite values is
 //!   skipped (and recorded) instead of poisoning the tables.
 //! * **Divergence rollback** — after every epoch the trainer validates that
@@ -711,9 +712,17 @@ fn apply_checkpoint<S: Scalar>(
     model.tags = ck.tags.cast();
     model.items = ck.items.cast();
     model.users = ck.users.cast();
+    // A checkpoint at epoch 0 (a model file, compaction's pre-compaction
+    // checkpoint) has no progress to continue: its run samples from the
+    // stream `cfg.seed` seeds, as a fresh run would.
+    let rng = if ck.epoch == 0 {
+        TrainerState::<S>::fresh(cfg).rng
+    } else {
+        SplitMix64::from_state(ck.rng_state)
+    };
     *state = TrainerState {
         epoch: ck.epoch,
-        rng: SplitMix64::from_state(ck.rng_state),
+        rng,
         lr_scale: ck.lr_scale,
         bad_rounds: ck.bad_rounds,
         history: ck.history,
@@ -1027,6 +1036,26 @@ mod tests {
         let (_, report) = train(cfg, &ds);
         assert!(report.recoveries.is_empty(), "{:?}", report.recoveries);
         assert_eq!(report.history.iter().map(|h| h.epoch).collect::<Vec<_>>(), [0]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_model_file_resumes_on_the_runs_seed() {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(13);
+        let path = std::env::temp_dir()
+            .join(format!("logirec-trainer-model-seed-{}", std::process::id()));
+        let (trained, _) = train(LogiRecConfig { epochs: 1, ..quick_cfg() }, &ds);
+        crate::io::save_model(&trained, &path).expect("save model");
+        let resumed = |seed| {
+            let resume_from = Some(path.clone());
+            let cfg = LogiRecConfig { epochs: 1, seed, resume_from, ..quick_cfg() };
+            let (model, report) = train(cfg, &ds);
+            assert!(report.recoveries.is_empty(), "{:?}", report.recoveries);
+            model
+        };
+        let (a, again, b) = (resumed(1), resumed(1), resumed(2));
+        assert_eq!((&a.users, &a.items, &a.tags), (&again.users, &again.items, &again.tags));
+        assert!(a.users != b.users || a.items != b.items, "seeds 1 and 2 trained alike");
         let _ = std::fs::remove_file(&path);
     }
 

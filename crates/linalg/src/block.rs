@@ -10,6 +10,8 @@
 //! [`Scalar::dist_sq`]. Every key is therefore bit-identical to the
 //! row-at-a-time reduction; only the memory layout changes.
 
+use std::ops::Range;
+
 use crate::{Embedding, Scalar};
 
 /// Rows per block: eight `f64` lanes fill four 128-bit (or two 256-bit)
@@ -35,15 +37,22 @@ impl<S: Scalar> RowBlocks<S> {
     /// Panics unless `S` reduces sequentially: for chunked reductions
     /// (`f32`) the kernels would not reproduce [`Scalar::dot`].
     pub fn new(table: &Embedding<S>) -> Self {
+        Self::gather(table, 0..table.rows())
+    }
+
+    /// Blocks a copy of the rows of `table` in the order `order` lists
+    /// them: row `r` of the blocked table is `table.row(order[r])`. The
+    /// rows are read straight from `table`, with no reordered intermediate.
+    pub fn gather(table: &Embedding<S>, order: impl ExactSizeIterator<Item = usize>) -> Self {
         assert!(
             S::SEQUENTIAL_REDUCTIONS,
             "RowBlocks needs a sequential reduction order"
         );
-        let (rows, dim) = (table.rows(), table.dim());
+        let (rows, dim) = (order.len(), table.dim());
         let mut data = vec![S::ZERO; rows.div_ceil(BLOCK_ROWS) * dim * BLOCK_ROWS];
-        for (r, row) in table.iter_rows().enumerate() {
+        for (r, src) in order.enumerate() {
             let base = (r / BLOCK_ROWS) * dim * BLOCK_ROWS + r % BLOCK_ROWS;
-            for (j, &x) in row.iter().enumerate() {
+            for (j, &x) in table.row(src).iter().enumerate() {
                 data[base + j * BLOCK_ROWS] = x;
             }
         }
@@ -60,20 +69,15 @@ impl<S: Scalar> RowBlocks<S> {
         self.dim
     }
 
-    /// `out[r] = −⟨q, row r⟩_L = −((−q₀)·v₀ + Σ_{j≥1} q_j·v_j)`, the
-    /// Lorentz distance key, widened to `f64`. Bit-identical to
+    /// `out[i] = −⟨q, row rows.start + i⟩_L = −((−q₀)·v₀ + Σ_{j≥1} q_j·v_j)`,
+    /// the Lorentz distance key, widened to `f64`. Bit-identical to
     /// `-lorentz::inner(q, row)`: the spatial sum starts from the empty
     /// reduction (`S::dot(&[], &[])`) and adds each product in order.
-    pub fn lorentz_keys(&self, q: &[S], out: &mut [f64]) {
+    pub fn lorentz_keys(&self, q: &[S], rows: Range<usize>, out: &mut [f64]) {
         assert_eq!(q.len(), self.dim, "query width");
-        assert_eq!(out.len(), self.rows, "key buffer length");
         let start = S::dot(&[], &[]);
         let q0 = -q[0];
-        for (block, out) in self
-            .data
-            .chunks_exact(self.dim * BLOCK_ROWS)
-            .zip(out.chunks_mut(BLOCK_ROWS))
-        {
+        self.keys_with(rows, out, |block, out| {
             let (time, space) = block.split_at(BLOCK_ROWS);
             let mut acc = [start; BLOCK_ROWS];
             for (col, &qj) in space.chunks_exact(BLOCK_ROWS).zip(&q[1..]) {
@@ -81,23 +85,19 @@ impl<S: Scalar> RowBlocks<S> {
                     acc[l] += qj * col[l];
                 }
             }
-            for (l, o) in out.iter_mut().enumerate() {
-                *o = (-(q0 * time[l] + acc[l])).to_f64();
+            for l in 0..BLOCK_ROWS {
+                out[l] = (-(q0 * time[l] + acc[l])).to_f64();
             }
-        }
+        });
     }
 
-    /// `out[r] = Σ_j (q_j − v_j)²`, the Euclidean distance key, widened to
-    /// `f64`. Bit-identical to `Scalar::dist_sq(q, row)`.
-    pub fn dist_sq_keys(&self, q: &[S], out: &mut [f64]) {
+    /// `out[i] = Σ_j (q_j − v_j)²` over row `rows.start + i`, the Euclidean
+    /// distance key, widened to `f64`. Bit-identical to
+    /// `Scalar::dist_sq(q, row)`.
+    pub fn dist_sq_keys(&self, q: &[S], rows: Range<usize>, out: &mut [f64]) {
         assert_eq!(q.len(), self.dim, "query width");
-        assert_eq!(out.len(), self.rows, "key buffer length");
         let start = S::dist_sq(&[], &[]);
-        for (block, out) in self
-            .data
-            .chunks_exact(self.dim * BLOCK_ROWS)
-            .zip(out.chunks_mut(BLOCK_ROWS))
-        {
+        self.keys_with(rows, out, |block, out| {
             let mut acc = [start; BLOCK_ROWS];
             for (col, &qj) in block.chunks_exact(BLOCK_ROWS).zip(q) {
                 for l in 0..BLOCK_ROWS {
@@ -105,9 +105,45 @@ impl<S: Scalar> RowBlocks<S> {
                     acc[l] += d * d;
                 }
             }
-            for (o, &a) in out.iter_mut().zip(&acc) {
-                *o = a.to_f64();
+            for l in 0..BLOCK_ROWS {
+                out[l] = acc[l].to_f64();
             }
+        });
+    }
+
+    /// Runs `block_keys` (the keys of all eight lanes of one block) over
+    /// every block that `rows` touches and leaves the keys of the rows in
+    /// `rows` in `out`, in row order. A full block writes straight into
+    /// `out`; a block that `rows` starts or ends inside is computed whole
+    /// into a scratch block and its lanes in range copied out.
+    #[inline(always)]
+    fn keys_with(
+        &self,
+        rows: Range<usize>,
+        out: &mut [f64],
+        block_keys: impl Fn(&[S], &mut [f64; BLOCK_ROWS]),
+    ) {
+        assert!(rows.start <= rows.end && rows.end <= self.rows, "row range");
+        assert_eq!(out.len(), rows.len(), "key buffer length");
+        let stride = self.dim * BLOCK_ROWS;
+        let mut lane = rows.start % BLOCK_ROWS;
+        let mut out = out;
+        let mut edge = [0.0; BLOCK_ROWS];
+        for block in self.data[rows.start / BLOCK_ROWS * stride..].chunks_exact(stride) {
+            if out.is_empty() {
+                break;
+            }
+            let take = (BLOCK_ROWS - lane).min(out.len());
+            let (head, rest) = out.split_at_mut(take);
+            match <&mut [f64; BLOCK_ROWS]>::try_from(&mut *head) {
+                Ok(full) => block_keys(block, full),
+                Err(_) => {
+                    block_keys(block, &mut edge);
+                    head.copy_from_slice(&edge[lane..lane + take]);
+                }
+            }
+            out = rest;
+            lane = 0;
         }
     }
 }
@@ -139,7 +175,7 @@ mod tests {
         let q = Embedding::<f64>::normal(1, 13, 0.9, &mut rng);
         let q = q.row(0);
         let mut keys = vec![0.0; table.rows()];
-        blocks.lorentz_keys(q, &mut keys);
+        blocks.lorentz_keys(q, 0..table.rows(), &mut keys);
         for (r, row) in table.iter_rows().enumerate() {
             assert_eq!(
                 keys[r].to_bits(),
@@ -147,10 +183,46 @@ mod tests {
                 "lorentz row {r}"
             );
         }
-        blocks.dist_sq_keys(q, &mut keys);
+        blocks.dist_sq_keys(q, 0..table.rows(), &mut keys);
         for (r, row) in table.iter_rows().enumerate() {
             let want = <f64 as Scalar>::dist_sq(q, row);
             assert_eq!(keys[r].to_bits(), want.to_bits(), "dist_sq row {r}");
+        }
+    }
+
+    #[test]
+    fn row_ranges_and_gathered_orders_key_like_the_whole_table() {
+        let mut rng = SplitMix64::new(8);
+        let table = Embedding::<f64>::normal(21, 6, 1.3, &mut rng);
+        let q = Embedding::<f64>::normal(1, 6, 0.7, &mut rng);
+        let q = q.row(0);
+        let blocks = RowBlocks::new(&table);
+        let mut whole = vec![0.0; 21];
+        // Ranges that start and end inside a block, span blocks, cover one
+        // row, end at the padded tail, or are empty.
+        let ranges = [(0, 0), (3, 5), (5, 13), (8, 16), (7, 21), (20, 21), (21, 21)];
+        for lorentz in [true, false] {
+            let keys = |b: &RowBlocks<f64>, rows: Range<usize>, out: &mut [f64]| {
+                if lorentz {
+                    b.lorentz_keys(q, rows, out)
+                } else {
+                    b.dist_sq_keys(q, rows, out)
+                }
+            };
+            keys(&blocks, 0..21, &mut whole);
+            for (a, b) in ranges {
+                let mut part = vec![f64::NAN; b - a];
+                keys(&blocks, a..b, &mut part);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&part), bits(&whole[a..b]), "rows {a}..{b}");
+            }
+            let order: Vec<usize> = (0..21).map(|r| (r * 5) % 21).collect();
+            let gathered = RowBlocks::gather(&table, order.iter().copied());
+            let mut by_position = vec![0.0; 21];
+            keys(&gathered, 0..21, &mut by_position);
+            for (key, &src) in by_position.iter().zip(&order) {
+                assert_eq!(key.to_bits(), whole[src].to_bits(), "row {src}");
+            }
         }
     }
 
@@ -161,7 +233,7 @@ mod tests {
         let table = table(&[&[0.0, -1.0, -2.0]]);
         let q = [0.0, 0.0, 0.0];
         let mut keys = [0.0];
-        RowBlocks::new(&table).lorentz_keys(&q, &mut keys);
+        RowBlocks::new(&table).lorentz_keys(&q, 0..1, &mut keys);
         assert_eq!(keys[0].to_bits(), lorentz_key(&q, table.row(0)).to_bits());
     }
 

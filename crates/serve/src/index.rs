@@ -20,27 +20,29 @@
 //!
 //! * **Build** (off the request path, during snapshot validation): k-means
 //!   over the item table via [`logirec_linalg::cluster`] — SplitMix64-
-//!   seeded, fixed iteration order, bit-reproducible. Per cluster we store
-//!   its member list and a radius `r_c = max_{v∈c} ‖v − centroid_c‖`.
+//!   seeded, fixed iteration order, bit-reproducible — and a radius
+//!   `r_c = max_{v∈c} ‖v − centroid_c‖` per cluster. The same build lays
+//!   out the snapshot's one exact-scan table in cluster order
+//!   ([`ScanTable::in_order`]): each cluster's members, ascending by id,
+//!   are one contiguous run of positions. The index keeps centroids, radii
+//!   and run bounds; it scores nothing.
 //! * **Query**: rank clusters by the centroid key (`q·c` for Lorentz,
-//!   `‖q−c‖` for Euclidean), scan the `nprobe` nearest, and re-rank every
-//!   unseen member through the exact scan's selection
-//!   (`logirec_core::scan`): each member's key comes from the row kernel
-//!   `scan::row_key`, which gives the exact tier's key bits at the
-//!   snapshot's working precision, and only the tie band at the k-th key
-//!   gets a distance. Shortlist scores are therefore bit-identical to
-//!   full-scan scores for the items the shortlist covers.
+//!   `‖q−c‖` for Euclidean) and walk the runs of the `nprobe` nearest with
+//!   the exact scan's own loop ([`ScanTable::top_k_runs`]: key kernel,
+//!   seen-list mask, [`KeyTopK`], tie band). Shortlist scores are
+//!   therefore bit-identical to full-scan scores for the items the
+//!   shortlist covers, and the exhaustive probe (`nprobe ≥ n_clusters`)
+//!   walks every run: it *is* the exact scan.
 //! * **Pruning**: by Cauchy–Schwarz, every member of cluster `c` has
 //!   `q·v ≥ q·centroid_c − ‖q‖·r_c` (triangle inequality in the Euclidean
 //!   case), which upper-bounds the best score the cluster can contain; a
 //!   probed cluster whose bound cannot beat the score of the current k-th
-//!   smallest key is skipped. Pruning is disabled when
-//!   `nprobe ≥ n_clusters` so the exhaustive probe reproduces the exact
-//!   tier bit for bit (no float-boundary pruning decisions on that path).
+//!   smallest key is skipped. The exhaustive probe prunes nothing, so no
+//!   float-boundary pruning decision can drop an item on that path.
 
 use std::time::Instant;
 
-use logirec_core::scan::{self, KeyTopK};
+use logirec_core::scan::{KeyTopK, ScanTable};
 use logirec_core::Geometry;
 use logirec_linalg::{cluster, ops, Embedding, Scalar};
 
@@ -101,37 +103,39 @@ impl ProbeReport {
     }
 }
 
-/// The immutable clustered retrieval index for one snapshot's item table.
-///
-/// Centroids and radii are always `f64` (they only *select* candidates);
-/// the exact re-rank runs at the snapshot's working precision through the
-/// row slices the caller passes to [`ClusterIndex::search`]. A clone is
-/// cheap (the centroid table is shared copy-on-write; members are 4 bytes
-/// an item): a user fold-in hands its candidate a clone of the live index
-/// instead of re-running k-means over unchanged item finals.
+/// The immutable clustered retrieval index for one snapshot's item table:
+/// centroids and radii (always `f64`; they only *select* runs) and the
+/// bounds of each cluster's run in the table built with it. A clone is
+/// cheap (the centroid table is shared copy-on-write): a user fold-in hands
+/// its candidate a clone of the live index, beside the live table, instead
+/// of re-running k-means over unchanged item finals.
 #[derive(Debug, Clone)]
 pub struct ClusterIndex {
     geometry: Geometry,
     n_items: usize,
-    dim: usize,
     nprobe: usize,
     centroids: Embedding<f64>,
     radii: Vec<f64>,
-    /// Item ids grouped by cluster: cluster `c` owns
-    /// `members[offsets[c]..offsets[c + 1]]`, ascending within a cluster.
+    /// Cluster `c` is positions `offsets[c]..offsets[c + 1]` of the table.
     offsets: Vec<usize>,
-    members: Vec<u32>,
     build_us: u64,
-    /// Version of the snapshot this index serves; stamped by the
-    /// `SnapshotStore` at install time, in lockstep with `model_version`.
-    model_version: u64,
 }
 
 impl ClusterIndex {
-    /// Builds the index over the rows of `items` (the snapshot's propagated
-    /// ambient item table). Deterministic: same table, geometry, and config
-    /// produce a byte-identical index.
+    /// [`ClusterIndex::build_with_table`] without the table.
     pub fn build<S: Scalar>(items: &Embedding<S>, geometry: Geometry, cfg: &IndexConfig) -> Self {
+        Self::build_with_table(items, geometry, cfg).0
+    }
+
+    /// Clusters the rows of `items` (the snapshot's propagated ambient item
+    /// table) and builds the exact-scan table of `items` in cluster order,
+    /// the one table both serving tiers walk. Deterministic: same table,
+    /// geometry, and config produce a byte-identical index and table.
+    pub fn build_with_table<S: Scalar>(
+        items: &Embedding<S>,
+        geometry: Geometry,
+        cfg: &IndexConfig,
+    ) -> (Self, ScanTable<S>) {
         let t0 = Instant::now();
         let n_items = items.rows();
         assert!(n_items > 0, "cannot index an empty item table");
@@ -143,37 +147,38 @@ impl ClusterIndex {
         let km = cluster::kmeans(&points, clusters, KMEANS_ITERS, KMEANS_SEED);
         let k = km.centroids.rows();
 
-        let mut counts = vec![0usize; k];
-        for &c in &km.assignment {
-            counts[c as usize] += 1;
-        }
+        // Counting sort: the items of cluster c, ascending, at positions
+        // offsets[c]..offsets[c + 1].
         let mut offsets = vec![0usize; k + 1];
+        for &c in &km.assignment {
+            offsets[c as usize + 1] += 1;
+        }
         for c in 0..k {
-            offsets[c + 1] = offsets[c] + counts[c];
+            offsets[c + 1] += offsets[c];
         }
         let mut cursor = offsets.clone();
-        let mut members = vec![0u32; n_items];
+        let mut order = vec![0u32; n_items];
         let mut radii = vec![0.0f64; k];
         for (i, &c) in km.assignment.iter().enumerate() {
             let c = c as usize;
-            members[cursor[c]] = i as u32;
+            order[cursor[c]] = i as u32;
             cursor[c] += 1;
-            let d = ops::dist(points.row(i), km.centroids.row(c));
-            radii[c] = radii[c].max(d);
+            radii[c] = radii[c].max(ops::dist(points.row(i), km.centroids.row(c)));
         }
-
-        Self {
+        // Free the f64 copy of the rows before the table is allocated: the
+        // two need never be resident at once.
+        drop(points);
+        let table = ScanTable::in_order(geometry, items, order);
+        let index = Self {
             geometry,
             n_items,
-            dim: items.dim(),
             nprobe,
             centroids: km.centroids,
             radii,
             offsets,
-            members,
             build_us: t0.elapsed().as_micros() as u64,
-            model_version: 0,
-        }
+        };
+        (index, table)
     }
 
     /// Number of clusters actually built.
@@ -196,113 +201,79 @@ impl ClusterIndex {
         self.build_us
     }
 
-    /// The snapshot version this index serves (0 before install).
-    pub fn model_version(&self) -> u64 {
-        self.model_version
-    }
-
-    pub(crate) fn set_model_version(&mut self, version: u64) {
-        self.model_version = version;
-    }
-
     /// Approximate top-K for one query row.
     ///
-    /// `user_row` and `items` must be the propagated ambient tables the
-    /// index was built from (same snapshot, same precision); `seen` is the
-    /// caller's sorted masked-item list — members in it are excluded from
-    /// the shortlist, mirroring the exact tier's `NEG_INFINITY` masking.
-    /// Returns `(items, scores)` best-first plus the probe accounting.
-    /// With `nprobe ≥ self.clusters()` the result is bit-identical to the
-    /// exact full scan.
+    /// `table` must be the table [`ClusterIndex::build_with_table`] built
+    /// with this index, and `user_row` a propagated user row of the same
+    /// snapshot and precision; `seen` is the caller's sorted masked-item
+    /// list — items in it are excluded from the shortlist, mirroring the
+    /// exact tier's `NEG_INFINITY` masking; `keys` is scratch of
+    /// `self.n_items()` entries. Returns `(items, scores)` best-first plus
+    /// the probe accounting. With `nprobe ≥ self.clusters()` the walk is
+    /// the exact scan, bit for bit.
     pub fn search<S: Scalar>(
         &self,
+        table: &ScanTable<S>,
         user_row: &[S],
-        items: &Embedding<S>,
         seen: &[usize],
         k: usize,
         nprobe: usize,
+        keys: &mut [f64],
     ) -> (Vec<usize>, Vec<f64>, ProbeReport) {
-        debug_assert_eq!(items.rows(), self.n_items);
-        debug_assert_eq!(items.dim(), self.dim);
         let clusters = self.clusters();
         let nprobe = nprobe.clamp(1, clusters);
-
-        // Flipped query (Lorentz) or the plain query point (Euclidean),
-        // widened to f64 for cluster selection.
-        let mut q = vec![0.0f64; self.dim];
-        q[0] = user_row[0].to_f64();
-        match self.geometry {
-            Geometry::Hyperbolic => {
-                for (o, &x) in q[1..].iter_mut().zip(&user_row[1..]) {
-                    *o = -x.to_f64();
-                }
-            }
-            Geometry::Euclidean => {
-                for (o, &x) in q[1..].iter_mut().zip(&user_row[1..]) {
-                    *o = x.to_f64();
-                }
-            }
-        }
-        let q_norm = ops::norm(&q);
-
-        // Rank clusters by centroid key, ascending (smaller key = closer),
-        // ties toward the smaller cluster id for determinism.
-        let mut order: Vec<(f64, u32)> = (0..clusters)
-            .map(|c| {
-                let key = match self.geometry {
-                    Geometry::Hyperbolic => ops::dot(&q, self.centroids.row(c)),
-                    Geometry::Euclidean => ops::dist(&q, self.centroids.row(c)),
-                };
-                (key, c as u32)
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // Pruning is only sound as an *approximation* accelerator: at the
-        // exhaustive probe the tier promises bit-identity with the exact
-        // scan, so no float-boundary pruning decision may drop an item.
-        let prune = nprobe < clusters;
-        let mut best = KeyTopK::<S>::new(self.geometry, k);
-        let mut scanned: Vec<(usize, f64)> = Vec::new();
-        let mut report = ProbeReport {
-            clusters,
-            n_items: self.n_items,
-            ..ProbeReport::default()
-        };
-
-        for &(key, c) in order.iter().take(nprobe) {
-            let c = c as usize;
-            if let Some(worst) = prune.then(|| best.kth_score()).flatten() {
-                // Best score any member of `c` can reach, from the radius
-                // bound, with a small slack so f64 bound vs (possibly f32)
-                // exact score can only under-prune, never over-prune.
-                let ub = match self.geometry {
-                    Geometry::Hyperbolic => {
-                        let lb_key = key - q_norm * self.radii[c];
-                        -ops::acosh_clamped(lb_key)
+        let mut report = ProbeReport { clusters, n_items: self.n_items, ..ProbeReport::default() };
+        let (items, scores, scored) = if nprobe == clusters {
+            // Every run, unpruned: one walk over the whole table.
+            report.clusters_probed = clusters;
+            let mut all = Some(0..self.n_items);
+            table.top_k_runs(user_row, seen, k, keys, |_| all.take())
+        } else {
+            // Flipped query (Lorentz) or the plain query point (Euclidean),
+            // widened to f64 for cluster selection.
+            let flip = match self.geometry {
+                Geometry::Hyperbolic => -1.0,
+                Geometry::Euclidean => 1.0,
+            };
+            let q: Vec<f64> = (user_row.iter().enumerate())
+                .map(|(j, x)| if j == 0 { x.to_f64() } else { flip * x.to_f64() })
+                .collect();
+            let q_norm = ops::norm(&q);
+            // Rank clusters by centroid key, ascending (smaller key =
+            // closer), ties toward the smaller cluster id.
+            let mut order: Vec<(f64, usize)> = (0..clusters)
+                .map(|c| match self.geometry {
+                    Geometry::Hyperbolic => (ops::dot(&q, self.centroids.row(c)), c),
+                    Geometry::Euclidean => (ops::dist(&q, self.centroids.row(c)), c),
+                })
+                .collect();
+            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut probes = order.into_iter().take(nprobe);
+            table.top_k_runs(user_row, seen, k, keys, |best: &KeyTopK<S>| {
+                for (key, c) in probes.by_ref() {
+                    if let Some(worst) = best.kth_score() {
+                        // Best score any member of `c` can reach, from the
+                        // radius bound, with a small slack so f64 bound vs
+                        // (possibly f32) exact score can only under-prune,
+                        // never over-prune.
+                        let ub = match self.geometry {
+                            Geometry::Hyperbolic => {
+                                -ops::acosh_clamped(key - q_norm * self.radii[c])
+                            }
+                            Geometry::Euclidean => -(key - self.radii[c]).max(0.0),
+                        };
+                        if ub + ub.abs() * 1e-6 + 1e-9 < worst {
+                            report.clusters_pruned += 1;
+                            continue;
+                        }
                     }
-                    Geometry::Euclidean => -(key - self.radii[c]).max(0.0),
-                };
-                let ub = ub + ub.abs() * 1e-6 + 1e-9;
-                if ub < worst {
-                    report.clusters_pruned += 1;
-                    continue;
+                    report.clusters_probed += 1;
+                    return Some(self.offsets[c]..self.offsets[c + 1]);
                 }
-            }
-            report.clusters_probed += 1;
-            for &m in &self.members[self.offsets[c]..self.offsets[c + 1]] {
-                let v = m as usize;
-                if seen.binary_search(&v).is_ok() {
-                    continue;
-                }
-                let key = scan::row_key(self.geometry, user_row, items.row(v)).to_f64();
-                report.items_scored += 1;
-                best.offer(key);
-                scanned.push((v, key));
-            }
-        }
-
-        let (items, scores) = best.finish(scanned);
+                None
+            })
+        };
+        report.items_scored = scored;
         (items, scores, report)
     }
 }
@@ -342,14 +313,15 @@ mod tests {
     fn exhaustive_probe_is_bit_identical_to_the_full_scan() {
         let items = hyperboloid_items(500, 8, 3);
         let users = hyperboloid_items(20, 8, 4);
-        let idx = ClusterIndex::build(
+        let (idx, table) = ClusterIndex::build_with_table(
             &items,
             Geometry::Hyperbolic,
             &IndexConfig { clusters: 16, ..IndexConfig::default() },
         );
         let seen = vec![3usize, 77, 200, 480];
+        let mut keys = vec![0.0; items.rows()];
         for u in 0..users.rows() {
-            let (got, scores, report) = idx.search(users.row(u), &items, &seen, 10, 16);
+            let (got, scores, report) = idx.search(&table, users.row(u), &seen, 10, 16, &mut keys);
             assert_eq!(got, full_scan(users.row(u), &items, &seen, 10), "user {u}");
             // And scores bit-match the exact kernel through the eval
             // helper.
@@ -371,7 +343,7 @@ mod tests {
     fn pruned_partial_probe_scans_a_fraction_and_keeps_high_recall() {
         let items = hyperboloid_items(2_000, 8, 9);
         let users = hyperboloid_items(30, 8, 10);
-        let idx = ClusterIndex::build(
+        let (idx, table) = ClusterIndex::build_with_table(
             &items,
             Geometry::Hyperbolic,
             &IndexConfig { clusters: 48, ..IndexConfig::default() },
@@ -379,9 +351,10 @@ mod tests {
         let mut hits = 0usize;
         let mut total = 0usize;
         let mut scanned = 0.0;
+        let mut keys = vec![0.0; items.rows()];
         for u in 0..users.rows() {
             let exact = full_scan(users.row(u), &items, &[], 10);
-            let (approx, _, report) = idx.search(users.row(u), &items, &[], 10, 12);
+            let (approx, _, report) = idx.search(&table, users.row(u), &[], 10, 12, &mut keys);
             scanned += report.scan_fraction();
             total += exact.len();
             hits += exact.iter().filter(|v| approx.contains(v)).count();
@@ -397,16 +370,17 @@ mod tests {
         let mut rng = SplitMix64::new(21);
         let items = Embedding::<f64>::normal(300, 9, 1.0, &mut rng);
         let cfg = IndexConfig { clusters: 10, ..IndexConfig::default() };
-        let a = ClusterIndex::build(&items, Geometry::Euclidean, &cfg);
-        let b = ClusterIndex::build(&items, Geometry::Euclidean, &cfg);
-        assert_eq!(a.members, b.members);
+        let (a, table) = ClusterIndex::build_with_table(&items, Geometry::Euclidean, &cfg);
+        let (b, again) = ClusterIndex::build_with_table(&items, Geometry::Euclidean, &cfg);
+        assert_eq!(table, again);
         assert_eq!(a.offsets, b.offsets);
         for (x, y) in a.centroids.as_slice().iter().zip(b.centroids.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         let users = Embedding::<f64>::normal(5, 9, 1.0, &mut rng);
+        let mut keys = vec![0.0; items.rows()];
         for u in 0..users.rows() {
-            let (got, _, _) = a.search(users.row(u), &items, &[], 5, 10);
+            let (got, _, _) = a.search(&table, users.row(u), &[], 5, 10, &mut keys);
             let scores: Vec<f64> = (0..items.rows())
                 .map(|v| -ops::dist(users.row(u), items.row(v)))
                 .collect();

@@ -163,10 +163,17 @@ trait ServedModel: Ranker + std::fmt::Debug + Send {
     fn config(&self) -> &LogiRecConfig;
     /// Shape and finiteness checks against `ctx`; then forward propagation
     /// over its training graph, unless the model already carries a forward
-    /// state (a fold-in candidate); then the exact-scan table, unless the
-    /// state already has one.
-    fn prepare(&mut self, ctx: &ServeContext) -> Result<(), String>;
-    fn build_index(&self, cfg: &IndexConfig) -> ClusterIndex;
+    /// state (a fold-in candidate); then the one exact-scan table: with
+    /// `index`, k-means and the table in cluster order (the index is
+    /// returned), else the item-order table unless the state already has
+    /// a table (a user fold-in shares its parent's, index and all).
+    fn prepare(
+        &mut self,
+        ctx: &ServeContext,
+        index: Option<&IndexConfig>,
+    ) -> Result<Option<ClusterIndex>, String>;
+    /// The approx tier's walk over this model's scan table, which `index`
+    /// was built with.
     fn search(
         &self,
         index: &ClusterIndex,
@@ -190,21 +197,12 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
         &self.cfg
     }
 
-    fn prepare(&mut self, ctx: &ServeContext) -> Result<(), String> {
-        if self.items.rows() != ctx.n_items() {
-            return Err(format!(
-                "model has {} items but the dataset has {}",
-                self.items.rows(),
-                ctx.n_items()
-            ));
-        }
-        if self.users.rows() != ctx.n_users() {
-            return Err(format!(
-                "model has {} users but the dataset has {}",
-                self.users.rows(),
-                ctx.n_users()
-            ));
-        }
+    fn prepare(
+        &mut self,
+        ctx: &ServeContext,
+        index: Option<&IndexConfig>,
+    ) -> Result<Option<ClusterIndex>, String> {
+        self.check_catalog(ctx.n_users(), ctx.n_items())?;
         if !self.all_finite() {
             return Err("model has non-finite parameters".to_string());
         }
@@ -215,14 +213,16 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
             self.propagate(ctx.train());
         }
         // Build the exact-scan table now, so the first request served
-        // from this snapshot does not pay for it. A user fold-in shares
-        // its parent's table: the item finals it scans are unchanged.
+        // from this snapshot does not pay for it. An indexed snapshot's
+        // one table is in cluster order, built with its index.
+        let index = index.map(|cfg| {
+            let finals = &self.state().item_final;
+            let (index, table) = ClusterIndex::build_with_table(finals, self.cfg.geometry, cfg);
+            self.set_scan_table(table);
+            index
+        });
         self.scan_table();
-        Ok(())
-    }
-
-    fn build_index(&self, cfg: &IndexConfig) -> ClusterIndex {
-        ClusterIndex::build(&self.state().item_final, self.cfg.geometry, cfg)
+        Ok(index)
     }
 
     fn search(
@@ -233,8 +233,9 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
         k: usize,
         nprobe: usize,
     ) -> ApproxAnswer {
-        let st = self.state();
-        index.search(st.user_final.row(u), &st.item_final, seen, k, nprobe)
+        let user = self.state().user_final.row(u);
+        let mut keys = vec![0.0; index.n_items()];
+        index.search(self.scan_table(), user, seen, k, nprobe, &mut keys)
     }
 
     fn fold_in(
@@ -336,8 +337,9 @@ impl ModelSnapshot {
         index_cfg: Option<IndexConfig>,
         index: Option<ClusterIndex>,
     ) -> Result<Self, String> {
-        model.prepare(ctx)?;
-        let index = index.or_else(|| index_cfg.as_ref().map(|cfg| model.build_index(cfg)));
+        let rebuild = index_cfg.filter(|_| index.is_none());
+        let built = model.prepare(ctx, rebuild.as_ref())?;
+        let index = index.or(built);
         let snap = Self {
             version: 0,
             precision,
@@ -527,9 +529,6 @@ impl SnapshotStore {
     /// Installs `initial` as version 1.
     pub fn new(mut initial: ModelSnapshot) -> Self {
         initial.version = 1;
-        if let Some(index) = &mut initial.index {
-            index.set_model_version(1);
-        }
         Self { current: Mutex::new(Arc::new(initial)), next_version: AtomicU64::new(2) }
     }
 
@@ -566,11 +565,6 @@ impl SnapshotStore {
     fn install(&self, current: &mut Arc<ModelSnapshot>, mut snap: ModelSnapshot) -> u64 {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
         snap.version = version;
-        // The index (when present) is stamped in lockstep: one version
-        // covers the model/index pair, because they swap as one unit.
-        if let Some(index) = &mut snap.index {
-            index.set_model_version(version);
-        }
         *current = Arc::new(snap);
         version
     }

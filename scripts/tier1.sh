@@ -121,8 +121,10 @@ wait "$serve_pid" \
 # Approx-serving smoke: a live server carrying the clustered retrieval
 # index with --approx must tag every healthy request served_by: approx.
 # Two signups then fold in as versions 2 and 3; user fold-ins keep the
-# index of the snapshot they grow, so the second folded user is answered
-# by the index behind a chain of two published snapshots.
+# index and cluster-ordered scan table of the snapshot they grow, so the
+# second folded user is answered by the index behind a chain of two
+# published snapshots. An item fold-in (version 4) rebuilds the index and
+# its table, and that user is still answered by the rebuilt index.
 ./target/release/logirec serve --data "$smoke/data" --model "$smoke/m.logirec" \
   --addr "127.0.0.1:0" --approx > "$smoke/approx.log" 2>&1 &
 approx_pid=$!
@@ -155,6 +157,18 @@ echo "$folded_out"
 case "$folded_out" in
   *"served_by: approx (requested)"*) ;;
   *) echo "tier1: approx fold-in smoke FAILED (folded user not served by the index)"; exit 1 ;;
+esac
+fold_out=$(./target/release/logirec request --addr "$approx_addr" --fold-in 1,4,9 --fold-in-item)
+echo "$fold_out"
+case "$fold_out" in
+  *"fold_in: swapped  entity: item  new_id: 100  model_version: 4"*) ;;
+  *) echo "tier1: approx fold-in smoke FAILED (item 100 not swapped as v4)"; exit 1 ;;
+esac
+folded_out=$(./target/release/logirec request --addr "$approx_addr" --user 61 --k 5)
+echo "$folded_out"
+case "$folded_out" in
+  *"served_by: approx (requested)"*) ;;
+  *) echo "tier1: approx fold-in smoke FAILED (read after item fold-in not served by the index)"; exit 1 ;;
 esac
 ./target/release/logirec request --addr "$approx_addr" --shutdown
 wait "$approx_pid" \

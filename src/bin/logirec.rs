@@ -12,7 +12,8 @@
 //! `--checkpoint FILE` makes the run durable (checkpoint every epoch, or
 //! every N with `--checkpoint-every N`) and `--resume FILE` continues a
 //! killed run bit-identically (a model file, which is a checkpoint at
-//! epoch 0, starts training at epoch 0 from its tables);
+//! epoch 0, starts training at epoch 0 from its tables, sampling on
+//! `--seed` like a fresh run);
 //! `evaluate` reports full-ranking Recall/NDCG on the temporal test split;
 //! `recommend` prints a user's top-K with tag annotations — the exact
 //! tier's answer, under the same Train ∪ Validation mask `serve` applies.
@@ -67,7 +68,9 @@ const USAGE: &str = "usage:
   logirec generate  --dataset ciao|cd|clothing|book --scale tiny|small|paper --seed N --out DIR
   logirec train     --data DIR --model FILE [--epochs N] [--lambda X] [--dim N] [--no-mining]
                     [--precision f32|f64] [--train-threads N]
-                    [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
+                    [--checkpoint FILE [--checkpoint-every N]] [--resume FILE] [--seed N]
+                    (a model file given to --resume trains on from its tables, sampling
+                    on --seed like a fresh run)
   logirec evaluate  --data DIR --model FILE [--threads N] [--precision f32|f64]
   logirec recommend --data DIR --model FILE --user N [--k N]
   logirec serve     --data DIR --model FILE [--addr HOST:PORT] [--deadline-ms N]
@@ -255,6 +258,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let model_path = PathBuf::from(flags.require("model")?);
     let base_cfg = LogiRecConfig { telemetry: tel.clone(), ..LogiRecConfig::default() };
     let model = load_model(&model_path, base_cfg)?;
+    model.check_catalog(ds.n_users(), ds.n_items())?;
     let threads = flags.parse_or("threads", default_threads())?;
     let precision = parse_precision(flags)?;
     let res = {
@@ -298,6 +302,7 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let masked = seen.seen_of(user).map_err(|e| e.to_string())?;
     let k: usize = flags.parse_or("k", 10)?;
     let mut model = load_model(&model_path, LogiRecConfig::default())?;
+    model.check_catalog(ds.n_users(), ds.n_items())?;
     model.propagate(&ds.train);
     let mut keys = vec![0.0; ds.n_items()];
     let (top, _) = model.top_k(user, &[masked], k, &mut keys);

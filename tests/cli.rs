@@ -120,6 +120,46 @@ fn cli_reports_errors_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A model trained for one catalog, handed another catalog's data, is
+/// refused with the model's and the dataset's sizes by every command that
+/// ranks with it, as `serve` refuses it: exit 1, never a slice panic.
+#[test]
+fn a_model_for_another_catalog_is_refused_cleanly() {
+    let dir = work_dir("catalog");
+    let model = dir.join("ciao.bin");
+    for (dataset, out) in [("ciao", "ciao"), ("cd", "cd")] {
+        assert!(bin()
+            .args(["generate", "--dataset", dataset, "--scale", "tiny", "--out"])
+            .arg(dir.join(out))
+            .status()
+            .expect("generate")
+            .success());
+    }
+    assert!(bin()
+        .args(["train", "--data"])
+        .arg(dir.join("ciao"))
+        .arg("--model")
+        .arg(&model)
+        .args(["--epochs", "1", "--dim", "8"])
+        .status()
+        .expect("train")
+        .success());
+    for tail in [&["evaluate"][..], &["recommend", "--user", "3"][..]] {
+        let out = bin()
+            .args(tail)
+            .arg("--data")
+            .arg(dir.join("cd"))
+            .arg("--model")
+            .arg(&model)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tail:?}: {stderr}");
+        assert!(stderr.contains("model has 100 items but the dataset has "), "{tail:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A misspelled flag, a value flag with no value, and a stray argument
 /// each fail before any work is done, naming the offender and printing
 /// the usage text: each of these commands would otherwise train a model.
