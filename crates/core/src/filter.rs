@@ -16,7 +16,7 @@ use logirec_linalg::ops;
 
 use crate::model::LogiRec;
 
-/// Typed errors from the filtering layer: every id is validated against the
+/// Typed errors from the [`SeenFilter`]: every id is validated against the
 /// filter's dimensions before it indexes anything, so callers (the serving
 /// path in particular, where user/item ids arrive over the wire) get a
 /// recoverable error instead of a slice-index panic.
@@ -36,13 +36,6 @@ pub enum FilterError {
         /// Number of items the filter was built for.
         n_items: usize,
     },
-    /// A tag id at or beyond the filter's tag count.
-    TagOutOfRange {
-        /// The offending tag id.
-        tag: usize,
-        /// Number of tags the filter was built for.
-        n_tags: usize,
-    },
     /// A score buffer whose length does not match the item count.
     ScoresLengthMismatch {
         /// The item count the filter expects.
@@ -60,9 +53,6 @@ impl std::fmt::Display for FilterError {
             }
             FilterError::ItemOutOfRange { item, n_items } => {
                 write!(f, "item {item} out of range ({n_items} items)")
-            }
-            FilterError::TagOutOfRange { tag, n_tags } => {
-                write!(f, "tag {tag} out of range ({n_tags} tags)")
             }
             FilterError::ScoresLengthMismatch { expected, got } => {
                 write!(f, "score buffer holds {got} items but the filter expects {expected}")
@@ -245,84 +235,38 @@ impl LogicFilter {
 
     /// True when tags `a` and `b` are confidently disjoint in the learned
     /// geometry (the model's *refined* exclusion relation). Panics on
-    /// out-of-range tags; see [`Self::try_tags_disjoint`] for the checked
-    /// form.
+    /// out-of-range tags.
     #[inline]
     pub fn tags_disjoint(&self, a: usize, b: usize) -> bool {
-        self.try_tags_disjoint(a, b).expect("tag id out of range")
-    }
-
-    /// Bounds-checked [`Self::tags_disjoint`].
-    #[inline]
-    pub fn try_tags_disjoint(&self, a: usize, b: usize) -> Result<bool, FilterError> {
-        for t in [a, b] {
-            if t >= self.n_tags {
-                return Err(FilterError::TagOutOfRange { tag: t, n_tags: self.n_tags });
-            }
-        }
-        Ok(self.disjoint[a * self.n_tags + b])
+        assert!(a < self.n_tags && b < self.n_tags, "tag id out of range");
+        self.disjoint[a * self.n_tags + b]
     }
 
     /// True when every tag of `item_tags` is disjoint from every tag in
     /// the user's profile — the "skip this item" condition. Untagged items
     /// and users with empty profiles are never excluded. Panics on
-    /// out-of-range ids; see [`Self::try_item_excluded`] for the checked
-    /// form used by the serving path.
+    /// out-of-range ids.
     pub fn item_excluded(&self, u: usize, item_tags: &[usize]) -> bool {
-        self.try_item_excluded(u, item_tags).expect("user or tag id out of range")
-    }
-
-    /// Bounds-checked [`Self::item_excluded`]: validates the user id and
-    /// every tag id before touching the disjointness matrix, so ids taken
-    /// from the wire surface as a typed [`FilterError`] instead of a panic.
-    pub fn try_item_excluded(&self, u: usize, item_tags: &[usize]) -> Result<bool, FilterError> {
-        let profile = self
-            .user_tags
-            .get(u)
-            .ok_or(FilterError::UserOutOfRange { user: u, n_users: self.user_tags.len() })?;
+        let profile = &self.user_tags[u];
         if profile.is_empty() || item_tags.is_empty() {
-            return Ok(false);
-        }
-        for &t in item_tags {
-            if t >= self.n_tags {
-                return Err(FilterError::TagOutOfRange { tag: t, n_tags: self.n_tags });
-            }
+            return false;
         }
         // Profile tags come from the dataset the filter was built from, so
-        // only the caller-supplied item tags needed validation above.
-        Ok(item_tags
+        // an out-of-range item tag indexes past the matrix and panics.
+        item_tags
             .iter()
-            .all(|&it| profile.iter().all(|&ut| it != ut && self.disjoint[it * self.n_tags + ut])))
+            .all(|&it| profile.iter().all(|&ut| it != ut && self.disjoint[it * self.n_tags + ut]))
     }
 
-    /// Applies the penalty in place to a user's score vector. Panics on
-    /// out-of-range ids; see [`Self::try_apply`] for the checked form.
+    /// Applies the penalty in place to a user's score vector, one slot per
+    /// entry of `item_tags`. Panics on out-of-range ids.
     pub fn apply(&self, u: usize, item_tags: &[Vec<usize>], scores: &mut [f64]) {
-        self.try_apply(u, item_tags, scores).expect("user or tag id out of range");
-    }
-
-    /// Bounds-checked [`Self::apply`]. Returns the number of penalized
-    /// items.
-    pub fn try_apply(
-        &self,
-        u: usize,
-        item_tags: &[Vec<usize>],
-        scores: &mut [f64],
-    ) -> Result<usize, FilterError> {
-        if scores.len() != item_tags.len() {
-            return Err(FilterError::ScoresLengthMismatch {
-                expected: item_tags.len(),
-                got: scores.len(),
-            });
-        }
-        let mut penalized = 0;
-        for (v, s) in scores.iter_mut().enumerate() {
-            if self.try_item_excluded(u, &item_tags[v])? {
+        assert_eq!(scores.len(), item_tags.len(), "one score per item");
+        for (s, tags) in scores.iter_mut().zip(item_tags) {
+            if self.item_excluded(u, tags) {
                 *s -= self.penalty;
-                penalized += 1;
             }
         }
-        Ok(penalized)
     }
 
     /// Fraction of (user, item) pairs the hard version of the filter would
@@ -530,37 +474,6 @@ mod tests {
         assert_eq!(f.n_users(), n_users + 1);
         assert!(f.record_seen(f.n_users(), 0).is_err());
         assert!(f.record_seen(0, f.n_items()).is_err());
-    }
-
-    #[test]
-    fn logic_filter_checked_apis_reject_bad_ids() {
-        let (m, ds) = trained();
-        let f = LogicFilter::build(&m, &ds, 0.05, 100.0);
-        let n_tags = ds.n_tags();
-        assert_eq!(
-            f.try_tags_disjoint(n_tags, 0),
-            Err(FilterError::TagOutOfRange { tag: n_tags, n_tags })
-        );
-        assert_eq!(
-            f.try_item_excluded(ds.n_users(), &[0]),
-            Err(FilterError::UserOutOfRange { user: ds.n_users(), n_users: ds.n_users() })
-        );
-        assert_eq!(
-            f.try_item_excluded(0, &[n_tags + 1]),
-            Err(FilterError::TagOutOfRange { tag: n_tags + 1, n_tags })
-        );
-        // The checked and panicking forms agree on valid input.
-        for u in 0..ds.n_users().min(4) {
-            for v in 0..ds.n_items().min(8) {
-                assert_eq!(
-                    f.try_item_excluded(u, &ds.item_tags[v]).unwrap(),
-                    f.item_excluded(u, &ds.item_tags[v])
-                );
-            }
-        }
-        let mut scores = vec![0.0; ds.n_items()];
-        let penalized = f.try_apply(0, &ds.item_tags, &mut scores).expect("valid input");
-        assert_eq!(penalized, scores.iter().filter(|s| **s != 0.0).count());
     }
 
     #[test]

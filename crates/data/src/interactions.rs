@@ -69,11 +69,6 @@ impl InteractionSet {
         self.len == 0
     }
 
-    /// Interaction density in percent — Table I's `Density(%)` row.
-    pub fn density_percent(&self) -> f64 {
-        100.0 * self.len as f64 / (self.n_users as f64 * self.n_items as f64)
-    }
-
     /// Sorted items of user `u` (the paper's `N_u`).
     pub fn items_of(&self, u: usize) -> &[usize] {
         &self.by_user[u]
@@ -233,12 +228,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.contains(0, 2));
         assert!(!s.contains(1, 2));
-    }
-
-    #[test]
-    fn density_matches_definition() {
-        let s = InteractionSet::from_pairs(10, 10, &[(0, 0), (1, 1)]);
-        assert!((s.density_percent() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl BatchIter {
         rng.shuffle(&mut pairs);
         Self { pairs, batch_size, cursor: 0 }
     }
-
-    /// Number of batches this iterator will yield.
-    pub fn n_batches(&self) -> usize {
-        self.pairs.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for BatchIter {
@@ -135,7 +130,6 @@ mod tests {
         let train = toy();
         let mut rng = SplitMix64::new(4);
         let it = BatchIter::new(&train, 3, &mut rng);
-        assert_eq!(it.n_batches(), 2);
         let mut seen: Vec<(usize, usize)> = it.flatten().collect();
         seen.sort_unstable();
         let mut expected: Vec<(usize, usize)> = train.iter_pairs().collect();

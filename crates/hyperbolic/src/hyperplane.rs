@@ -159,14 +159,6 @@ pub fn ball_vjp<S: Scalar>(c: &[S], g_o: &[S], g_r: S) -> Vec<S> {
     out
 }
 
-/// The shortest Poincaré distance from the hyperplane defined by `c` to the
-/// origin — `d_P(0, c)` since `c` is the hyperplane's closest point. Small
-/// for coarse-grained (abstract) tags, large for fine-grained tags
-/// (Section V-B's granularity argument).
-pub fn hyperplane_distance_to_origin<S: Scalar>(c: &[S]) -> S {
-    crate::poincare::distance_to_origin(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,10 +191,6 @@ mod tests {
         let coarse = Ball::from_center(&[0.1, 0.0]);
         let fine = Ball::from_center(&[0.8, 0.0]);
         assert!(coarse.radius > fine.radius, "abstract tags get bigger regions");
-        assert!(
-            hyperplane_distance_to_origin(&[0.1, 0.0])
-                < hyperplane_distance_to_origin(&[0.8, 0.0])
-        );
     }
 
     #[test]

@@ -25,12 +25,6 @@ pub fn in_ball<S: Scalar>(x: &[S]) -> bool {
     ops::norm(x) <= S::from_f64(1.0 - BALL_EPS / 2.0)
 }
 
-/// Conformal factor `λ_x = 2 / (1 − ‖x‖²)` of the Poincaré metric at `x`.
-#[inline]
-pub fn conformal_factor<S: Scalar>(x: &[S]) -> S {
-    S::from_f64(2.0) / (S::ONE - ops::norm_sq(x)).max(S::from_f64(BALL_EPS))
-}
-
 /// Poincaré distance
 /// `d_P(x, y) = acosh(1 + 2‖x−y‖² / ((1−‖x‖²)(1−‖y‖²)))` (Section III-A).
 pub fn distance<S: Scalar>(x: &[S], y: &[S]) -> S {
@@ -38,13 +32,6 @@ pub fn distance<S: Scalar>(x: &[S], y: &[S]) -> S {
     let b = (S::ONE - ops::norm_sq(x)).max(S::from_f64(BALL_EPS));
     let c = (S::ONE - ops::norm_sq(y)).max(S::from_f64(BALL_EPS));
     ops::acosh_clamped(S::ONE + S::from_f64(2.0) * a / (b * c))
-}
-
-/// Distance from `x` to the origin: `acosh(1 + 2‖x‖²/(1−‖x‖²))`
-/// `= 2 atanh(‖x‖)`.
-pub fn distance_to_origin<S: Scalar>(x: &[S]) -> S {
-    let n = ops::norm(x).min(S::from_f64(1.0 - BALL_EPS));
-    S::from_f64(2.0) * n.atanh()
 }
 
 /// [`distance_vjp`] writing into caller buffers `gx`/`gy` (each `d` long;
@@ -113,20 +100,6 @@ pub fn exp_map_paper<S: Scalar>(x: &[S], eta: &[S]) -> Vec<S> {
     out
 }
 
-/// The full Riemannian exponential map of the Poincaré ball (curvature −1):
-/// `exp_x(v) = x ⊕ (tanh(λ_x ‖v‖ / 2) · v/‖v‖)`.
-pub fn exp_map<S: Scalar>(x: &[S], v: &[S]) -> Vec<S> {
-    let n = ops::norm(v);
-    if n < S::from_f64(MIN_NORM) {
-        return x.to_vec();
-    }
-    let lam = conformal_factor(x);
-    let y = ops::scaled(v, (lam * n / S::from_f64(2.0)).tanh() / n);
-    let mut out = mobius_add(x, &y);
-    project(&mut out);
-    out
-}
-
 /// Exponential map at the origin: `exp_0(v) = tanh(‖v‖) · v/‖v‖`.
 pub fn exp_map_origin<S: Scalar>(v: &[S]) -> Vec<S> {
     let n = ops::norm(v);
@@ -164,15 +137,6 @@ mod tests {
         assert_close(distance(&x, &x), 0.0, 1e-12);
         assert_close(distance(&x, &y), distance(&y, &x), 1e-12);
         assert!(distance(&x, &y) > 0.0);
-    }
-
-    #[test]
-    fn distance_to_origin_matches_general_distance() {
-        let x = [0.3, 0.4];
-        let o = [0.0, 0.0];
-        assert_close(distance_to_origin(&x), distance(&x, &o), 1e-10);
-        // Closed form 2 atanh(0.5) for ‖x‖ = 0.5.
-        assert_close(distance_to_origin(&x), 2.0 * 0.5f64.atanh(), 1e-12);
     }
 
     #[test]
@@ -217,15 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_map_moves_along_gradient_direction() {
-        let x = [0.1, 0.1];
-        let v = [0.5, 0.0];
-        let y = exp_map(&x, &v);
-        assert!(y[0] > x[0], "should move in +x direction");
-        assert!(in_ball(&y));
-    }
-
-    #[test]
     fn exp_map_paper_zero_step_is_identity() {
         let x = [0.25, -0.5];
         let y = exp_map_paper(&x, &[0.0, 0.0]);
@@ -241,7 +196,7 @@ mod tests {
         // use the ‖·‖ convention consistently so just check monotone scale).
         let v = [0.8, 0.0];
         let x = exp_map_origin(&v);
-        assert_close(distance_to_origin(&x), 2.0 * 0.8, 1e-9);
+        assert_close(distance(&[0.0, 0.0], &x), 2.0 * 0.8, 1e-9);
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl<S: Scalar> Embedding<S> {
         self.as_slice().chunks_exact(self.dim)
     }
 
-    /// Frobenius norm of the whole matrix.
-    pub fn frobenius_norm(&self) -> S {
-        ops::norm(self.as_slice())
-    }
-
     /// True when all entries are finite — the invariant every optimizer step
     /// in this workspace must maintain.
     pub fn all_finite(&self) -> bool {
@@ -396,14 +391,6 @@ mod tests {
         for r in m.iter_rows() {
             assert!(crate::ops::norm(r) <= 1e-3 + 1e-12);
         }
-    }
-
-    #[test]
-    fn frobenius_norm_matches_flat_norm() {
-        let mut rng = SplitMix64::new(3);
-        let m: Embedding = Embedding::normal(10, 5, 1.0, &mut rng);
-        assert!((m.frobenius_norm() - crate::ops::norm(m.as_slice())).abs() < 1e-15);
-        assert!(m.all_finite());
     }
 
     #[test]

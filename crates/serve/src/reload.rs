@@ -98,8 +98,8 @@ impl Reloader {
         let precision = current.precision();
         // Rebuild the retrieval index (when serving one) with the same
         // knobs as the live snapshot, inside the candidate's validation:
-        // model and index swap as one unit, and an index canary failure
-        // rolls back exactly like a model validation failure.
+        // model and index swap as one unit, and a failure anywhere in the
+        // build rolls both back.
         let index_cfg = current.index_config();
         let model = match load_model(&self.path, base_cfg) {
             Ok(m) => m,

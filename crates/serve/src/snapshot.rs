@@ -281,10 +281,6 @@ pub struct ModelSnapshot {
     index_cfg: Option<IndexConfig>,
 }
 
-/// How many top items the build-time index canary compares bit-for-bit
-/// against the exact scan.
-const INDEX_CANARY_K: usize = 10;
-
 impl ModelSnapshot {
     /// Validates `model` against `ctx` and prepares it for serving:
     /// shape check, finiteness check, forward propagation over the training
@@ -304,11 +300,11 @@ impl ModelSnapshot {
     /// [`ModelSnapshot::build`] plus an approximate-retrieval index.
     ///
     /// The index is built off the request path, right here during snapshot
-    /// validation, and validated with its own canary: for every canary
-    /// user, an exhaustive probe (`nprobe = n_clusters`) must reproduce the
-    /// exact tier's top-K **bit for bit**. A failure rejects the whole
-    /// candidate — under the `Reloader` that means rollback, so a bad index
-    /// can never go live, exactly like a bad model.
+    /// validation, over the one cluster-ordered scan table both tiers
+    /// walk, so the exhaustive probe (`nprobe = n_clusters`) is the exact
+    /// scan. Model and index pass or fail as one candidate — under the
+    /// `Reloader` a failure means rollback, so a bad index can never go
+    /// live, exactly like a bad model.
     pub fn build_with_index(
         mut model: LogiRec,
         precision: Precision,
@@ -327,8 +323,8 @@ impl ModelSnapshot {
     }
 
     /// Prepares `model` against `ctx`, installs `index` or (when it is
-    /// `None` and an index is configured) builds one, and runs both canary
-    /// probes (see [`ModelSnapshot::build_with_index`]).
+    /// `None` and an index is configured) builds one, and runs the canary
+    /// probe (see [`ModelSnapshot::build`]).
     fn assemble(
         mut model: Box<dyn ServedModel>,
         precision: Precision,
@@ -354,25 +350,6 @@ impl ModelSnapshot {
             snap.score_user(u, &mut scores);
             if let Some(v) = scores.iter().position(|s| !s.is_finite()) {
                 return Err(format!("canary user {u} scores item {v} non-finite"));
-            }
-        }
-        if let Some(index) = &snap.index {
-            let mut scratch = Vec::new();
-            for &u in ctx.canaries() {
-                let (exact_items, exact_scores) = snap
-                    .top_k(u, INDEX_CANARY_K, &mut scratch)
-                    .map_err(|e| format!("index canary user {u}: {e}"))?;
-                let (items, scores, _) = snap
-                    .approx_top_k(u, INDEX_CANARY_K, Some(index.clusters()))
-                    .map_err(|e| format!("index canary user {u}: {e}"))?
-                    .expect("index present");
-                if items != exact_items
-                    || scores.iter().zip(&exact_scores).any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "index canary user {u}: exhaustive probe diverged from the exact scan"
-                    ));
-                }
             }
         }
         Ok(snap)
@@ -420,7 +397,7 @@ impl ModelSnapshot {
     /// the frozen model, runs the deterministic new-row-only optimization
     /// (`logirec_core::stream`), grows the serving context, and validates
     /// the candidate with every check [`ModelSnapshot::build_with_index`]
-    /// runs — shape, finiteness, and both canary probes.
+    /// runs — shape, finiteness, and the canary probe.
     ///
     /// The publish costs only what the fold-in changes. The clone shares
     /// every table with this snapshot, and the new row is appended past

@@ -199,16 +199,15 @@ fn cli_rejects_unknown_flags_and_missing_values() {
 
 /// The bench binaries parse their flags with the same parser: a misspelled
 /// flag fails before any work, naming the offender and printing the usage
-/// text. A `--nprob 16` taken as nothing would run the approx phase with
-/// the default nprobe and report a recall the caller did not ask for.
+/// text. A `--user 5` taken as nothing would sweep the default 100 users
+/// and report numbers the caller did not ask for.
 #[test]
 fn bench_binaries_reject_unknown_flags() {
     let dir = work_dir("bench-flags");
     let replay_out = dir.join("replay.txt");
     let replay_out_arg = replay_out.to_str().expect("utf-8 temp path");
     for (exe, args, flag) in [
-        (env!("CARGO_BIN_EXE_serve_bench"), &["--scale", "tiny", "--nprob", "16"][..], "--nprob"),
-        (env!("CARGO_BIN_EXE_index_bench"), &["--users", "4", "--user", "5"], "--user"),
+        (env!("CARGO_BIN_EXE_index_bench"), &["--users", "4", "--user", "5"][..], "--user"),
         (
             env!("CARGO_BIN_EXE_replay_bench"),
             &["--out", replay_out_arg, "--scale", "tiny", "--fold-step", "9"],

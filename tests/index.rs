@@ -32,8 +32,9 @@ fn trained_model(ds: &Dataset) -> LogiRec {
 
 /// The exhaustive probe (`nprobe = n_clusters`) must reproduce the exact
 /// tier bit for bit — same items, same score bits — for **every** user and
-/// at **both** working precisions. This is the property the build-time
-/// index canary spot-checks; here it is verified exhaustively.
+/// at **both** working precisions. Both tiers walk the snapshot's one scan
+/// table, so only their two masking routines could disagree. Snapshot
+/// builds do not re-check this; this test and `tests/scan_runs.rs` do.
 #[test]
 fn exhaustive_probe_matches_exact_top_k_bit_for_bit_at_both_precisions() {
     let ds = dataset();
@@ -106,6 +107,54 @@ fn paper_scale_recall_stays_high_while_scanning_under_30_percent() {
         assert!(recall >= 0.95, "recall@{k} {recall:.4} < 0.95 over {users} users");
         assert!(frac < 0.30, "scanned {:.1}% of the catalog at k={k}", 100.0 * frac);
     }
+}
+
+/// The recall-for-scan trade at a pinned probe width: paper-scale ciao
+/// (catalog seed 7), an untrained d = 32 model, the automatic cluster
+/// count probed 16 clusters deep, and 200 users spread evenly over the id
+/// range. Recall@10 of the approx tier against the exact scan must stay at
+/// or above 0.95 while the probes score less than 30% of the catalog on
+/// average. Prints the measured line (`--nocapture` shows it).
+#[test]
+fn paper_scale_recall_at_nprobe_16_stays_high_on_a_d32_model() {
+    let ds = DatasetSpec::ciao(Scale::Paper).generate(7);
+    let ctx = Arc::new(ServeContext::from_dataset(&ds));
+    let model = LogiRec::new(LogiRecConfig { dim: 32, ..LogiRecConfig::test_config() }, &ds);
+    let snap = ModelSnapshot::build_with_index(
+        model,
+        Precision::F64,
+        &ctx,
+        "paper",
+        Some(IndexConfig { clusters: 0, nprobe: 16 }),
+    )
+    .expect("valid snapshot");
+    let index = snap.index().expect("index built");
+
+    let n_users = ds.n_users();
+    let mut scratch = Vec::new();
+    let (mut hits, mut total, mut scanned, mut users) = (0usize, 0usize, 0.0f64, 0usize);
+    for u in (0..n_users).step_by(n_users / 200).take(200) {
+        let (exact_items, _) = snap.top_k(u, 10, &mut scratch).expect("exact");
+        let (approx_items, _, report) =
+            snap.approx_top_k(u, 10, None).expect("in range").expect("index");
+        hits += exact_items.iter().filter(|v| approx_items.contains(v)).count();
+        total += exact_items.len();
+        scanned += report.scan_fraction();
+        users += 1;
+    }
+    let recall = hits as f64 / total as f64;
+    let frac = scanned / users as f64;
+    let line = format!(
+        "approx recall@10 vs exact: {recall:.4} (scanned {:.1}% of catalog, clusters={}, \
+         nprobe={}, build {:.1}ms, {users} users)",
+        100.0 * frac,
+        index.clusters(),
+        index.nprobe(),
+        index.build_us() as f64 / 1e3,
+    );
+    println!("{line}");
+    assert!(recall >= 0.95, "recall below 0.95: {line}");
+    assert!(frac < 0.30, "scanned 30% or more of the catalog: {line}");
 }
 
 /// A hot-swap reload rebuilds the index inside the candidate's validation
