@@ -11,11 +11,26 @@
 //! reverse recurrence `G_l = g_l + Mᵀ G_{l+1}`, where `M = I + A` is the
 //! joint propagation matrix and `g_l` is the direct contribution of layer
 //! `l` to the final sum (`g_final` for `1 ≤ l ≤ L`, zero for `l = 0`).
+//!
+//! ## Receptive fields
+//!
+//! Layer `l` of a row reads layer `l − 1` of the row and its neighbours
+//! only, so a final depends only on the rows within `L` hops of it. A
+//! training step ([`crate::step`]) reads the finals of its batch rows only.
+//! `Marks` holds every row's hop distance from them, and the step computes
+//! layer `l` on the rows within `L − l` hops. Its transpose runs the other
+//! way: the cotangent is nonzero on batch rows only, so `G_l` can be
+//! nonzero only within `L − l` hops. There the kernels run the full pass's
+//! operations in its order; everywhere else the full pass holds `+0.0`
+//! (sums of `+0.0` and of `w·(+0.0)` with `w ≥ 0`), which the kernels
+//! write. The full passes ([`propagate_forward_graph`],
+//! [`propagate_backward_graph`]) are the same kernels over every row, and
+//! every layer adds itself into the layer sum as it is computed.
 
 use logirec_data::InteractionSet;
 use logirec_linalg::{ops, Embedding, Scalar};
 
-use crate::parallel::for_each_row;
+use crate::parallel::{for_each_row, for_each_row_pair};
 
 /// Immutable propagation cache for one interaction graph: flat CSR
 /// adjacency in both directions plus the pre-divided mean-aggregation
@@ -131,21 +146,11 @@ pub fn propagate_forward_graph<S: Scalar>(
     if layers == 0 {
         return (z_u0.clone(), z_v0.clone());
     }
-    let dim = z_u0.dim();
-    let mut zu = z_u0.clone();
-    let mut zv = z_v0.clone();
-    let mut acc_u = Embedding::zeros(z_u0.rows(), dim);
-    let mut acc_v = Embedding::zeros(z_v0.rows(), dim);
-    let mut next_u = Embedding::zeros(z_u0.rows(), dim);
-    let mut next_v = Embedding::zeros(z_v0.rows(), dim);
-    for _ in 0..layers {
-        step_forward(adj, &zu, &zv, &mut next_u, &mut next_v, threads);
-        std::mem::swap(&mut zu, &mut next_u);
-        std::mem::swap(&mut zv, &mut next_v);
-        accumulate(&mut acc_u, &zu);
-        accumulate(&mut acc_v, &zv);
-    }
-    (acc_u, acc_v)
+    let sides = || Sides::zeros(adj.n_users, adj.n_items, z_u0.dim());
+    let (mut a, mut b, mut acc) = (sides(), sides(), sides());
+    let z0 = Some((z_u0, z_v0));
+    forward_layers(adj, z0, &mut a, &mut b, &mut acc, layers, threads, Reach::ALL);
+    (acc.users, acc.items)
 }
 
 /// Backward pass: given gradients w.r.t. the final tangent embeddings,
@@ -175,77 +180,283 @@ pub fn propagate_backward_graph<S: Scalar>(
     if layers == 0 {
         return (g_fu.clone(), g_fv.clone());
     }
-    // G_L = g_final.
-    let mut gu = g_fu.clone();
-    let mut gv = g_fv.clone();
-    let mut next_u = Embedding::zeros(g_fu.rows(), g_fu.dim());
-    let mut next_v = Embedding::zeros(g_fv.rows(), g_fv.dim());
-    for l in (0..layers).rev() {
-        step_transpose(adj, &gu, &gv, &mut next_u, &mut next_v, threads);
-        std::mem::swap(&mut gu, &mut next_u);
-        std::mem::swap(&mut gv, &mut next_v);
-        if l >= 1 {
-            accumulate(&mut gu, g_fu);
-            accumulate(&mut gv, g_fv);
-        }
-    }
-    (gu, gv)
+    let sides = || Sides::zeros(adj.n_users, adj.n_items, g_fu.dim());
+    let (mut a, mut b) = (sides(), sides());
+    let at = backward_layers(adj, (g_fu, g_fv), &mut a, &mut b, layers, threads, Reach::ALL);
+    let g0 = if at == 0 { a } else { b };
+    (g0.users, g0.items)
 }
 
-/// One forward step `next = (I + A)·z`.
-fn step_forward<S: Scalar>(
+/// One table per side of the bipartite graph, `users` × `dim` and
+/// `items` × `dim`.
+#[derive(Debug, Clone)]
+pub(crate) struct Sides<S: Scalar> {
+    pub(crate) users: Embedding<S>,
+    pub(crate) items: Embedding<S>,
+}
+
+impl<S: Scalar> Sides<S> {
+    /// Zero `users` × `dim` and `items` × `dim` tables.
+    pub(crate) fn zeros(users: usize, items: usize, dim: usize) -> Self {
+        Self { users: Embedding::zeros(users, dim), items: Embedding::zeros(items, dim) }
+    }
+}
+
+/// Hop distance of every user and item row from a batch's rows, up to the
+/// number of hops [`Marks::mark`] was asked for (`FAR` beyond them).
+#[derive(Debug)]
+pub(crate) struct Marks {
+    user: Vec<u32>,
+    item: Vec<u32>,
+    /// Marked rows of each side, ring by ring (ring 0 first).
+    users: Vec<usize>,
+    items: Vec<usize>,
+}
+
+const FAR: u32 = u32::MAX;
+
+impl Marks {
+    /// Empty marks for a graph with `n_users` × `n_items` rows.
+    pub(crate) fn new(n_users: usize, n_items: usize) -> Self {
+        Self {
+            user: vec![FAR; n_users],
+            item: vec![FAR; n_items],
+            users: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Marks `users` and `items` (repeats allowed) at hop 0 and every row
+    /// within `hops` hops of them at its distance, by breadth-first search.
+    pub(crate) fn mark<S: Scalar>(
+        &mut self,
+        adj: &PropGraph<S>,
+        users: impl IntoIterator<Item = usize>,
+        items: impl IntoIterator<Item = usize>,
+        hops: usize,
+    ) {
+        self.user.fill(FAR);
+        self.item.fill(FAR);
+        self.users.clear();
+        self.items.clear();
+        for u in users {
+            if self.user[u] == FAR {
+                self.user[u] = 0;
+                self.users.push(u);
+            }
+        }
+        for v in items {
+            if self.item[v] == FAR {
+                self.item[v] = 0;
+                self.items.push(v);
+            }
+        }
+        let (mut from_u, mut from_v) = (0, 0);
+        for hop in 1..=hops as u32 {
+            let (to_u, to_v) = (self.users.len(), self.items.len());
+            if (from_u, from_v) == (to_u, to_v) {
+                break; // the last hop reached no new row
+            }
+            for i in from_u..to_u {
+                for &v in adj.items_of(self.users[i]) {
+                    if self.item[v] == FAR {
+                        self.item[v] = hop;
+                        self.items.push(v);
+                    }
+                }
+            }
+            for i in from_v..to_v {
+                for &u in adj.users_of(self.items[i]) {
+                    if self.user[u] == FAR {
+                        self.user[u] = hop;
+                        self.users.push(u);
+                    }
+                }
+            }
+            (from_u, from_v) = (to_u, to_v);
+        }
+    }
+
+    /// Rows (both sides) marked by the last [`Marks::mark`]: those within
+    /// its `hops` of the batch.
+    pub(crate) fn len(&self) -> usize {
+        self.users.len() + self.items.len()
+    }
+}
+
+/// The rows a pass computes: every row ([`Reach::ALL`]), or the rows within
+/// a number of hops of the batch a [`Marks`] holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reach<'a> {
+    marks: Option<&'a Marks>,
+    hops: u32,
+}
+
+impl<'a> Reach<'a> {
+    /// Every row: the full pass.
+    pub(crate) const ALL: Reach<'static> = Reach { marks: None, hops: 0 };
+
+    /// The batch rows of `marks`.
+    pub(crate) fn batch(marks: &'a Marks) -> Self {
+        Reach { marks: Some(marks), hops: 0 }
+    }
+
+    /// The rows within `hops` hops of the batch (every row stays every row).
+    pub(crate) fn within(self, hops: usize) -> Self {
+        Reach { hops: hops.try_into().unwrap_or(FAR), ..self }
+    }
+
+    #[inline]
+    pub(crate) fn user(&self, u: usize) -> bool {
+        self.marks.is_none_or(|m| m.user[u] <= self.hops)
+    }
+
+    #[inline]
+    pub(crate) fn item(&self, v: usize) -> bool {
+        self.marks.is_none_or(|m| m.item[v] <= self.hops)
+    }
+}
+
+/// Layers 1…`layers` of the forward pass, each on the rows within
+/// `layers − l` hops of `reach`'s batch and each summed into `acc` on the
+/// batch rows. Layer 1 reads `z0`, or `b` when `z0` is `None` (the layer-0
+/// tangents then sit there and layer 2 overwrites them); odd layers write
+/// `a`, even layers `b`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn forward_layers<S: Scalar>(
     adj: &PropGraph<S>,
-    zu: &Embedding<S>,
-    zv: &Embedding<S>,
-    next_u: &mut Embedding<S>,
-    next_v: &mut Embedding<S>,
+    z0: Option<(&Embedding<S>, &Embedding<S>)>,
+    a: &mut Sides<S>,
+    b: &mut Sides<S>,
+    acc: &mut Sides<S>,
+    layers: usize,
     threads: usize,
+    reach: Reach<'_>,
 ) {
-    for_each_row(next_u, threads, |u, out| {
+    for l in 1..=layers {
+        let (src, dst) = if l % 2 == 1 { (&*b, &mut *a) } else { (&*a, &mut *b) };
+        let src = match z0 {
+            Some(z0) if l == 1 => z0,
+            _ => (&src.users, &src.items),
+        };
+        let (rows, sum) = (reach.within(layers - l), reach.within(0));
+        forward_layer(adj, src, dst, acc, l == 1, threads, rows, sum);
+    }
+}
+
+/// One forward layer `next = (I + A)·z` on the rows `rows` selects, fused
+/// with the layer sum on the rows `sum` selects: `acc += next`, or
+/// `acc = 0 + next` on the `first` layer (the sum starts at `+0.0`). Rows
+/// outside `rows` are left as they are.
+#[allow(clippy::too_many_arguments)]
+fn forward_layer<S: Scalar>(
+    adj: &PropGraph<S>,
+    (zu, zv): (&Embedding<S>, &Embedding<S>),
+    next: &mut Sides<S>,
+    acc: &mut Sides<S>,
+    first: bool,
+    threads: usize,
+    rows: Reach<'_>,
+    sum: Reach<'_>,
+) {
+    let add = |out: &[S], acc: &mut [S]| {
+        if first {
+            acc.fill(S::ZERO);
+        }
+        ops::axpy(S::ONE, out, acc);
+    };
+    for_each_row_pair(&mut next.users, &mut acc.users, threads, |u, out, acc| {
+        if !rows.user(u) {
+            return;
+        }
         ops::copy(out, zu.row(u));
         let w = adj.u_norm[u];
         for &v in adj.items_of(u) {
             ops::axpy(w, zv.row(v), out);
         }
+        if sum.user(u) {
+            add(out, acc);
+        }
     });
-    for_each_row(next_v, threads, |v, out| {
+    for_each_row_pair(&mut next.items, &mut acc.items, threads, |v, out, acc| {
+        if !rows.item(v) {
+            return;
+        }
         ops::copy(out, zv.row(v));
         let w = adj.v_norm[v];
         for &u in adj.users_of(v) {
             ops::axpy(w, zu.row(u), out);
         }
+        if sum.item(v) {
+            add(out, acc);
+        }
     });
 }
 
-/// One transpose step `next = (I + Aᵀ)·g`.
+/// The transpose layers `G_l = Mᵀ G_{l+1} (+ g)` from `G_L = g`, `G_l` on
+/// the rows within `layers − l` hops of `reach`'s batch and `+0.0` on
+/// every other row, so `g` must be `+0.0` outside the batch rows. The
+/// transposes write `a`, `b`, `a`, …; returns 0 when `G_0` ends in `a` and
+/// 1 when it ends in `b` (`layers ≥ 1`).
+pub(crate) fn backward_layers<S: Scalar>(
+    adj: &PropGraph<S>,
+    g: (&Embedding<S>, &Embedding<S>),
+    a: &mut Sides<S>,
+    b: &mut Sides<S>,
+    layers: usize,
+    threads: usize,
+    reach: Reach<'_>,
+) -> usize {
+    for (i, l) in (0..layers).rev().enumerate() {
+        let (src, dst) = if i % 2 == 0 { (&*b, &mut *a) } else { (&*a, &mut *b) };
+        let src = if i == 0 { g } else { (&src.users, &src.items) };
+        let direct = (l >= 1).then_some(g);
+        transpose_layer(adj, src, direct, dst, threads, reach.within(layers - l));
+    }
+    (layers - 1) % 2
+}
+
+/// One transpose layer `next = (I + Aᵀ)·g`, plus `direct` when given (the
+/// final sum's gradient, which reaches every layer `l ≥ 1`), on the rows
+/// `rows` selects and `+0.0` on every other row.
 ///
 /// Forward sends `z_v/|N_u|` into user `u`; the transpose therefore sends
 /// `g_u/|N_u|` into item `v` for every edge `(u, v)` — note the
 /// normalization stays with the *source side of the forward pass*.
-fn step_transpose<S: Scalar>(
+fn transpose_layer<S: Scalar>(
     adj: &PropGraph<S>,
-    gu: &Embedding<S>,
-    gv: &Embedding<S>,
-    next_u: &mut Embedding<S>,
-    next_v: &mut Embedding<S>,
+    (gu, gv): (&Embedding<S>, &Embedding<S>),
+    direct: Option<(&Embedding<S>, &Embedding<S>)>,
+    next: &mut Sides<S>,
     threads: usize,
+    rows: Reach<'_>,
 ) {
-    for_each_row(next_u, threads, |u, out| {
+    for_each_row(&mut next.users, threads, |u, out| {
+        if !rows.user(u) {
+            out.fill(S::ZERO);
+            return;
+        }
         ops::copy(out, gu.row(u));
         for &v in adj.items_of(u) {
             ops::axpy(adj.v_norm[v], gv.row(v), out);
         }
+        if let Some((du, _)) = direct {
+            ops::axpy(S::ONE, du.row(u), out);
+        }
     });
-    for_each_row(next_v, threads, |v, out| {
+    for_each_row(&mut next.items, threads, |v, out| {
+        if !rows.item(v) {
+            out.fill(S::ZERO);
+            return;
+        }
         ops::copy(out, gv.row(v));
         for &u in adj.users_of(v) {
             ops::axpy(adj.u_norm[u], gu.row(u), out);
         }
+        if let Some((_, dv)) = direct {
+            ops::axpy(S::ONE, dv.row(v), out);
+        }
     });
-}
-
-fn accumulate<S: Scalar>(acc: &mut Embedding<S>, x: &Embedding<S>) {
-    ops::axpy(S::ONE, x.as_slice(), acc.as_mut_slice());
 }
 
 #[cfg(test)]
@@ -370,16 +581,18 @@ mod tests {
         }
     }
 
+    /// Both sides have more rows than `for_each_row` splits at, so the
+    /// six-thread passes really run on six threads.
     #[test]
     fn parallel_propagation_matches_serial() {
         let mut rng = SplitMix64::new(21);
-        // A bigger random bipartite graph.
+        let (users, items) = (4_200, 4_500);
         let pairs: Vec<(usize, usize)> =
-            (0..2000).map(|_| (rng.index(50), rng.index(80))).collect();
-        let adj = InteractionSet::from_pairs(50, 80, &pairs);
+            (0..12_000).map(|_| (rng.index(users), rng.index(items))).collect();
+        let adj = InteractionSet::from_pairs(users, items, &pairs);
         let graph = PropGraph::build(&adj);
-        let zu: Embedding = Embedding::normal(50, 8, 1.0, &mut rng);
-        let zv = Embedding::normal(80, 8, 1.0, &mut rng);
+        let zu: Embedding = Embedding::normal(users, 4, 1.0, &mut rng);
+        let zv = Embedding::normal(items, 4, 1.0, &mut rng);
         for layers in [1usize, 3] {
             let (a_u, a_v) = propagate_forward(&adj, &zu, &zv, layers);
             let (b_u, b_v) = propagate_forward_graph(&graph, &zu, &zv, layers, 6);

@@ -16,6 +16,8 @@
 //! * [`trainer`] joins everything into the objectives of Eq. 10 / Eq. 15
 //!   with Riemannian SGD (Section V-C), fault-tolerant via [`checkpoint`]
 //!   (durable checkpoint/resume) and divergence rollback with LR backoff.
+//!   Each of its steps runs [`step`]: the forward and backward passes on
+//!   the rows the step's batch reads, bit-identical to full passes.
 //! * [`scan`] is the one exact top-K primitive every ranking path uses:
 //!   a key pass over the item table, then distances for the tie band only.
 //! * [`ablation`] provides the Table III variants.
@@ -34,6 +36,7 @@ pub mod parallel;
 pub mod model;
 pub mod scan;
 pub mod shard;
+pub mod step;
 pub mod stream;
 pub mod trainer;
 
@@ -44,6 +47,7 @@ pub use graph::PropGraph;
 pub use model::LogiRec;
 pub use scan::{KeyTopK, ScanTable};
 pub use shard::{merge_tree, shard_count, shard_ranges, Merge, SparseGrad};
+pub use step::TrainStep;
 pub use stream::{
     compact, fold_in_item, fold_in_user, recover_from_checkpoint, CompactionError,
     CompactionOptions, CompactionReport, Event, EventLog, FoldInError, FoldInOptions, FoldInReport,

@@ -435,13 +435,30 @@ pub fn rank_loss_shard<S: Scalar>(
     per_triplet_weight: f64,
 ) -> RankShard<S> {
     let st = model.state();
-    let ambient = st.user_final.dim();
+    let finals = (model.cfg.geometry, &st.user_final, &st.item_final);
+    rank_shard_on(finals, triplets, margin, alpha, per_triplet_weight)
+}
+
+/// The finals a ranking loss reads: the geometry, the user table and the
+/// item table.
+pub(crate) type Finals<'a, S> = (Geometry, &'a Embedding<S>, &'a Embedding<S>);
+
+/// [`rank_loss_shard`] against explicit finals (a training step's, which
+/// live outside the model's forward state).
+fn rank_shard_on<S: Scalar>(
+    (geometry, user_final, item_final): Finals<'_, S>,
+    triplets: &[(usize, usize, usize)],
+    margin: f64,
+    alpha: Option<&[f64]>,
+    per_triplet_weight: f64,
+) -> RankShard<S> {
+    let ambient = user_final.dim();
     let mut users = SparseGrad::new(ambient);
     let mut items = SparseGrad::new(ambient);
     let (loss, active) = rank_accumulate(
-        model.cfg.geometry,
-        |u| st.user_final.row(u),
-        &st.item_final,
+        geometry,
+        |u| user_final.row(u),
+        item_final,
         triplets.iter().copied(),
         margin,
         alpha,
@@ -470,9 +487,23 @@ pub fn rank_loss_grad_sharded<S: Scalar>(
     per_triplet_weight: f64,
     threads: usize,
 ) -> RankShard<S> {
+    let st = model.state();
+    let finals = (model.cfg.geometry, &st.user_final, &st.item_final);
+    rank_grad_sharded_on(finals, triplets, margin, alpha, per_triplet_weight, threads)
+}
+
+/// [`rank_loss_grad_sharded`] against explicit finals.
+pub(crate) fn rank_grad_sharded_on<S: Scalar>(
+    finals: Finals<'_, S>,
+    triplets: &[(usize, usize, usize)],
+    margin: f64,
+    alpha: Option<&[f64]>,
+    per_triplet_weight: f64,
+    threads: usize,
+) -> RankShard<S> {
     let ranges = crate::shard::shard_ranges(triplets.len());
     let shards = crate::parallel::map_jobs(ranges.len(), threads, |i| {
-        rank_loss_shard(model, &triplets[ranges[i].clone()], margin, alpha, per_triplet_weight)
+        rank_shard_on(finals, &triplets[ranges[i].clone()], margin, alpha, per_triplet_weight)
     });
     crate::shard::merge_tree(shards).expect("shard_ranges yields at least one shard")
 }

@@ -18,10 +18,15 @@ use logirec_hyperbolic::{lorentz, maps, poincare};
 use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 
 use crate::config::{Geometry, LogiRecConfig};
-use crate::graph::PropGraph;
+use crate::graph::{
+    backward_layers, forward_layers, propagate_backward_graph, propagate_forward_graph, PropGraph,
+    Reach, Sides,
+};
 use crate::scan::{self, ScanTable};
+use crate::step::{self, Cotangent};
 
-/// Cached forward-pass tensors (recomputed every SGD step).
+/// Cached forward-pass tensors of every row (a full [`LogiRec::propagate`];
+/// a training step keeps its own, see [`crate::step`]).
 #[derive(Debug, Clone)]
 pub struct ForwardState<S: Scalar = f64> {
     /// Items in the carrier space (`p⁻¹(v^P)`; `V × ambient`).
@@ -201,68 +206,54 @@ impl<S: Scalar> LogiRec<S> {
         self.propagate_graph(&PropGraph::build(adj));
     }
 
-    /// [`Self::propagate`] against a pre-built propagation cache.
+    /// [`Self::propagate`] against a pre-built propagation cache: the
+    /// all-rows case of the training step's kernels ([`crate::step`]).
     pub fn propagate_graph(&mut self, adj: &PropGraph<S>) {
         let fwd_timer = self.cfg.telemetry.timer();
-        let dim = self.cfg.dim;
-        let (item_carrier, z_u0, z_v0) = match self.cfg.geometry {
+        let (layers, threads, dim) = (self.cfg.layers, self.cfg.train_threads, self.cfg.dim);
+        let sides = |dim| Sides::zeros(self.users.rows(), self.items.rows(), dim);
+        let state = match self.cfg.geometry {
             Geometry::Hyperbolic => {
-                let threads = self.cfg.train_threads;
-                // The `_into` kernels write each row in place: the forward
-                // pass performs zero per-row allocations.
                 let mut carrier = Embedding::zeros(self.items.rows(), dim + 1);
-                crate::parallel::for_each_row(&mut carrier, threads, |v, out| {
-                    maps::poincare_to_lorentz_into(self.items.row(v), out);
-                });
-                let mut z_v0 = Embedding::zeros(self.items.rows(), dim);
-                crate::parallel::for_each_row(&mut z_v0, threads, |v, out| {
-                    lorentz::log_origin_into(carrier.row(v), out);
-                });
-                let mut z_u0 = Embedding::zeros(self.users.rows(), dim);
-                crate::parallel::for_each_row(&mut z_u0, threads, |u, out| {
-                    lorentz::log_origin_into(self.users.row(u), out);
-                });
-                (carrier, z_u0, z_v0)
+                // The layer tables only feed the graph pass. They are
+                // dropped at the end of this block, before the finals are
+                // allocated, which keeps them out of the state and out of
+                // the pass's peak.
+                let tan = {
+                    let (mut a, mut b, mut acc) = (sides(dim), sides(dim), sides(dim));
+                    let all = Reach::ALL;
+                    step::layer0(self, &mut carrier, &mut b, threads, all);
+                    forward_layers(adj, None, &mut a, &mut b, &mut acc, layers, threads, all);
+                    if layers == 0 {
+                        b
+                    } else {
+                        acc
+                    }
+                };
+                let mut finals = sides(dim + 1);
+                step::exp_rows((&tan.users, &tan.items), &mut finals, threads, Reach::ALL);
+                ForwardState {
+                    item_carrier: carrier,
+                    user_final_tan: tan.users,
+                    item_final_tan: tan.items,
+                    user_final: finals.users,
+                    item_final: finals.items,
+                }
             }
-            Geometry::Euclidean => (self.items.clone(), self.users.clone(), self.items.clone()),
-        };
-
-        // The layer-0 tangents only feed the graph pass. Dropping them here,
-        // before the finals are allocated, keeps them out of every state
-        // and out of the pass's peak.
-        let (user_final_tan, item_final_tan) = crate::graph::propagate_forward_graph(
-            adj,
-            &z_u0,
-            &z_v0,
-            self.cfg.layers,
-            self.cfg.train_threads,
-        );
-        drop((z_u0, z_v0));
-
-        let (user_final, item_final) = match self.cfg.geometry {
-            Geometry::Hyperbolic => {
-                let threads = self.cfg.train_threads;
-                let mut uf = Embedding::zeros(user_final_tan.rows(), dim + 1);
-                crate::parallel::for_each_row(&mut uf, threads, |u, out| {
-                    lorentz::exp_origin_into(user_final_tan.row(u), out);
-                });
-                let mut vf = Embedding::zeros(item_final_tan.rows(), dim + 1);
-                crate::parallel::for_each_row(&mut vf, threads, |v, out| {
-                    lorentz::exp_origin_into(item_final_tan.row(v), out);
-                });
-                (uf, vf)
+            Geometry::Euclidean => {
+                let (tan_u, tan_v) =
+                    propagate_forward_graph(adj, &self.users, &self.items, layers, threads);
+                ForwardState {
+                    item_carrier: self.items.clone(),
+                    user_final: tan_u.clone(),
+                    item_final: tan_v.clone(),
+                    user_final_tan: tan_u,
+                    item_final_tan: tan_v,
+                }
             }
-            Geometry::Euclidean => (user_final_tan.clone(), item_final_tan.clone()),
         };
-
         self.scan = ScanCache::empty();
-        self.state = Some(ForwardState {
-            item_carrier,
-            user_final_tan,
-            item_final_tan,
-            user_final,
-            item_final,
-        });
+        self.state = Some(state);
         self.cfg.telemetry.observe_us("gcn.propagate_us", fwd_timer);
     }
 
@@ -301,17 +292,8 @@ impl<S: Scalar> LogiRec<S> {
     /// Backward pass of the ranking head: takes dense ambient gradients
     /// w.r.t. the **final** user/item embeddings and returns gradients
     /// w.r.t. the user parameters (ambient) and item parameters (Poincaré /
-    /// Euclidean `d`-dim).
-    pub fn backward_rank(
-        &self,
-        g_user_final: &Embedding<S>,
-        g_item_final: &Embedding<S>,
-        adj: &InteractionSet,
-    ) -> (Embedding<S>, Embedding<S>) {
-        self.backward_rank_graph(g_user_final, g_item_final, &PropGraph::build(adj))
-    }
-
-    /// [`Self::backward_rank`] against a pre-built propagation cache.
+    /// Euclidean `d`-dim), against a pre-built propagation cache. The
+    /// all-rows case of the training step's kernels ([`crate::step`]).
     pub fn backward_rank_graph(
         &self,
         g_user_final: &Embedding<S>,
@@ -319,45 +301,40 @@ impl<S: Scalar> LogiRec<S> {
         adj: &PropGraph<S>,
     ) -> (Embedding<S>, Embedding<S>) {
         let st = self.state();
-        let dim = self.cfg.dim;
+        let (layers, threads, dim) = (self.cfg.layers, self.cfg.train_threads, self.cfg.dim);
         match self.cfg.geometry {
             Geometry::Hyperbolic => {
-                let threads = self.cfg.train_threads;
-                let mut g_uft = Embedding::zeros(self.users.rows(), dim);
-                crate::parallel::for_each_row(&mut g_uft, threads, |u, out| {
-                    lorentz::exp_origin_vjp_into(st.user_final_tan.row(u), g_user_final.row(u), out);
-                });
-                let mut g_vft = Embedding::zeros(self.items.rows(), dim);
-                crate::parallel::for_each_row(&mut g_vft, threads, |v, out| {
-                    lorentz::exp_origin_vjp_into(st.item_final_tan.row(v), g_item_final.row(v), out);
-                });
-                let (g_u0, g_v0) = crate::graph::propagate_backward_graph(
-                    adj,
-                    &g_uft,
-                    &g_vft,
-                    self.cfg.layers,
-                    self.cfg.train_threads,
-                );
-                let mut g_users = Embedding::zeros(self.users.rows(), dim + 1);
-                crate::parallel::for_each_row(&mut g_users, threads, |u, out| {
-                    lorentz::log_origin_vjp_into(self.users.row(u), g_u0.row(u), out);
-                });
-                let mut g_items = Embedding::zeros(self.items.rows(), dim);
-                crate::parallel::for_each_row(&mut g_items, threads, |v, out| {
-                    // One d+1 temporary per row: the two chained VJPs have
-                    // incompatible widths, so a hand-off buffer is needed.
-                    let g_h = lorentz::log_origin_vjp(st.item_carrier.row(v), g_v0.row(v));
-                    maps::poincare_to_lorentz_vjp_into(self.items.row(v), &g_h, out);
-                });
-                (g_users, g_items)
+                let sides = || Sides::zeros(self.users.rows(), self.items.rows(), dim);
+                // The gradient on the final tangents and the transposes'
+                // other table are dropped at the end of this block, before
+                // the parameter gradients are allocated.
+                let g0 = {
+                    let cot = Cotangent::Dense(g_user_final, g_item_final);
+                    let mut g_tan = sides();
+                    let tan = (&st.user_final_tan, &st.item_final_tan);
+                    step::exp_vjp_rows(tan, &cot, &mut g_tan, threads);
+                    if layers == 0 {
+                        g_tan
+                    } else {
+                        let (mut a, mut b) = (sides(), sides());
+                        let g = (&g_tan.users, &g_tan.items);
+                        match backward_layers(adj, g, &mut a, &mut b, layers, threads, Reach::ALL) {
+                            0 => a,
+                            _ => b,
+                        }
+                    }
+                };
+                let mut grads = Sides {
+                    users: Embedding::zeros(self.users.rows(), dim + 1),
+                    items: Embedding::zeros(self.items.rows(), dim),
+                };
+                let g0 = (&g0.users, &g0.items);
+                step::param_vjp_rows(self, &st.item_carrier, g0, &mut grads, threads);
+                (grads.users, grads.items)
             }
-            Geometry::Euclidean => crate::graph::propagate_backward_graph(
-                adj,
-                g_user_final,
-                g_item_final,
-                self.cfg.layers,
-                self.cfg.train_threads,
-            ),
+            Geometry::Euclidean => {
+                propagate_backward_graph(adj, g_user_final, g_item_final, layers, threads)
+            }
         }
     }
 
@@ -629,7 +606,8 @@ mod tests {
         let mut g_item_final = Embedding::zeros(m.items.rows(), m.cfg.dim + 1);
         g_user_final.row_mut(u).copy_from_slice(&gu);
         g_item_final.row_mut(v).copy_from_slice(&gv);
-        let (g_users, g_items) = m.backward_rank(&g_user_final, &g_item_final, &ds.train);
+        let pg = PropGraph::build(&ds.train);
+        let (g_users, g_items) = m.backward_rank_graph(&g_user_final, &g_item_final, &pg);
 
         // Item parameter check (Euclidean coordinates, direct FD).
         let h = 1e-6;

@@ -19,31 +19,88 @@ where
     S: Scalar,
     F: Fn(usize, &mut [S]) + Sync,
 {
-    let rows = out.rows();
-    let dim = out.dim();
-    let threads = threads.max(1);
-    if threads == 1 || rows < PAR_THRESHOLD {
-        for r in 0..rows {
-            f(r, out.row_mut(r));
-        }
+    split_rows(out, None, 0, threads, |r, row, _| f(r, row));
+}
+
+/// [`for_each_row`] over two tables with the same row count, split at the
+/// same rows: `f(r, a_row, b_row)` writes row `r` of both, so a pass that
+/// produces two tables (a layer and its running sum) reads its inputs once.
+pub(crate) fn for_each_row_pair<S, F>(
+    a: &mut Embedding<S>,
+    b: &mut Embedding<S>,
+    threads: usize,
+    f: F,
+) where
+    S: Scalar,
+    F: Fn(usize, &mut [S], &mut [S]) + Sync,
+{
+    assert_eq!(a.rows(), b.rows(), "paired tables differ in rows");
+    split_rows(a, Some(b), 0, threads, f);
+}
+
+/// [`for_each_row`] with a `scratch_len` buffer per worker, handed to
+/// `f(r, row, scratch)` for every row that worker writes: a per-row
+/// temporary without a per-row allocation. `f` must not carry values from
+/// one row to the next through it.
+pub(crate) fn for_each_row_scratch<S, F>(
+    out: &mut Embedding<S>,
+    scratch_len: usize,
+    threads: usize,
+    f: F,
+) where
+    S: Scalar,
+    F: Fn(usize, &mut [S], &mut [S]) + Sync,
+{
+    split_rows(out, None, scratch_len, threads, f);
+}
+
+/// The row splitter behind the `for_each_row*` helpers: rows go in
+/// contiguous chunks of `rows / threads` (rounded up) to up to `threads`
+/// scoped workers, or in one chunk on the calling thread at one thread or
+/// below [`PAR_THRESHOLD`] rows. `f` gets each row of `a` with the same row
+/// of `b`, or with the worker's `scratch_len` buffer when `b` is absent.
+fn split_rows<S, F>(
+    a: &mut Embedding<S>,
+    b: Option<&mut Embedding<S>>,
+    scratch_len: usize,
+    threads: usize,
+    f: F,
+) where
+    S: Scalar,
+    F: Fn(usize, &mut [S], &mut [S]) + Sync,
+{
+    let rows = a.rows();
+    if rows == 0 {
         return;
     }
-    let chunk_rows = rows.div_ceil(threads);
-    let data = out.as_mut_slice();
+    let (da, db) = (a.dim(), b.as_ref().map_or(0, |b| b.dim()));
+    let threads = threads.max(1);
+    let chunk_rows =
+        if threads == 1 || rows < PAR_THRESHOLD { rows } else { rows.div_ceil(threads) };
+    // Writes rows `base..base + n`, held in `a_rows` and `b_rows`.
+    let run = |base: usize, n: usize, a_rows: &mut [S], b_rows: &mut [S]| {
+        let mut scratch = vec![S::ZERO; scratch_len];
+        for i in 0..n {
+            let rb = if db == 0 { &mut scratch[..] } else { &mut b_rows[i * db..(i + 1) * db] };
+            f(base + i, &mut a_rows[i * da..(i + 1) * da], rb);
+        }
+    };
+    let mut a_rest = a.as_mut_slice();
+    let mut b_rest = b.map_or(&mut [][..], |b| b.as_mut_slice());
+    if chunk_rows == rows {
+        run(0, rows, a_rest, b_rest);
+        return;
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks_mut(chunk_rows * dim)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let f = &f;
-                scope.spawn(move || {
-                    let base = ci * chunk_rows;
-                    for (i, row) in chunk.chunks_mut(dim).enumerate() {
-                        f(base + i, row);
-                    }
-                })
-            })
-            .collect();
+        let mut handles = Vec::with_capacity(threads);
+        for base in (0..rows).step_by(chunk_rows) {
+            let n = chunk_rows.min(rows - base);
+            let (a_rows, a_tail) = std::mem::take(&mut a_rest).split_at_mut(n * da);
+            let (b_rows, b_tail) = std::mem::take(&mut b_rest).split_at_mut(n * db);
+            (a_rest, b_rest) = (a_tail, b_tail);
+            let run = &run;
+            handles.push(scope.spawn(move || run(base, n, a_rows, b_rows)));
+        }
         // Join explicitly and re-raise the first worker panic with its
         // original payload (std's scope exit would replace it with a generic
         // "a scoped thread panicked" message). Remaining threads are joined
@@ -130,6 +187,20 @@ mod tests {
         for_each_row(&mut m, 8, |r, row| row.fill(r as f64));
         for r in 0..10 {
             assert!(m.row(r).iter().all(|&x| x == r as f64));
+        }
+    }
+
+    #[test]
+    fn zero_width_rows_are_each_visited_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 4] {
+            let mut m: Embedding = Embedding::zeros(PAR_THRESHOLD + 3, 0);
+            let calls = AtomicUsize::new(0);
+            for_each_row(&mut m, threads, |_, row| {
+                assert!(row.is_empty());
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(calls.into_inner(), PAR_THRESHOLD + 3, "threads {threads}");
         }
     }
 

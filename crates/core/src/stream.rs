@@ -52,8 +52,9 @@ use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::{Geometry, LogiRecConfig};
 use crate::graph::PropGraph;
-use crate::losses::{rank_accumulate, rank_loss_grad_sharded};
+use crate::losses::rank_accumulate;
 use crate::model::LogiRec;
+use crate::step::TrainStep;
 use crate::trainer::{apply_updates, check_health, inject_model_faults, EpochStats};
 
 /// Typed errors from the fold-in path.
@@ -604,9 +605,10 @@ pub struct CompactionReport {
 ///    (items first, so a new user's positives are always in range);
 /// 3. rebuilds the training graph with the streamed interactions;
 /// 4. runs a few epochs of rank-SGD over the streamed pairs plus a seeded
-///    rehearsal sample of warm pairs (deterministic serial sampling; the
-///    sharded gradient and the trainer's per-row updates, which leave the
-///    tags alone, are bit-identical across `train_threads`);
+///    rehearsal sample of warm pairs through the trainer's receptive-field
+///    step (deterministic serial sampling; the sharded gradient and the
+///    trainer's per-row updates, which leave the tags alone, are
+///    bit-identical across `train_threads`);
 /// 5. runs the trainer's health check after every epoch and rolls back to
 ///    the pre-compaction parameters on divergence.
 ///
@@ -642,42 +644,7 @@ pub fn compact<S: Scalar>(
         checkpoint::save(&Checkpoint::of_model(model, opts.seed), path)?;
     }
 
-    // Grow the tables. Items first: a new user's positives may include new
-    // items; a new item is folded against the *old* users only (new users
-    // do not exist yet).
-    let old_users = model.users.rows();
-    let old_items = model.items.rows();
-    let max_user = pending.iter().map(|e| e.user).max().expect("non-empty");
-    let max_item = pending.iter().map(|e| e.item).max().expect("non-empty");
-    let mut new_items = 0;
-    if max_item >= old_items {
-        for v in old_items..=max_item {
-            let users_of_v: Vec<usize> = pending
-                .iter()
-                .filter(|e| e.item == v && e.user < old_users)
-                .map(|e| e.user)
-                .collect();
-            let fi = FoldInOptions {
-                seed: entity_seed(opts.fold_in.seed, 1, v),
-                ..opts.fold_in.clone()
-            };
-            fold_in_item(model, &users_of_v, &fi)?;
-            new_items += 1;
-        }
-    }
-    let mut new_users = 0;
-    if max_user >= old_users {
-        for u in old_users..=max_user {
-            let items_of_u: Vec<usize> =
-                pending.iter().filter(|e| e.user == u).map(|e| e.item).collect();
-            let fi = FoldInOptions {
-                seed: entity_seed(opts.fold_in.seed, 2, u),
-                ..opts.fold_in.clone()
-            };
-            fold_in_user(model, &items_of_u, &fi)?;
-            new_users += 1;
-        }
-    }
+    let (new_users, new_items) = grow(model, &pending, opts)?;
 
     // Rebuild the training graph with the streamed interactions.
     let warm_pairs: Vec<(usize, usize)> = train.iter_pairs().collect();
@@ -687,64 +654,28 @@ pub fn compact<S: Scalar>(
     let graph = PropGraph::build(&grown);
 
     // Incremental rank-SGD over the streamed pairs (plus rehearsal), under
-    // the trainer's update rule, model-fault hook and health check.
+    // the trainer's receptive-field step, update rule, model-fault hook and
+    // health check. The step computes the finals its triplets read; the
+    // state the fold-ins read is dropped, and the grown graph's is built
+    // once the epochs are done.
+    model.clear_state();
     let pre = model.clone();
     let cfg = model.cfg.clone();
-    let threads = cfg.train_threads.max(1);
-    let negatives = opts.negatives.max(1);
-    let per_triplet = 1.0 / negatives as f64;
-    let mut rng = SplitMix64::new(opts.seed);
-    let event_pairs: Vec<(usize, usize)> = {
-        let mut p: Vec<(usize, usize)> = pending.iter().map(|e| (e.user, e.item)).collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    };
-    // Rehearsal: a seeded sample of warm pairs joins every epoch so the
-    // incremental gradient pulls against the frozen geometry's own training
-    // signal rather than the streamed pairs alone.
-    let n_rehearsal = if opts.rehearsal > 0.0 && !warm_pairs.is_empty() {
-        (opts.rehearsal * event_pairs.len() as f64).round() as usize
-    } else {
-        0
-    };
+    let per_triplet = 1.0 / opts.negatives.max(1) as f64;
+    let mut sampler = EpochTriplets::new(&pending, warm_pairs, opts);
     let mut rolled_back = false;
     let mut rollback_reason = None;
     let mut final_loss = 0.0;
     let mut epochs_run = 0;
-    let mut triplets = Vec::with_capacity(event_pairs.len() * negatives);
+    let mut triplets = Vec::new();
+    let mut step = TrainStep::new(model);
     for epoch in 0..opts.epochs {
-        model.propagate_graph(&graph);
-        // Serial, seeded sampling: bit-identical for every thread count.
-        // The streamed pairs come first, then the rehearsal draws; every
-        // positive gets `negatives` draws that veto its known items.
-        triplets.clear();
-        for i in 0..event_pairs.len() + n_rehearsal {
-            let (u, vp) = match event_pairs.get(i) {
-                Some(&pair) => pair,
-                None => warm_pairs[rng.index(warm_pairs.len())],
-            };
-            for _ in 0..negatives {
-                let mut vq = rng.index(grown.n_items());
-                for _ in 0..16 {
-                    if !grown.contains(u, vq) {
-                        break;
-                    }
-                    vq = rng.index(grown.n_items());
-                }
-                triplets.push((u, vp, vq));
-            }
-        }
-        let shard =
-            rank_loss_grad_sharded(model, &triplets, opts.margin, None, per_triplet, threads);
+        sampler.next(&grown, &mut triplets);
+        step.forward(model, &graph, &triplets);
+        let shard = step.rank_loss(model, &triplets, opts.margin, None, per_triplet);
         let loss = shard.loss / triplets.len().max(1) as f64;
-        let ambient = cfg.ambient_dim();
-        let mut g_user_final = Embedding::zeros(model.users.rows(), ambient);
-        let mut g_item_final = Embedding::zeros(model.items.rows(), ambient);
-        shard.users.scatter_add(&mut g_user_final);
-        shard.items.scatter_add(&mut g_item_final);
-        let (g_users, g_items) = model.backward_rank_graph(&g_user_final, &g_item_final, &graph);
-        apply_updates(model, &g_users, &g_items, None, opts.lr);
+        let (g_users, g_items) = step.backward(model, &graph, &shard);
+        apply_updates(model, g_users, g_items, None, opts.lr);
         inject_model_faults(&cfg, epoch, model);
         epochs_run += 1;
         final_loss = loss;
@@ -759,6 +690,7 @@ pub fn compact<S: Scalar>(
         }
     }
     // Leave a fresh forward state against the grown graph for serving.
+    drop(step);
     model.propagate_graph(&graph);
     log.mark_compacted();
     Ok((
@@ -773,6 +705,86 @@ pub fn compact<S: Scalar>(
             final_loss,
         },
     ))
+}
+
+/// Grows the tables by fold-in for every brand-new entity `pending` names
+/// and returns how many `(users, items)` it added. Items first: a new
+/// user's positives may include new items; a new item is folded against
+/// the *old* users only (new users do not exist yet).
+fn grow<S: Scalar>(
+    model: &mut LogiRec<S>,
+    pending: &[Event],
+    opts: &CompactionOptions,
+) -> Result<(usize, usize), CompactionError> {
+    let old_users = model.users.rows();
+    let new_users = old_users..pending.iter().map(|e| e.user + 1).max().unwrap_or(0);
+    let new_items = model.items.rows()..pending.iter().map(|e| e.item + 1).max().unwrap_or(0);
+    let added = (new_users.len(), new_items.len());
+    for v in new_items {
+        let users_of_v: Vec<usize> =
+            pending.iter().filter(|e| e.item == v && e.user < old_users).map(|e| e.user).collect();
+        let fi =
+            FoldInOptions { seed: entity_seed(opts.fold_in.seed, 1, v), ..opts.fold_in.clone() };
+        fold_in_item(model, &users_of_v, &fi)?;
+    }
+    for u in new_users {
+        let items_of_u: Vec<usize> =
+            pending.iter().filter(|e| e.user == u).map(|e| e.item).collect();
+        let fi =
+            FoldInOptions { seed: entity_seed(opts.fold_in.seed, 2, u), ..opts.fold_in.clone() };
+        fold_in_user(model, &items_of_u, &fi)?;
+    }
+    Ok(added)
+}
+
+/// Compaction's seeded triplet stream. Every epoch lists the streamed
+/// pairs, then a rehearsal sample of warm pairs, which makes the
+/// incremental gradient pull against the frozen geometry's own training
+/// signal rather than the streamed pairs alone. Every positive gets
+/// `negatives` draws that veto its known items. Sampling is serial, so the
+/// stream is the same for every thread count.
+struct EpochTriplets {
+    events: Vec<(usize, usize)>,
+    warm: Vec<(usize, usize)>,
+    rehearsal: usize,
+    negatives: usize,
+    rng: SplitMix64,
+}
+
+impl EpochTriplets {
+    fn new(pending: &[Event], warm: Vec<(usize, usize)>, opts: &CompactionOptions) -> Self {
+        let mut events: Vec<(usize, usize)> = pending.iter().map(|e| (e.user, e.item)).collect();
+        events.sort_unstable();
+        events.dedup();
+        let rehearsal = if opts.rehearsal > 0.0 && !warm.is_empty() {
+            (opts.rehearsal * events.len() as f64).round() as usize
+        } else {
+            0
+        };
+        let (negatives, rng) = (opts.negatives.max(1), SplitMix64::new(opts.seed));
+        Self { events, warm, rehearsal, negatives, rng }
+    }
+
+    /// The next epoch's triplets against the grown graph, into `out`.
+    fn next(&mut self, grown: &InteractionSet, out: &mut Vec<(usize, usize, usize)>) {
+        out.clear();
+        for i in 0..self.events.len() + self.rehearsal {
+            let (u, vp) = match self.events.get(i) {
+                Some(&pair) => pair,
+                None => self.warm[self.rng.index(self.warm.len())],
+            };
+            for _ in 0..self.negatives {
+                let mut vq = self.rng.index(grown.n_items());
+                for _ in 0..16 {
+                    if !grown.contains(u, vq) {
+                        break;
+                    }
+                    vq = self.rng.index(grown.n_items());
+                }
+                out.push((u, vp, vq));
+            }
+        }
+    }
 }
 
 /// Restores a model's parameter tables from a pre-compaction checkpoint
@@ -1010,6 +1022,55 @@ mod tests {
         for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
             compaction_folds_events_and_stays_healthy_at::<f64>(geometry);
             compaction_folds_events_and_stays_healthy_at::<f32>(geometry);
+        }
+    }
+
+    /// Compaction's epochs run the trainer's receptive-field step. Replayed
+    /// with full passes over every row (a full forward, the dense gradient
+    /// on every final, the full transpose), the path compaction took before
+    /// that step, they leave the same tables and loss, bit for bit.
+    #[test]
+    fn compaction_matches_its_full_pass_replay() {
+        use crate::losses::rank_loss_grad_sharded;
+        let bits = |e: &Embedding| e.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            let (trained, ds) = trained_in(geometry);
+            let mut log = EventLog::new();
+            let (u_new, v_new) = (ds.n_users(), ds.n_items());
+            let events = [(0, 3), (1, 4), (u_new, 0), (u_new, 5), (2, v_new)];
+            for (t, (u, v)) in events.into_iter().enumerate() {
+                log.append(u, v, t as u64);
+            }
+            let pending = log.pending().to_vec();
+            let opts = CompactionOptions::for_config(&trained.cfg);
+            let mut m = trained.clone();
+            let (grown, report) = compact(&mut m, &ds.train, &mut log, &opts).expect("compact");
+            assert!(!report.rolled_back, "{geometry:?}: {:?}", report.rollback_reason);
+
+            let mut r = trained.clone();
+            grow(&mut r, &pending, &opts).expect("grow");
+            let graph = PropGraph::build(&grown);
+            let mut sampler = EpochTriplets::new(&pending, ds.train.iter_pairs().collect(), &opts);
+            let (mut triplets, mut loss) = (Vec::new(), 0.0);
+            let per_triplet = 1.0 / opts.negatives as f64;
+            for _ in 0..opts.epochs {
+                sampler.next(&grown, &mut triplets);
+                r.propagate_graph(&graph);
+                let (margin, threads) = (opts.margin, r.cfg.train_threads);
+                let g = rank_loss_grad_sharded(&r, &triplets, margin, None, per_triplet, threads);
+                let ambient = r.cfg.ambient_dim();
+                let mut g_uf = Embedding::zeros(r.users.rows(), ambient);
+                let mut g_vf = Embedding::zeros(r.items.rows(), ambient);
+                g.users.scatter_add(&mut g_uf);
+                g.items.scatter_add(&mut g_vf);
+                let (g_users, g_items) = r.backward_rank_graph(&g_uf, &g_vf, &graph);
+                apply_updates(&mut r, &g_users, &g_items, None, opts.lr);
+                loss = g.loss / triplets.len() as f64;
+            }
+            assert_eq!(report.final_loss.to_bits(), loss.to_bits(), "{geometry:?}: loss");
+            assert_eq!(bits(&m.users), bits(&r.users), "{geometry:?}: users");
+            assert_eq!(bits(&m.items), bits(&r.items), "{geometry:?}: items");
+            assert_eq!(bits(&m.tags), bits(&r.tags), "{geometry:?}: tags");
         }
     }
 

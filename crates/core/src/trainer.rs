@@ -1,9 +1,12 @@
 //! The joint training loop (Eq. 10 for LogiRec, Eq. 15 for LogiRec++).
 //!
-//! Each SGD step: full forward propagation, an LMNN ranking batch with
-//! sampled negatives (α-weighted when mining is on), sampled logical
-//! relation batches for L_Mem/L_Hie/L_Ex scaled by λ, exact backward
-//! passes, and Riemannian SGD updates per parameter family (Section V-C).
+//! Each SGD step: an LMNN ranking batch with sampled negatives
+//! (α-weighted when mining is on), a forward pass over the batch's
+//! receptive field only and its exact backward ([`crate::step`]), sampled
+//! logical relation batches for L_Mem/L_Hie/L_Ex scaled by λ, and
+//! Riemannian SGD updates per parameter family (Section V-C). A full
+//! forward over every row runs only where the whole state is read: the
+//! LogiRec++ mining refresh, validation, and the end of training.
 //! Validation Recall@10 is tracked for snapshotting/early stopping.
 //!
 //! ## Fault tolerance
@@ -39,10 +42,11 @@ use logirec_taxonomy::TagId;
 use crate::checkpoint::{self, BestSnapshot, Checkpoint};
 use crate::config::{Geometry, LogiRecConfig, Precision};
 use crate::graph::PropGraph;
-use crate::losses::{logic_loss_grad_sharded, rank_loss_grad_sharded, LogicBatch};
+use crate::losses::{logic_loss_grad_sharded, LogicBatch};
 use crate::mining::{combine_weights, consistency_weights, granularity_weights};
 use crate::model::LogiRec;
 use crate::shard::shard_count;
+use crate::step::TrainStep;
 
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,6 +248,9 @@ pub fn train_typed<S: Scalar>(
     let con = if cfg.mining { Some(consistency_weights(dataset)) } else { None };
 
     let mut last_good = GoodSnapshot::capture(&state, &model);
+    // The receptive-field step's tables, sized on first use after each
+    // full forward (see the mining refresh and validation below).
+    let mut step: Option<TrainStep<S>> = None;
     let mut rollbacks =
         recoveries.iter().filter(|r| matches!(r.action, RecoveryAction::RolledBack { .. })).count();
 
@@ -258,13 +265,18 @@ pub fn train_typed<S: Scalar>(
         let mut ep_span = tel.span("epoch");
         ep_span.field("epoch", epoch as u64);
         tel.gauge("trainer.lr").set(lr);
-        // Refresh LogiRec++ weights from the current geometry.
+        // Refresh LogiRec++ weights from the current geometry. A full
+        // forward never runs beside the step's tables, and its state is
+        // dropped once read: the two never stack in memory, and nothing
+        // reads finals the parameters have since moved away from.
         if let Some(con) = &con {
             if state.alpha.is_none() || epoch.is_multiple_of(cfg.mining_refresh.max(1)) {
                 let mut mine_span = tel.span("mining");
                 mine_span.field("users", n_users as u64);
+                step = None;
                 model.propagate_graph(&pg);
                 let gr = granularity_weights(&model, n_users);
+                model.clear_state();
                 state.alpha = Some(combine_weights(con, &gr, cfg.alpha_floor));
             }
         }
@@ -280,18 +292,24 @@ pub fn train_typed<S: Scalar>(
         for batch in BatchIter::new(&dataset.train, cfg.batch_size, &mut batch_rng) {
             let mut batch_span = tel.span("batch");
             batch_span.field("pairs", batch.len() as u64);
-            model.propagate_graph(&pg);
-
-            let mut rank_span = tel.span("loss");
-            rank_span.field("term", "rank");
             // Ranking triplets with sampled negatives (sampling stays
-            // serial: the RNG stream must not depend on train_threads).
+            // serial: the RNG stream must not depend on train_threads). The
+            // sampler reads no finals, so it runs before the forward that
+            // needs the triplets' rows.
             let mut triplets = Vec::with_capacity(batch.len() * cfg.negatives);
             for &(u, vp) in &batch {
                 for _ in 0..cfg.negatives {
                     triplets.push((u, vp, sampler.sample(u)));
                 }
             }
+            let step = step.get_or_insert_with(|| TrainStep::new(&model));
+            let mut fwd_span = tel.span("forward");
+            step.forward(&model, &pg, &triplets);
+            fwd_span.field("rows", step.rows() as u64);
+            fwd_span.close();
+
+            let mut rank_span = tel.span("loss");
+            rank_span.field("term", "rank");
             // Sum-weighted per positive (each user's triplets contribute a
             // full gradient unit regardless of batch size): batched
             // full-graph steps then match the effective per-sample step
@@ -301,28 +319,15 @@ pub fn train_typed<S: Scalar>(
             fan_span.field("term", "rank");
             fan_span.field("shards", shard_count(triplets.len()) as u64);
             fan_span.field("threads", cfg.train_threads as u64);
-            let rg = rank_loss_grad_sharded(
-                &model,
-                &triplets,
-                cfg.margin,
-                state.alpha.as_deref(),
-                per_triplet,
-                cfg.train_threads,
-            );
+            let alpha = state.alpha.as_deref();
+            let rg = step.rank_loss(&model, &triplets, cfg.margin, alpha, per_triplet);
             fan_span.close();
-            let mut merge_span = tel.span("grad.merge");
-            merge_span.field("term", "rank");
-            let rank_rows = rg.users.nnz() + rg.items.nnz();
-            merge_span.field("rows", rank_rows as u64);
-            let ambient = cfg.ambient_dim();
-            let mut g_user_final = Embedding::zeros(model.users.rows(), ambient);
-            let mut g_item_final = Embedding::zeros(model.items.rows(), ambient);
-            rg.users.scatter_add(&mut g_user_final);
-            rg.items.scatter_add(&mut g_item_final);
-            merge_span.close();
-            let (mut g_users, mut g_items) =
-                model.backward_rank_graph(&g_user_final, &g_item_final, &pg);
             rank_span.close();
+            let rank_rows = rg.users.nnz() + rg.items.nnz();
+            let mut bwd_span = tel.span("backward");
+            bwd_span.field("rows", rank_rows as u64);
+            let (g_users, g_items) = step.backward(&model, &pg, &rg);
+            bwd_span.close();
 
             let mut logic_span = tel.span("loss");
             logic_span.field("term", "logic");
@@ -371,19 +376,19 @@ pub fn train_typed<S: Scalar>(
             merge_span.field("rows", lg.rows_touched() as u64);
             let mut g_tags = Embedding::zeros(model.tags.rows(), cfg.dim);
             lg.tags.scatter_add(&mut g_tags);
-            lg.items.scatter_add(&mut g_items);
+            lg.items.scatter_add(g_items);
             merge_span.close();
             logic_span.close();
             c_grad_rows.add((rank_rows + lg.rows_touched()) as u64);
 
-            inject_gradient_faults(&cfg, epoch, steps, &mut g_users, &mut g_items);
+            inject_gradient_faults(&cfg, epoch, steps, g_users, g_items);
 
             // Step guard: a poisoned gradient batch (NaN/Inf from upstream
             // corruption or injection) is dropped, not applied. The RSGD
             // steps have their own per-row guards, but skipping here keeps
             // the whole update consistent and lets us report it.
             if g_users.all_finite() && g_items.all_finite() && g_tags.all_finite() {
-                apply_updates(&mut model, &g_users, &g_items, Some(&g_tags), lr);
+                apply_updates(&mut model, g_users, g_items, Some(&g_tags), lr);
                 c_steps.incr();
             } else {
                 skipped_steps += 1;
@@ -477,6 +482,7 @@ pub fn train_typed<S: Scalar>(
         if cfg.eval_every > 0 && (epoch + 1).is_multiple_of(cfg.eval_every) {
             let mut eval_span = tel.span("eval");
             eval_span.field("split", "validation");
+            step = None;
             model.propagate_graph(&pg);
             let res = evaluate_traced(
                 &model,
@@ -486,6 +492,7 @@ pub fn train_typed<S: Scalar>(
                 cfg.eval_threads,
                 &tel,
             );
+            model.clear_state();
             let r10 = res.recall_at(10);
             eval_span.field("recall10", r10);
             eval_span.close();
@@ -531,6 +538,7 @@ pub fn train_typed<S: Scalar>(
     }
 
     // Restore the best validation snapshot, if any.
+    drop(step);
     let best_val = state.best.as_ref().map(|(b, _, _, _)| *b);
     if let Some((_, tags, items, users)) = state.best {
         model.tags = tags;

@@ -27,7 +27,7 @@ trap 'rm -rf "$smoke"' EXIT
   --epochs 5 --dim 8 --trace-json "$smoke/train.jsonl" --metrics-summary
 ./target/release/trace_check "$smoke/generate.jsonl" --require-kinds synth,dataset
 ./target/release/trace_check "$smoke/train.jsonl" \
-  --require-kinds train,epoch,batch,loss,mining,checkpoint,eval --min-spans 10
+  --require-kinds train,epoch,batch,forward,loss,backward,mining,checkpoint,eval --min-spans 10
 
 # Span-profiling smoke: the offline profiler must attribute at least 90% of
 # the training run's wall time to named spans — un-instrumented hot-path
@@ -43,6 +43,16 @@ trap 'rm -rf "$smoke"' EXIT
   --epochs 3 --dim 8 --train-threads 2
 cmp "$smoke/m1.logirec" "$smoke/m2.logirec" \
   || { echo "tier1: train-threads determinism smoke FAILED (models differ)"; exit 1; }
+# The tiny catalog is below the row count at which the row-parallel passes
+# split across threads (parallel::for_each_row), so repeat the byte-compare
+# on the paper-scale catalog, where every pass splits: one epoch at d = 8.
+./target/release/logirec generate --dataset ciao --scale paper --seed 7 --out "$smoke/paper"
+./target/release/logirec train --data "$smoke/paper" --model "$smoke/p1.logirec" \
+  --epochs 1 --dim 8 --train-threads 1
+./target/release/logirec train --data "$smoke/paper" --model "$smoke/p2.logirec" \
+  --epochs 1 --dim 8 --train-threads 2
+cmp "$smoke/p1.logirec" "$smoke/p2.logirec" \
+  || { echo "tier1: paper-scale train-threads determinism smoke FAILED (models differ)"; exit 1; }
 
 # Serving smoke: start `logirec serve` with a trace, issue one healthy
 # request (must be exact) and one deadline-starved request (must degrade to

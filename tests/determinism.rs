@@ -44,15 +44,34 @@ fn assert_bit_identical(a: &LogiRec, b: &LogiRec, what: &str) {
     }
 }
 
+/// A catalog whose user and item tables both have more rows than
+/// `parallel::for_each_row` splits at (4,096), so every row-parallel pass
+/// (propagation, the exp/log maps and their VJPs, the RSGD updates) really
+/// runs on several threads. Its interactions are few, and a step takes
+/// 2,048 positives, so a run is a handful of steps.
+fn split_catalog() -> Dataset {
+    let spec = DatasetSpec {
+        users: 4_200,
+        items: 4_400,
+        interactions: 9_000,
+        ..DatasetSpec::ciao(Scale::Tiny)
+    };
+    let ds = spec.generate(11);
+    assert!(ds.n_users() >= 4_096 && ds.n_items() >= 4_096);
+    ds
+}
+
+/// Three epochs: a validation after epoch 1 and an α refresh at epoch 2
+/// (α already set) each drop the trainer's step tables, and epoch 2's
+/// steps size new ones.
 fn train_with_threads(ds: &Dataset, threads: usize) -> (LogiRec, TrainReport) {
-    let mut cfg = quick_cfg();
-    cfg.train_threads = threads;
+    let cfg = LogiRecConfig { train_threads: threads, batch_size: 2_048, epochs: 3, ..quick_cfg() };
     train(cfg, ds)
 }
 
 #[test]
 fn training_is_bit_identical_across_thread_counts() {
-    let ds = DatasetSpec::ciao(Scale::Tiny).generate(11);
+    let ds = split_catalog();
     let (m1, r1) = train_with_threads(&ds, 1);
     for threads in [2, 8] {
         let (mt, rt) = train_with_threads(&ds, threads);
@@ -60,7 +79,7 @@ fn training_is_bit_identical_across_thread_counts() {
         assert_eq!(r1, rt, "TrainReport differs at train_threads={threads}");
     }
     // The runs actually trained (loss history populated, not a no-op).
-    assert_eq!(r1.epochs_run, 4);
+    assert_eq!(r1.epochs_run, 3);
     assert!(r1.history.iter().all(|e| e.rank_loss.is_finite()));
 }
 
