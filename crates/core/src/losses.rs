@@ -425,26 +425,14 @@ impl<S: Scalar> Merge for RankShard<S> {
     }
 }
 
-/// [`rank_loss_grad`] over one contiguous shard of the triplet list,
-/// accumulating into touched-row maps instead of dense tables.
-pub fn rank_loss_shard<S: Scalar>(
-    model: &LogiRec<S>,
-    triplets: &[(usize, usize, usize)],
-    margin: f64,
-    alpha: Option<&[f64]>,
-    per_triplet_weight: f64,
-) -> RankShard<S> {
-    let st = model.state();
-    let finals = (model.cfg.geometry, &st.user_final, &st.item_final);
-    rank_shard_on(finals, triplets, margin, alpha, per_triplet_weight)
-}
-
 /// The finals a ranking loss reads: the geometry, the user table and the
 /// item table.
 pub(crate) type Finals<'a, S> = (Geometry, &'a Embedding<S>, &'a Embedding<S>);
 
-/// [`rank_loss_shard`] against explicit finals (a training step's, which
-/// live outside the model's forward state).
+/// [`rank_loss_grad`] over one contiguous shard of the triplet list and
+/// explicit finals (the model's, or a training step's, which live outside
+/// the model's forward state), accumulating into touched-row maps instead
+/// of dense tables.
 fn rank_shard_on<S: Scalar>(
     (geometry, user_final, item_final): Finals<'_, S>,
     triplets: &[(usize, usize, usize)],

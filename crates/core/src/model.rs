@@ -8,8 +8,10 @@
 //! The forward pass maps items into the Lorentz model via `p⁻¹` (Eq. 2),
 //! projects users and items to the tangent space at the origin (Eq. 6),
 //! runs `L` propagation layers (Eq. 7), and maps the layer sums back onto
-//! the hyperboloid (Eq. 8). The backward pass chains the analytic VJPs of
-//! each stage in reverse.
+//! the hyperboloid (Eq. 8). A model keeps only those final points, which
+//! every ranking reads (Eq. 9). The backward pass is the training step's
+//! ([`crate::step`]) over every row: it chains the analytic VJPs of each
+//! stage in reverse on a forward of its own.
 
 use std::sync::{Arc, OnceLock};
 
@@ -18,27 +20,21 @@ use logirec_hyperbolic::{lorentz, maps, poincare};
 use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 
 use crate::config::{Geometry, LogiRecConfig};
-use crate::graph::{
-    backward_layers, forward_layers, propagate_backward_graph, propagate_forward_graph, PropGraph,
-    Reach, Sides,
-};
+use crate::graph::PropGraph;
 use crate::scan::{self, ScanTable};
-use crate::step::{self, Cotangent};
+use crate::step;
 
-/// Cached forward-pass tensors of every row (a full [`LogiRec::propagate`];
-/// a training step keeps its own, see [`crate::step`]).
+/// What a full [`LogiRec::propagate`] keeps of every row: the finals, and
+/// the exact-scan table of the item finals once it is built (a training
+/// step keeps its own tables, see [`crate::step`]).
 #[derive(Debug, Clone)]
 pub struct ForwardState<S: Scalar = f64> {
-    /// Items in the carrier space (`p⁻¹(v^P)`; `V × ambient`).
-    pub item_carrier: Embedding<S>,
-    /// Final user tangents `Σ_l z_u^l` (`U × d`).
-    pub user_final_tan: Embedding<S>,
-    /// Final item tangents (`V × d`).
-    pub item_final_tan: Embedding<S>,
     /// Final user embeddings in the carrier space (`U × ambient`).
     pub user_final: Embedding<S>,
     /// Final item embeddings in the carrier space (`V × ambient`).
     pub item_final: Embedding<S>,
+    /// The exact-scan table of `item_final`, once built or installed.
+    scan: ScanCache<S>,
 }
 
 /// The LogiRec / LogiRec++ model, generic over the working precision `S`
@@ -56,16 +52,15 @@ pub struct LogiRec<S: Scalar = f64> {
     /// User carrier points (`U × ambient`).
     pub users: Embedding<S>,
     state: Option<ForwardState<S>>,
-    scan: ScanCache<S>,
 }
 
-/// The exact-scan table of the cached forward state, built on first use in
-/// item order (or installed in cluster order by a serving index, through
-/// [`LogiRec::set_scan_table`]) and dropped whenever the item finals
-/// change. A clone shares the table (it is a pure function of the item
-/// finals, which the clone shares too), so a user fold-in — which clones
-/// the model and leaves the item finals alone — neither copies nor
-/// rebuilds it.
+/// The exact-scan table of a forward state's item finals, built on first
+/// use in item order (or installed in cluster order by a serving index,
+/// through [`LogiRec::set_scan_table`]). It lives and dies with the state,
+/// and a pushed item row empties it. A clone shares the table (it is a pure
+/// function of the item finals, which the clone shares too), so a user
+/// fold-in — which clones the model and leaves the item finals alone —
+/// neither copies nor rebuilds it.
 #[derive(Debug)]
 struct ScanCache<S: Scalar>(OnceLock<Arc<ScanTable<S>>>);
 
@@ -156,14 +151,7 @@ impl<S: Scalar> LogiRec<S> {
             }
         };
 
-        Self {
-            cfg,
-            tags: tags.cast(),
-            items: items.cast(),
-            users: users.cast(),
-            state: None,
-            scan: ScanCache::empty(),
-        }
+        Self { cfg, tags: tags.cast(), items: items.cast(), users: users.cast(), state: None }
     }
 
     /// Rounds every parameter table into precision `T`, dropping any cached
@@ -177,7 +165,6 @@ impl<S: Scalar> LogiRec<S> {
             items: self.items.cast(),
             users: self.users.cast(),
             state: None,
-            scan: ScanCache::empty(),
         }
     }
 
@@ -193,11 +180,11 @@ impl<S: Scalar> LogiRec<S> {
         assert_eq!(tags.dim(), cfg.dim, "tag table width");
         assert_eq!(items.dim(), cfg.dim, "item table width");
         assert_eq!(users.dim(), cfg.ambient_dim(), "user table width");
-        Self { cfg, tags, items, users, state: None, scan: ScanCache::empty() }
+        Self { cfg, tags, items, users, state: None }
     }
 
     /// Runs the forward pass against the training graph and caches the
-    /// result (required before [`Self::state`], scoring, or backward).
+    /// result (required before [`Self::state`] and scoring).
     ///
     /// Builds a throwaway [`PropGraph`]; call sites that propagate in a
     /// loop (the trainer) should build the graph once and use
@@ -207,53 +194,12 @@ impl<S: Scalar> LogiRec<S> {
     }
 
     /// [`Self::propagate`] against a pre-built propagation cache: the
-    /// all-rows case of the training step's kernels ([`crate::step`]).
+    /// training step's forward kernels ([`crate::step`]) over every row,
+    /// keeping only the finals.
     pub fn propagate_graph(&mut self, adj: &PropGraph<S>) {
         let fwd_timer = self.cfg.telemetry.timer();
-        let (layers, threads, dim) = (self.cfg.layers, self.cfg.train_threads, self.cfg.dim);
-        let sides = |dim| Sides::zeros(self.users.rows(), self.items.rows(), dim);
-        let state = match self.cfg.geometry {
-            Geometry::Hyperbolic => {
-                let mut carrier = Embedding::zeros(self.items.rows(), dim + 1);
-                // The layer tables only feed the graph pass. They are
-                // dropped at the end of this block, before the finals are
-                // allocated, which keeps them out of the state and out of
-                // the pass's peak.
-                let tan = {
-                    let (mut a, mut b, mut acc) = (sides(dim), sides(dim), sides(dim));
-                    let all = Reach::ALL;
-                    step::layer0(self, &mut carrier, &mut b, threads, all);
-                    forward_layers(adj, None, &mut a, &mut b, &mut acc, layers, threads, all);
-                    if layers == 0 {
-                        b
-                    } else {
-                        acc
-                    }
-                };
-                let mut finals = sides(dim + 1);
-                step::exp_rows((&tan.users, &tan.items), &mut finals, threads, Reach::ALL);
-                ForwardState {
-                    item_carrier: carrier,
-                    user_final_tan: tan.users,
-                    item_final_tan: tan.items,
-                    user_final: finals.users,
-                    item_final: finals.items,
-                }
-            }
-            Geometry::Euclidean => {
-                let (tan_u, tan_v) =
-                    propagate_forward_graph(adj, &self.users, &self.items, layers, threads);
-                ForwardState {
-                    item_carrier: self.items.clone(),
-                    user_final: tan_u.clone(),
-                    item_final: tan_v.clone(),
-                    user_final_tan: tan_u,
-                    item_final_tan: tan_v,
-                }
-            }
-        };
-        self.scan = ScanCache::empty();
-        self.state = Some(state);
+        let (user_final, item_final) = step::finals_every_row(self, adj);
+        self.state = Some(ForwardState { user_final, item_final, scan: ScanCache::empty() });
         self.cfg.telemetry.observe_us("gcn.propagate_us", fwd_timer);
     }
 
@@ -273,9 +219,8 @@ impl<S: Scalar> LogiRec<S> {
     /// path (snapshot validation) call this up front. Panics if
     /// [`Self::propagate`] has not run.
     pub fn scan_table(&self) -> &ScanTable<S> {
-        self.scan
-            .0
-            .get_or_init(|| Arc::new(ScanTable::new(self.cfg.geometry, &self.state().item_final)))
+        let st = self.state();
+        st.scan.0.get_or_init(|| Arc::new(ScanTable::new(self.cfg.geometry, &st.item_final)))
     }
 
     /// Installs `table` as the exact-scan table of the cached item finals,
@@ -285,57 +230,26 @@ impl<S: Scalar> LogiRec<S> {
     /// like a built one. Panics unless a forward state is cached and
     /// `table` covers its item finals.
     pub fn set_scan_table(&mut self, table: ScanTable<S>) {
-        assert_eq!(table.len(), self.state().item_final.rows(), "scan table size");
-        self.scan = ScanCache(OnceLock::from(Arc::new(table)));
+        let st = self.state.as_mut().expect("propagate() must run before setting a scan table");
+        assert_eq!(table.len(), st.item_final.rows(), "scan table size");
+        st.scan = ScanCache(OnceLock::from(Arc::new(table)));
     }
 
     /// Backward pass of the ranking head: takes dense ambient gradients
     /// w.r.t. the **final** user/item embeddings and returns gradients
     /// w.r.t. the user parameters (ambient) and item parameters (Poincaré /
-    /// Euclidean `d`-dim), against a pre-built propagation cache. The
-    /// all-rows case of the training step's kernels ([`crate::step`]).
+    /// Euclidean `d`-dim), against a pre-built propagation cache. It is the
+    /// training step ([`crate::step`]) over every row: it recomputes the
+    /// forward it differentiates, so it reads no cached forward state. In
+    /// the Euclidean geometry the gradients are scattered onto `+0.0`
+    /// first, as a step's are, so a `−0.0` entry reads as `+0.0`.
     pub fn backward_rank_graph(
         &self,
         g_user_final: &Embedding<S>,
         g_item_final: &Embedding<S>,
         adj: &PropGraph<S>,
     ) -> (Embedding<S>, Embedding<S>) {
-        let st = self.state();
-        let (layers, threads, dim) = (self.cfg.layers, self.cfg.train_threads, self.cfg.dim);
-        match self.cfg.geometry {
-            Geometry::Hyperbolic => {
-                let sides = || Sides::zeros(self.users.rows(), self.items.rows(), dim);
-                // The gradient on the final tangents and the transposes'
-                // other table are dropped at the end of this block, before
-                // the parameter gradients are allocated.
-                let g0 = {
-                    let cot = Cotangent::Dense(g_user_final, g_item_final);
-                    let mut g_tan = sides();
-                    let tan = (&st.user_final_tan, &st.item_final_tan);
-                    step::exp_vjp_rows(tan, &cot, &mut g_tan, threads);
-                    if layers == 0 {
-                        g_tan
-                    } else {
-                        let (mut a, mut b) = (sides(), sides());
-                        let g = (&g_tan.users, &g_tan.items);
-                        match backward_layers(adj, g, &mut a, &mut b, layers, threads, Reach::ALL) {
-                            0 => a,
-                            _ => b,
-                        }
-                    }
-                };
-                let mut grads = Sides {
-                    users: Embedding::zeros(self.users.rows(), dim + 1),
-                    items: Embedding::zeros(self.items.rows(), dim),
-                };
-                let g0 = (&g0.users, &g0.items);
-                step::param_vjp_rows(self, &st.item_carrier, g0, &mut grads, threads);
-                (grads.users, grads.items)
-            }
-            Geometry::Euclidean => {
-                propagate_backward_graph(adj, g_user_final, g_item_final, layers, threads)
-            }
-        }
+        step::backward_every_row(self, adj, g_user_final, g_item_final)
     }
 
     /// Distance between a propagated user and item in the carrier space.
@@ -398,84 +312,64 @@ impl<S: Scalar> LogiRec<S> {
     /// scoring.
     pub fn clear_state(&mut self) {
         self.state = None;
-        self.scan = ScanCache::empty();
     }
 
     /// Appends one user parameter row (carrier coordinates) and, when a
-    /// forward state is cached, extends every state tensor in lockstep
-    /// (the item finals, and with them the scan table, are untouched).
-    ///
-    /// A freshly folded-in user has no edges in the propagation graph, so
-    /// each GCN layer passes its tangent through unchanged and the layer
-    /// sum is `L` repeated additions of `z₀` — replicated here exactly as
-    /// [`crate::graph::propagate_forward_graph`] computes it, making the
-    /// extended state bit-identical to a full re-propagation against the
-    /// grown graph. Returns the new user's id.
+    /// forward state is cached, its final row (the item finals, and with
+    /// them the scan table, are untouched). Returns the new user's id.
     pub fn push_user_row(&mut self, row: &[S]) -> usize {
         assert_eq!(row.len(), self.cfg.ambient_dim(), "user row width");
         self.users.push_row(row);
         if let Some(st) = self.state.as_mut() {
-            let z0 = match self.cfg.geometry {
-                Geometry::Hyperbolic => lorentz::log_origin(row),
-                Geometry::Euclidean => row.to_vec(),
-            };
-            let tan = degree_zero_layer_sum(&z0, self.cfg.layers);
-            let final_row = match self.cfg.geometry {
-                Geometry::Hyperbolic => lorentz::exp_origin(&tan),
-                Geometry::Euclidean => tan.clone(),
-            };
-            st.user_final_tan.push_row(&tan);
-            st.user_final.push_row(&final_row);
+            st.user_final.push_row(&degree_zero_final(&self.cfg, row));
         }
         self.users.rows() - 1
     }
 
-    /// Appends one item parameter row (Poincaré / Euclidean coordinates),
-    /// extending the cached forward state like [`Self::push_user_row`] and
-    /// dropping the scan table, which the grown item finals invalidate.
-    /// Returns the new item's id.
+    /// Appends one item parameter row (Poincaré / Euclidean coordinates)
+    /// and, when a forward state is cached, its final row, emptying the
+    /// scan table, which the grown item finals invalidate. Returns the new
+    /// item's id.
     pub fn push_item_row(&mut self, row: &[S]) -> usize {
         assert_eq!(row.len(), self.cfg.dim, "item row width");
         self.items.push_row(row);
-        self.scan = ScanCache::empty();
         if let Some(st) = self.state.as_mut() {
-            match self.cfg.geometry {
-                Geometry::Hyperbolic => {
-                    let carrier = maps::poincare_to_lorentz(row);
-                    let z0 = lorentz::log_origin(&carrier);
-                    let tan = degree_zero_layer_sum(&z0, self.cfg.layers);
-                    let final_row = lorentz::exp_origin(&tan);
-                    st.item_carrier.push_row(&carrier);
-                    st.item_final_tan.push_row(&tan);
-                    st.item_final.push_row(&final_row);
-                }
-                Geometry::Euclidean => {
-                    // The Euclidean forward pass uses the item table itself
-                    // as both carrier and layer-0 tangent.
-                    let tan = degree_zero_layer_sum(row, self.cfg.layers);
-                    st.item_carrier.push_row(row);
-                    st.item_final_tan.push_row(&tan);
-                    st.item_final.push_row(&tan);
-                }
-            }
+            let point = match self.cfg.geometry {
+                Geometry::Hyperbolic => maps::poincare_to_lorentz(row),
+                Geometry::Euclidean => row.to_vec(),
+            };
+            st.item_final.push_row(&degree_zero_final(&self.cfg, &point));
+            st.scan = ScanCache::empty();
         }
         self.items.rows() - 1
     }
 }
 
-/// The final tangent of a degree-0 node: with `L ≥ 1` layers, the layer
-/// loop accumulates the unchanged `z₀` once per layer (repeated addition,
-/// matching the propagation kernel's rounding exactly); with `L = 0` the
-/// forward pass is the identity.
-fn degree_zero_layer_sum<S: Scalar>(z0: &[S], layers: usize) -> Vec<S> {
-    if layers == 0 {
-        return z0.to_vec();
+/// The final of a row with no edges in the propagation graph, from its
+/// carrier-space point `x`. Each GCN layer passes a degree-0 tangent
+/// through unchanged, so with `L ≥ 1` layers the layer sum is `L` repeated
+/// additions of `z₀` onto `+0.0` (the propagation kernel's rounding
+/// exactly); with `L = 0` the forward pass is the identity. That makes a
+/// pushed final bit-identical to a full re-propagation over the grown
+/// graph.
+fn degree_zero_final<S: Scalar>(cfg: &LogiRecConfig, x: &[S]) -> Vec<S> {
+    let z0 = match cfg.geometry {
+        Geometry::Hyperbolic => lorentz::log_origin(x),
+        Geometry::Euclidean => x.to_vec(),
+    };
+    let tan = if cfg.layers == 0 {
+        z0
+    } else {
+        let mut tan = vec![S::ZERO; z0.len()];
+        for _ in 0..cfg.layers {
+            ops::axpy(S::ONE, &z0, &mut tan);
+        }
+        tan
+    };
+    match cfg.geometry {
+        Geometry::Hyperbolic => lorentz::exp_origin(&tan),
+        Geometry::Euclidean => tan,
     }
-    let mut tan = vec![S::ZERO; z0.len()];
-    for _ in 0..layers {
-        ops::axpy(S::ONE, z0, &mut tan);
-    }
-    tan
 }
 
 impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
@@ -657,6 +551,33 @@ mod tests {
         }
     }
 
+    /// The full backward recomputes the forward it differentiates, so a
+    /// model that never propagated gets the gradients of its propagated
+    /// clone, bit for bit.
+    #[test]
+    fn backward_rank_reads_no_forward_state() {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(4);
+        let pg = PropGraph::build(&ds.train);
+        let bits = |e: &Embedding| e.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            for layers in [0, 2] {
+                let cfg = LogiRecConfig { geometry, layers, ..LogiRecConfig::test_config() };
+                let fresh: LogiRec = LogiRec::new(cfg, &ds);
+                let mut propagated = fresh.clone();
+                propagated.propagate_graph(&pg);
+                let mut rng = SplitMix64::new(5);
+                let ambient = fresh.cfg.ambient_dim();
+                let g_u = Embedding::normal(fresh.users.rows(), ambient, 1.0, &mut rng);
+                let g_v = Embedding::normal(fresh.items.rows(), ambient, 1.0, &mut rng);
+                let (fresh_u, fresh_v) = fresh.backward_rank_graph(&g_u, &g_v, &pg);
+                let (prop_u, prop_v) = propagated.backward_rank_graph(&g_u, &g_v, &pg);
+                assert!(!fresh.has_state());
+                assert_eq!(bits(&fresh_u), bits(&prop_u), "{geometry:?} L={layers}: users");
+                assert_eq!(bits(&fresh_v), bits(&prop_v), "{geometry:?} L={layers}: items");
+            }
+        }
+    }
+
     /// Pushes three user and three item rows, interleaved, onto a
     /// propagated model and checks the extended forward state against a
     /// full re-propagation over the grown graph (the new rows have no
@@ -694,9 +615,6 @@ mod tests {
         for (name, a, b) in [
             ("user_final", &incremental.user_final, &full.user_final),
             ("item_final", &incremental.item_final, &full.item_final),
-            ("user_final_tan", &incremental.user_final_tan, &full.user_final_tan),
-            ("item_final_tan", &incremental.item_final_tan, &full.item_final_tan),
-            ("item_carrier", &incremental.item_carrier, &full.item_carrier),
         ] {
             assert_eq!((a.rows(), a.dim()), (b.rows(), b.dim()), "{name} shape");
             assert!(

@@ -16,16 +16,22 @@
 //! there: `+0.0`, the VJP of a `+0.0` cotangent through a finite tangent.
 //! So a model trained by these steps is byte-identical to one trained by a
 //! full [`LogiRec::propagate_graph`] and [`LogiRec::backward_rank_graph`]
-//! per step, which are the all-rows case of the same kernels.
+//! per step. Both are the all-rows case (`Reach::ALL`) of these kernels:
+//! the full backward is this step over every row from a dense cotangent,
+//! recomputing the forward it differentiates, and the full forward runs
+//! the same forward kernels and keeps only the finals.
 //!
 //! The step's tables live here, out of the model's forward state, so
-//! nothing can read a final the step did not compute.
+//! nothing can read a final the step did not compute, and nothing else
+//! holds a final tangent or the items' carrier coordinates.
 
 use logirec_hyperbolic::{lorentz, maps};
 use logirec_linalg::{ops, Embedding, Scalar};
 
 use crate::config::Geometry;
-use crate::graph::{backward_layers, forward_layers, Marks, PropGraph, Reach, Sides};
+use crate::graph::{
+    backward_layers, forward_layers, propagate_forward_graph, Marks, PropGraph, Reach, Sides,
+};
 use crate::losses::{rank_grad_sharded_on, RankShard};
 use crate::model::LogiRec;
 use crate::parallel::{for_each_row, for_each_row_pair, for_each_row_scratch};
@@ -36,35 +42,15 @@ use crate::shard::SparseGrad;
 #[derive(Debug)]
 pub struct TrainStep<S: Scalar = f64> {
     marks: Marks,
-    /// Items in carrier coordinates, every row (hyperbolic only): the item
-    /// VJP reads them all.
-    carrier: Embedding<S>,
-    /// Three `d`-wide table pairs. Forward: the layer-0 tangents in `t[1]`,
-    /// layer `l` in `t[(l − 1) % 2]`, the layer sum in `t[2]`. Backward: the
-    /// cotangent on the final tangents in `t[0]`, the transposes in
-    /// `t[1]`/`t[2]`.
-    t: [Sides<S>; 3],
-    /// Finals on the batch rows (hyperbolic only, carrier width).
-    finals: Sides<S>,
-    /// Parameter gradients (hyperbolic only; the Euclidean ones are the
-    /// transposes' output itself).
-    grads: Sides<S>,
+    tables: Tables<S>,
 }
 
 impl<S: Scalar> TrainStep<S> {
     /// Zero tables for `model`'s catalog, width and geometry.
     pub fn new(model: &LogiRec<S>) -> Self {
-        let (users, items, dim) = (model.users.rows(), model.items.rows(), model.cfg.dim);
-        let (cu, ci) = match model.cfg.geometry {
-            Geometry::Hyperbolic => (users, items),
-            Geometry::Euclidean => (0, 0),
-        };
         Self {
-            marks: Marks::new(users, items),
-            carrier: Embedding::zeros(ci, dim + 1),
-            t: std::array::from_fn(|_| Sides::zeros(users, items, dim)),
-            finals: Sides::zeros(cu, ci, dim + 1),
-            grads: Sides { users: Embedding::zeros(cu, dim + 1), items: Embedding::zeros(ci, dim) },
+            marks: Marks::new(model.users.rows(), model.items.rows()),
+            tables: Tables::new(model),
         }
     }
 
@@ -77,27 +63,14 @@ impl<S: Scalar> TrainStep<S> {
         adj: &PropGraph<S>,
         triplets: &[(usize, usize, usize)],
     ) {
-        let sized = (self.t[0].users.rows(), self.t[0].items.rows(), self.t[0].users.dim());
+        let t0 = &self.tables.t[0];
+        let sized = (t0.users.rows(), t0.items.rows(), t0.users.dim());
         let catalog = (model.users.rows(), model.items.rows(), model.cfg.dim);
         assert_eq!(sized, catalog, "the step's tables were sized for another catalog");
-        let (layers, threads) = (model.cfg.layers, model.cfg.train_threads);
         let users = triplets.iter().map(|t| t.0);
         let items = triplets.iter().flat_map(|t| [t.1, t.2]);
-        self.marks.mark(adj, users, items, layers);
-        let reach = Reach::batch(&self.marks);
-        let [t0, t1, t2] = &mut self.t;
-        match model.cfg.geometry {
-            Geometry::Hyperbolic => {
-                layer0(model, &mut self.carrier, t1, threads, reach.within(layers));
-                forward_layers(adj, None, t0, t1, t2, layers, threads, reach);
-                let tan = if layers == 0 { &*t1 } else { &*t2 };
-                exp_rows((&tan.users, &tan.items), &mut self.finals, threads, reach);
-            }
-            Geometry::Euclidean => {
-                let z0 = Some((&model.users, &model.items));
-                forward_layers(adj, z0, t0, t1, t2, layers, threads, reach);
-            }
-        }
+        self.marks.mark(adj, users, items, model.cfg.layers);
+        self.tables.forward(model, adj, Reach::batch(&self.marks));
     }
 
     /// Rows (users and items) within `L` hops of the last forward's batch:
@@ -110,9 +83,9 @@ impl<S: Scalar> TrainStep<S> {
     /// rows its triplets read.
     pub fn finals<'a>(&'a self, model: &'a LogiRec<S>) -> (&'a Embedding<S>, &'a Embedding<S>) {
         let finals = match (model.cfg.geometry, model.cfg.layers) {
-            (Geometry::Hyperbolic, _) => &self.finals,
+            (Geometry::Hyperbolic, _) => &self.tables.finals,
             (Geometry::Euclidean, 0) => return (&model.users, &model.items),
-            (Geometry::Euclidean, _) => &self.t[2],
+            (Geometry::Euclidean, _) => &self.tables.t[2],
         };
         (&finals.users, &finals.items)
     }
@@ -143,15 +116,132 @@ impl<S: Scalar> TrainStep<S> {
         adj: &PropGraph<S>,
         rank: &RankShard<S>,
     ) -> (&mut Embedding<S>, &mut Embedding<S>) {
-        let (layers, threads) = (model.cfg.layers, model.cfg.train_threads);
         let reach = Reach::batch(&self.marks);
         let cot = Cotangent::Sparse(&rank.users, &rank.items, reach);
+        let grads = self.tables.backward(model, adj, &cot, reach);
+        (&mut grads.users, &mut grads.items)
+    }
+}
+
+/// [`LogiRec::propagate_graph`]'s finals: the forward kernels over every
+/// row, keeping nothing else. The items' carrier coordinates feed only the
+/// layer-0 maps and the layer tables only the graph pass, so each is
+/// dropped once read, before the next tables are allocated, which keeps
+/// them out of the pass's peak.
+pub(crate) fn finals_every_row<S: Scalar>(
+    model: &LogiRec<S>,
+    adj: &PropGraph<S>,
+) -> (Embedding<S>, Embedding<S>) {
+    let (layers, threads, dim) = (model.cfg.layers, model.cfg.train_threads, model.cfg.dim);
+    if model.cfg.geometry == Geometry::Euclidean {
+        return propagate_forward_graph(adj, &model.users, &model.items, layers, threads);
+    }
+    let sides = |dim| Sides::zeros(model.users.rows(), model.items.rows(), dim);
+    let tan = {
+        let mut b = sides(dim);
+        let mut carrier = Embedding::zeros(model.items.rows(), dim + 1);
+        layer0(model, &mut carrier, &mut b, threads, Reach::ALL);
+        drop(carrier);
+        let (mut a, mut acc) = (sides(dim), sides(dim));
+        forward_layers(adj, None, &mut a, &mut b, &mut acc, layers, threads, Reach::ALL);
+        if layers == 0 {
+            b
+        } else {
+            acc
+        }
+    };
+    let mut finals = sides(dim + 1);
+    exp_rows((&tan.users, &tan.items), &mut finals, threads, Reach::ALL);
+    (finals.users, finals.items)
+}
+
+/// [`LogiRec::backward_rank_graph`]: the step over every row, a forward
+/// then the backward of the dense cotangent `(g_users, g_items)` on the
+/// finals. Returns the parameter gradients `(users, items)`.
+pub(crate) fn backward_every_row<S: Scalar>(
+    model: &LogiRec<S>,
+    adj: &PropGraph<S>,
+    g_users: &Embedding<S>,
+    g_items: &Embedding<S>,
+) -> (Embedding<S>, Embedding<S>) {
+    let mut tables = Tables::new(model);
+    tables.forward(model, adj, Reach::ALL);
+    let grads = tables.backward(model, adj, &Cotangent::Dense(g_users, g_items), Reach::ALL);
+    // Handles onto the gradient tables' storage; the rest is dropped here.
+    (grads.users.clone(), grads.items.clone())
+}
+
+/// The step's tables, one row per user and item of the catalog.
+#[derive(Debug)]
+struct Tables<S: Scalar> {
+    /// Items in carrier coordinates, every row (hyperbolic only): the item
+    /// VJP reads them all.
+    carrier: Embedding<S>,
+    /// Three `d`-wide table pairs. Forward: the layer-0 tangents in `t[1]`,
+    /// layer `l` in `t[(l − 1) % 2]`, the layer sum in `t[2]`. Backward: the
+    /// cotangent on the final tangents in `t[0]`, the transposes in
+    /// `t[1]`/`t[2]`.
+    t: [Sides<S>; 3],
+    /// Finals on the last forward's batch rows, every row for `Reach::ALL`
+    /// (hyperbolic only, carrier width).
+    finals: Sides<S>,
+    /// Parameter gradients (hyperbolic only; the Euclidean ones are the
+    /// transposes' output itself).
+    grads: Sides<S>,
+}
+
+impl<S: Scalar> Tables<S> {
+    fn new(model: &LogiRec<S>) -> Self {
+        let (users, items, dim) = (model.users.rows(), model.items.rows(), model.cfg.dim);
+        let (cu, ci) = match model.cfg.geometry {
+            Geometry::Hyperbolic => (users, items),
+            Geometry::Euclidean => (0, 0),
+        };
+        Self {
+            carrier: Embedding::zeros(ci, dim + 1),
+            t: std::array::from_fn(|_| Sides::zeros(users, items, dim)),
+            finals: Sides::zeros(cu, ci, dim + 1),
+            grads: Sides { users: Embedding::zeros(cu, dim + 1), items: Embedding::zeros(ci, dim) },
+        }
+    }
+
+    /// The forward on the rows `reach` selects: layer `l` on the rows
+    /// within `L − l` hops of its batch, the finals on the batch rows.
+    fn forward(&mut self, model: &LogiRec<S>, adj: &PropGraph<S>, reach: Reach<'_>) {
+        let (layers, threads) = (model.cfg.layers, model.cfg.train_threads);
+        let [t0, t1, t2] = &mut self.t;
+        match model.cfg.geometry {
+            Geometry::Hyperbolic => {
+                layer0(model, &mut self.carrier, t1, threads, reach.within(layers));
+                forward_layers(adj, None, t0, t1, t2, layers, threads, reach);
+                let tan = if layers == 0 { &*t1 } else { &*t2 };
+                exp_rows((&tan.users, &tan.items), &mut self.finals, threads, reach);
+            }
+            Geometry::Euclidean => {
+                let z0 = Some((&model.users, &model.items));
+                forward_layers(adj, z0, t0, t1, t2, layers, threads, reach);
+            }
+        }
+    }
+
+    /// The backward of `cot` after a [`Self::forward`] on `reach`: the
+    /// exp-map VJP on the rows with a cotangent, each transpose where its
+    /// input can be nonzero, the parameter VJPs on every row. Returns the
+    /// parameter gradients, every row written.
+    fn backward(
+        &mut self,
+        model: &LogiRec<S>,
+        adj: &PropGraph<S>,
+        cot: &Cotangent<'_, S>,
+        reach: Reach<'_>,
+    ) -> &mut Sides<S> {
+        let (layers, threads) = (model.cfg.layers, model.cfg.train_threads);
         let [t0, t1, t2] = &mut self.t;
         // The cotangent on the final tangents, every row, into t0.
         match model.cfg.geometry {
             Geometry::Hyperbolic => {
                 let tan = if layers == 0 { &*t1 } else { &*t2 };
-                exp_vjp_rows((&tan.users, &tan.items), &cot, t0, threads);
+                exp_vjp_rows((&tan.users, &tan.items), cot, t0, threads);
             }
             Geometry::Euclidean => {
                 for_each_row(&mut t0.users, threads, |u, out| scatter_row(cot.user(u), out));
@@ -167,12 +257,9 @@ impl<S: Scalar> TrainStep<S> {
             Geometry::Hyperbolic => {
                 let g0 = (&self.t[at].users, &self.t[at].items);
                 param_vjp_rows(model, &self.carrier, g0, &mut self.grads, threads);
-                (&mut self.grads.users, &mut self.grads.items)
+                &mut self.grads
             }
-            Geometry::Euclidean => {
-                let g0 = &mut self.t[at];
-                (&mut g0.users, &mut g0.items)
-            }
+            Geometry::Euclidean => &mut self.t[at],
         }
     }
 }
@@ -191,7 +278,7 @@ fn scatter_row<S: Scalar>(g: Option<&[S]>, out: &mut [S]) {
 /// A touched row equals the dense table's row bit for bit: a
 /// [`SparseGrad`] row sums onto `+0.0`, so it never holds `−0.0`, and
 /// `+0.0 + x` is `x` for every other `x`.
-pub(crate) enum Cotangent<'a, S: Scalar> {
+enum Cotangent<'a, S: Scalar> {
     Dense(&'a Embedding<S>, &'a Embedding<S>),
     Sparse(&'a SparseGrad<S>, &'a SparseGrad<S>, Reach<'a>),
 }
@@ -214,7 +301,7 @@ impl<S: Scalar> Cotangent<'_, S> {
 
 /// The hyperbolic layer-0 tangents: every item into carrier coordinates,
 /// and the log maps into `z0` on the rows `rows` selects.
-pub(crate) fn layer0<S: Scalar>(
+fn layer0<S: Scalar>(
     model: &LogiRec<S>,
     carrier: &mut Embedding<S>,
     z0: &mut Sides<S>,
@@ -235,7 +322,7 @@ pub(crate) fn layer0<S: Scalar>(
 }
 
 /// The finals `exp₀(tan)` on the batch rows of `batch`.
-pub(crate) fn exp_rows<S: Scalar>(
+fn exp_rows<S: Scalar>(
     (tan_u, tan_v): (&Embedding<S>, &Embedding<S>),
     finals: &mut Sides<S>,
     threads: usize,
@@ -255,7 +342,7 @@ pub(crate) fn exp_rows<S: Scalar>(
 }
 
 /// The exp-map VJP of `cot` on the rows that have one, `+0.0` elsewhere.
-pub(crate) fn exp_vjp_rows<S: Scalar>(
+fn exp_vjp_rows<S: Scalar>(
     (tan_u, tan_v): (&Embedding<S>, &Embedding<S>),
     cot: &Cotangent<'_, S>,
     out: &mut Sides<S>,
@@ -274,7 +361,7 @@ pub(crate) fn exp_vjp_rows<S: Scalar>(
 /// The hyperbolic parameter gradients from the layer-0 gradients `g0`,
 /// every row: the log-map VJP for users; for items the log-map VJP into a
 /// carrier-wide scratch row per worker, then the `p⁻¹` VJP.
-pub(crate) fn param_vjp_rows<S: Scalar>(
+fn param_vjp_rows<S: Scalar>(
     model: &LogiRec<S>,
     carrier: &Embedding<S>,
     (g_u0, g_v0): (&Embedding<S>, &Embedding<S>),

@@ -1,4 +1,4 @@
-//! Streaming updates and cold-start fold-in (ROADMAP item 2).
+//! Streaming updates and cold-start fold-in.
 //!
 //! The north star serves millions of users, and a full retrain per signup
 //! is not an option. This module folds *new* entities into a **frozen**
@@ -11,7 +11,8 @@
 //!   `train_threads` value (the optimization is a serial loop over one
 //!   row).
 //! * [`EventLog`] is the append-only ingest buffer for streamed
-//!   interaction events.
+//!   interaction events. It lives in memory: making fold-ins durable
+//!   across reloads and restarts is ROADMAP item 1.
 //! * [`compact`] periodically folds accumulated events into an incremental
 //!   training pass over the streamed pairs (anchored by a seeded rehearsal
 //!   sample of warm pairs), with a durable
@@ -21,10 +22,11 @@
 //! Both run the trainer's code rather than copies of it: fold-in's
 //! objective is the trainer's hinge walk with the candidate row as the
 //! query, and compaction takes the trainer's update rule, model-fault
-//! hook, health check and checkpoint constructor. What lives here is what
-//! only streaming needs: the row initialisation, the degree-0 inversion,
-//! the sheet tolerance, the divergence guard, the event log and the
-//! rehearsal sampling.
+//! hook, health check and checkpoint constructor. Fold-in and the health
+//! check accept a row under one precision-aware sheet check,
+//! `lorentz::on_sheet`. What lives here is what only streaming needs: the
+//! row initialisation, the degree-0 inversion, the divergence guard, the
+//! event log and the rehearsal sampling.
 //!
 //! ## Why optimizing in final space is sound
 //!
@@ -35,9 +37,9 @@
 //! where the ranking distances live — and stores the base parameter row
 //! whose degree-0 propagation reproduces `x`: for users
 //! `exp₀(log₀(x)/L)`, for items the Poincaré image of that point.
-//! Appending the row extends the cached forward state by that degree-0
-//! propagation (`LogiRec::push_user_row` / `push_item_row`), bit-identical
-//! to re-propagating over the grown graph, so a serving snapshot publishes
+//! Appending the row appends its degree-0 final to the cached forward
+//! state (`LogiRec::push_user_row` / `push_item_row`), bit-identical to
+//! re-propagating over the grown graph, so a serving snapshot publishes
 //! the extended state as is. The folded row's final embedding equals the
 //! optimized point up to one exp/log round trip (~1e-9), while every
 //! pre-existing final embedding is untouched because the new node
@@ -357,7 +359,7 @@ fn optimize_new_row<S: Scalar>(
             Geometry::Euclidean => rsgd::euclidean_step(&mut x, &gx, opts.lr),
         }
     }
-    if !ops::all_finite(&x) || (geometry == Geometry::Hyperbolic && !on_sheet(&x)) {
+    if !ops::all_finite(&x) || (geometry == Geometry::Hyperbolic && !lorentz::on_sheet(&x)) {
         return Err(FoldInError::NonFinite);
     }
     // Divergence guard: a runaway learning rate can fling the row far from
@@ -385,44 +387,6 @@ fn optimize_new_row<S: Scalar>(
 /// may land before it is rejected as divergent (mirrors the trainer's
 /// `explosion_factor` health check).
 const FOLD_IN_EXPLOSION_FACTOR: f64 = 100.0;
-
-/// How many times the derived rounding bound [`sheet_tolerance`] is wide.
-const SHEET_MARGIN: f64 = 2.0;
-
-/// True when the optimized point `x` lies on the hyperboloid up to the
-/// rounding of precision `S` (see [`sheet_tolerance`]).
-fn on_sheet<S: Scalar>(x: &[S]) -> bool {
-    lorentz::on_manifold(x, sheet_tolerance::<S>(x))
-}
-
-/// The largest `|⟨x, x⟩_L + 1|` rounding alone can leave on a computed
-/// sheet point `x` at precision `S`: `SHEET_MARGIN·(n + 1)·ε·(1 + x₀²)`
-/// with `n = x.len()`, floored at `1e-6` so that every row a fixed `1e-6`
-/// tolerance accepts is accepted.
-///
-/// A fixed tolerance is wrong far from the origin: the terms of the
-/// Minkowski form have magnitude `x₀²`, so its rounding grows with `x₀²`
-/// (item finals of a trained paper-scale model reach `x₀ ≈ 5·10⁴`, where
-/// one `f32` ulp of `x₀²` is 256).
-///
-/// Let `u = ε/2` be the unit roundoff of `S`, `s = ‖x_s‖²` the spatial
-/// part, and `γ_m = m·u/(1 − m·u)` the bound of an `m`-term dot product in
-/// any summation order. The RSGD step retracts by recomputing
-/// `x₀ = √(1 + ‖x_s‖²)`: the computed `‖x_s‖²` is within `γ_{n−1}·s`, and
-/// the roundings of `1 +` and of `√` (doubled in `x₀²`) add `3u(1 + s)`,
-/// so the stored point has `|⟨x, x⟩_L + 1| ≤ γ_{n−1}·s + 3u(1 + s)`. The check then evaluates
-/// `−x₀·x₀ + ‖x_s‖² + 1`: the product adds `u·x₀²`, the dot product
-/// `γ_{n−1}·s`, and the two additions `O(u)`, since their sum is near −1.
-/// With `s < x₀² = 1 + s` the total is at most `(n + 1)·ε·x₀²` to first
-/// order. A row no step moved is `exp₀` of the positives' mean, whose
-/// `cosh` / `sinh` / normalization roundings are bounded the same way by a
-/// few `ε·x₀²`; `SHEET_MARGIN` absorbs those and the second-order terms.
-/// A row moved off the sheet by more than this is still rejected.
-fn sheet_tolerance<S: Scalar>(x: &[S]) -> f64 {
-    let x0 = x[0].to_f64();
-    let eps = S::EPSILON.to_f64();
-    (SHEET_MARGIN * (x.len() as f64 + 1.0) * eps * (1.0 + x0 * x0)).max(1e-6)
-}
 
 fn scale_in_place<S: Scalar>(v: &mut [S], factor: f64) {
     let f = S::from_f64(factor);
@@ -894,29 +858,6 @@ mod tests {
     fn far_out_fold_ins_are_accepted_at_both_precisions() {
         assert_eq!(far_out_rejections::<f64>(0.9), 0);
         assert_eq!(far_out_rejections::<f32>(0.9), 0);
-    }
-
-    #[test]
-    fn sheet_check_allows_rounding_and_rejects_real_drift() {
-        fn check<S: Scalar>() {
-            // |z| ≈ 11, so x₀ = cosh|z| ≈ 3·10⁴.
-            let z: Vec<S> = (0..8).map(|i| S::from_f64(3.8 + 0.02 * i as f64)).collect();
-            let mut x = lorentz::exp_origin(&z);
-            assert!(x[0].to_f64() > 2e4);
-            assert!(on_sheet(&x), "exp₀ point off the sheet beyond rounding");
-            lorentz::project(&mut x);
-            assert!(on_sheet(&x), "retracted point off the sheet beyond rounding");
-            let mut drifted = x.clone();
-            drifted[0] *= S::from_f64(1.0 + 1e-3);
-            assert!(!on_sheet(&drifted), "time coordinate 0.1% off the sheet accepted");
-            let mut drifted = x;
-            drifted[1] *= S::from_f64(1.05);
-            assert!(!on_sheet(&drifted), "spatial coordinate 5% off the sheet accepted");
-        }
-        check::<f64>();
-        check::<f32>();
-        // Near the origin the fixed floor still applies.
-        assert_eq!(sheet_tolerance(&lorentz::exp_origin(&[0.1f64; 8])), 1e-6);
     }
 
     #[test]

@@ -627,7 +627,7 @@ pub(crate) fn check_health<S: Scalar>(
             }
         }
         for u in 0..model.users.rows() {
-            if !lorentz::on_manifold(model.users.row(u), 1e-6) {
+            if !lorentz::on_sheet(model.users.row(u)) {
                 return Some(format!("user {u} left the Lorentz sheet"));
             }
         }

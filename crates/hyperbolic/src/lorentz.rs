@@ -51,6 +51,45 @@ pub fn on_manifold<S: Scalar>(x: &[S], tol: f64) -> bool {
     x[0] > S::ZERO && (inner(x, x) + S::ONE).abs().to_f64() <= tol
 }
 
+/// How many times the derived rounding bound of [`on_sheet`] is wide.
+const SHEET_MARGIN: f64 = 2.0;
+
+/// True when a computed point `x` lies on the hyperboloid up to the
+/// rounding of precision `S`: `|⟨x, x⟩_L + 1|` is at most
+/// `SHEET_MARGIN·(n + 1)·ε·(1 + x₀²)` with `n = x.len()`, the largest value
+/// rounding alone can leave, floored at `1e-6` so that every point a fixed
+/// `1e-6` tolerance accepts is accepted.
+///
+/// A fixed tolerance is wrong far from the origin: the terms of the
+/// Minkowski form have magnitude `x₀²`, so its rounding grows with `x₀²`
+/// (item finals of a trained paper-scale model reach `x₀ ≈ 5·10⁴`, where
+/// one `f32` ulp of `x₀²` is 256).
+///
+/// Let `u = ε/2` be the unit roundoff of `S`, `s = ‖x_s‖²` the spatial
+/// part, and `γ_m = m·u/(1 − m·u)` the bound of an `m`-term dot product in
+/// any summation order. The RSGD step retracts by recomputing
+/// `x₀ = √(1 + ‖x_s‖²)` ([`project`]): the computed `‖x_s‖²` is within
+/// `γ_{n−1}·s`, and the roundings of `1 +` and of `√` (doubled in `x₀²`)
+/// add `3u(1 + s)`, so the stored point has
+/// `|⟨x, x⟩_L + 1| ≤ γ_{n−1}·s + 3u(1 + s)`. The check then evaluates
+/// `−x₀·x₀ + ‖x_s‖² + 1`: the product adds `u·x₀²`, the dot product
+/// `γ_{n−1}·s`, and the two additions `O(u)`, since their sum is near −1.
+/// With `s < x₀² = 1 + s` the total is at most `(n + 1)·ε·x₀²` to first
+/// order. A point no step moved is an [`exp_origin`] image, whose `cosh` /
+/// `sinh` / normalization roundings are bounded the same way by a few
+/// `ε·x₀²`; `SHEET_MARGIN` absorbs those and the second-order terms. A
+/// point moved off the sheet by more than this is still rejected.
+pub fn on_sheet<S: Scalar>(x: &[S]) -> bool {
+    on_manifold(x, sheet_tolerance::<S>(x))
+}
+
+/// The tolerance [`on_sheet`] allows `x`.
+fn sheet_tolerance<S: Scalar>(x: &[S]) -> f64 {
+    let x0 = x[0].to_f64();
+    let eps = S::EPSILON.to_f64();
+    (SHEET_MARGIN * (x.len() as f64 + 1.0) * eps * (1.0 + x0 * x0)).max(1e-6)
+}
+
 /// Lorentz distance `d_H(x,y) = acosh(−⟨x,y⟩_L)` (Section III-A / Eq. 9).
 ///
 /// ```
@@ -265,6 +304,29 @@ mod tests {
         let o: Vec<f64> = origin(5);
         assert!(on_manifold(&o, 1e-12));
         assert_close(inner(&o, &o), -1.0, 1e-15);
+    }
+
+    #[test]
+    fn sheet_check_allows_rounding_and_rejects_real_drift() {
+        fn check<S: Scalar>() {
+            // |z| ≈ 11, so x₀ = cosh|z| ≈ 3·10⁴.
+            let z: Vec<S> = (0..8).map(|i| S::from_f64(3.8 + 0.02 * i as f64)).collect();
+            let mut x = exp_origin(&z);
+            assert!(x[0].to_f64() > 2e4);
+            assert!(on_sheet(&x), "exp₀ point off the sheet beyond rounding");
+            project(&mut x);
+            assert!(on_sheet(&x), "retracted point off the sheet beyond rounding");
+            let mut drifted = x.clone();
+            drifted[0] *= S::from_f64(1.0 + 1e-3);
+            assert!(!on_sheet(&drifted), "time coordinate 0.1% off the sheet accepted");
+            let mut drifted = x;
+            drifted[1] *= S::from_f64(1.05);
+            assert!(!on_sheet(&drifted), "spatial coordinate 5% off the sheet accepted");
+        }
+        check::<f64>();
+        check::<f32>();
+        // Near the origin the fixed floor still applies.
+        assert_eq!(sheet_tolerance(&exp_origin(&[0.1f64; 8])), 1e-6);
     }
 
     #[test]

@@ -53,6 +53,14 @@ cmp "$smoke/m1.logirec" "$smoke/m2.logirec" \
   --epochs 1 --dim 8 --train-threads 2
 cmp "$smoke/p1.logirec" "$smoke/p2.logirec" \
   || { echo "tier1: paper-scale train-threads determinism smoke FAILED (models differ)"; exit 1; }
+# The same byte-compare at f32: the single-precision step splits its rows
+# across threads too, through its own instantiation of every kernel.
+./target/release/logirec train --data "$smoke/paper" --model "$smoke/p1f32.logirec" \
+  --epochs 1 --dim 8 --train-threads 1 --precision f32
+./target/release/logirec train --data "$smoke/paper" --model "$smoke/p2f32.logirec" \
+  --epochs 1 --dim 8 --train-threads 2 --precision f32
+cmp "$smoke/p1f32.logirec" "$smoke/p2f32.logirec" \
+  || { echo "tier1: paper-scale f32 train-threads determinism smoke FAILED (models differ)"; exit 1; }
 
 # Serving smoke: start `logirec serve` with a trace, issue one healthy
 # request (must be exact) and one deadline-starved request (must degrade to

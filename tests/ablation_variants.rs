@@ -36,10 +36,13 @@ fn without_hgcn_uses_zero_layers() {
     assert_eq!(cfg.layers, 0);
     let ds = DatasetSpec::ciao(Scale::Tiny).generate(22);
     let (model, _) = train(cfg, &ds);
-    // With L = 0 the final tangent equals the layer-0 tangent.
+    // With L = 0 the final is the exp map of the layer-0 tangent, bit
+    // for bit.
     let st = model.state();
+    let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for u in 0..5 {
-        assert_eq!(st.user_final_tan.row(u), lorentz::log_origin(model.users.row(u)));
+        let z0 = lorentz::log_origin(model.users.row(u));
+        assert_eq!(bits(st.user_final.row(u)), bits(&lorentz::exp_origin(&z0)));
     }
 }
 

@@ -130,11 +130,10 @@ fn published_fold_ins_answer_like_a_full_build_at_f32() {
 }
 
 /// Whether each user-side table of `a` shares its buffer with `b`'s.
-fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 3] {
+fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 2] {
     let (sa, sb) = (a.state(), b.state());
     [
         ("users", a.users.shares_storage_with(&b.users)),
-        ("user_final_tan", sa.user_final_tan.shares_storage_with(&sb.user_final_tan)),
         ("user_final", sa.user_final.shares_storage_with(&sb.user_final)),
     ]
 }
@@ -142,10 +141,7 @@ fn user_side_shared(a: &LogiRec, b: &LogiRec) -> [(&'static str, bool); 3] {
 /// Value copies of the user-side tables.
 fn user_side_values(m: &LogiRec) -> Vec<Vec<f64>> {
     let st = m.state();
-    [&m.users, &st.user_final_tan, &st.user_final]
-        .iter()
-        .map(|t| t.as_slice().to_vec())
-        .collect()
+    [&m.users, &st.user_final].iter().map(|t| t.as_slice().to_vec()).collect()
 }
 
 #[test]
@@ -162,8 +158,6 @@ fn user_fold_ins_share_the_item_side_and_append_the_user_side() {
     for (name, shared) in [
         ("items", grown.items.shares_storage_with(&base.items)),
         ("tags", grown.tags.shares_storage_with(&base.tags)),
-        ("item_carrier", g.item_carrier.shares_storage_with(&b.item_carrier)),
-        ("item_final_tan", g.item_final_tan.shares_storage_with(&b.item_final_tan)),
         ("item_final", g.item_final.shares_storage_with(&b.item_final)),
     ] {
         assert!(shared, "{name} was copied by a user fold-in");

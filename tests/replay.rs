@@ -181,3 +181,34 @@ fn kill_mid_compaction_recovers_and_replays_bit_identical() {
     assert_eq!(victim.users, base.users, "failed recovery must not touch the model");
     let _ = std::fs::remove_file(&path);
 }
+
+/// An f32 compaction of a healthy model runs every epoch. The health check
+/// after each epoch tests user rows with the precision-aware sheet check
+/// fold-in accepts them under, so a folded-in user far from the origin,
+/// whose Minkowski form rounds past a fixed `1e-6` at f32, is not taken for
+/// drift and rolled back.
+#[test]
+fn f32_compaction_of_a_healthy_model_runs_every_epoch() {
+    let ds = DatasetSpec::ciao(Scale::Tiny).generate(7);
+    let (trained, _) = train(LogiRecConfig { dim: 16, epochs: 3, ..LogiRecConfig::default() }, &ds);
+    let mut m = trained.cast::<f32>();
+    m.propagate(&ds.train);
+    let (a, b) = (ds.n_users(), ds.n_users() + 1);
+    let events = [(0, 5), (3, 17), (a, 1), (a, 4), (a, 9), (b, 2), (b, 8)];
+    let mut log = EventLog::new();
+    for (t, (u, v)) in events.into_iter().enumerate() {
+        log.append(u, v, t as u64);
+    }
+    let opts = CompactionOptions { epochs: 4, ..CompactionOptions::for_config(&m.cfg) };
+    let (_, report) = compact(&mut m, &ds.train, &mut log, &opts).expect("compact");
+    assert_eq!(report.new_users, 2);
+    assert!(
+        !report.rolled_back,
+        "healthy f32 compaction rolled back: {:?}",
+        report.rollback_reason
+    );
+    assert_eq!(report.epochs_run, 4);
+    for u in 0..m.users.rows() {
+        assert!(lorentz::on_sheet(m.users.row(u)), "user {u} off the sheet after compaction");
+    }
+}
