@@ -59,7 +59,7 @@ fn bench_index(c: &mut Criterion) {
     c.bench_function("exact_scan_k10_10000", |b| {
         b.iter(|| {
             let q = next_user();
-            scan.top_k(black_box(users.row(q)), &items, &[], 10, &mut keys)
+            scan.top_k(black_box(users.row(q)), &[], 10, &mut keys)
         })
     });
 }

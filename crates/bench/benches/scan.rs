@@ -46,13 +46,13 @@ fn check_and_report_band<S: Scalar>(label: &str, items: &Embedding<S>, users: &E
     let mut scores = vec![0.0; items.rows()];
     let (mut total, mut max) = (0usize, 0usize);
     for q in users.iter_rows() {
-        let (got, _) = scan.top_k(q, items, &[], K, &mut keys);
+        let (got, _) = scan.top_k(q, &[], K, &mut keys);
         assert_eq!(
             got,
             reference_loop(q, items, &mut scores),
             "{label}: scan diverged"
         );
-        scan.keys(q, items, &mut keys);
+        scan.keys(q, &mut keys);
         let mut best = KeyTopK::<S>::new(Geometry::Hyperbolic, K);
         for &key in &keys {
             best.offer(key);
@@ -80,7 +80,7 @@ fn bench_precision<S: Scalar>(c: &mut Criterion, label: &str) {
     c.bench_function(format!("scan_top_k10_8836x65_{label}"), |b| {
         b.iter(|| {
             u = (u + 1) % users.rows();
-            scan.top_k(black_box(users.row(u)), &items, &[], K, &mut keys)
+            scan.top_k(black_box(users.row(u)), &[], K, &mut keys)
         })
     });
     let mut scores = vec![0.0; N_ITEMS];

@@ -121,14 +121,6 @@ impl SeenFilter {
             .ok_or(FilterError::UserOutOfRange { user: u, n_users: self.seen.len() })
     }
 
-    /// True when user `u` has already interacted with item `v`.
-    pub fn is_seen(&self, u: usize, v: usize) -> Result<bool, FilterError> {
-        if v >= self.n_items {
-            return Err(FilterError::ItemOutOfRange { item: v, n_items: self.n_items });
-        }
-        Ok(self.seen_of(u)?.binary_search(&v).is_ok())
-    }
-
     /// Appends one user with the given seen-item list (sorted and deduped
     /// here, so callers may pass events in arrival order). The streaming
     /// fold-in path uses this to grow the filter in lockstep with the
@@ -408,8 +400,9 @@ mod tests {
                 reference.iter().filter(|s| **s == f64::NEG_INFINITY).count(),
                 "user {u}"
             );
-            for &v in ds.train.items_of(u) {
-                assert!(f.is_seen(u, v).unwrap());
+            let seen = f.seen_of(u).unwrap();
+            for v in ds.train.items_of(u) {
+                assert!(seen.binary_search(v).is_ok());
             }
         }
     }
@@ -425,10 +418,6 @@ mod tests {
         assert_eq!(
             f.mask_scores(n_users + 3, &mut scores),
             Err(FilterError::UserOutOfRange { user: n_users + 3, n_users })
-        );
-        assert_eq!(
-            f.is_seen(0, n_items),
-            Err(FilterError::ItemOutOfRange { item: n_items, n_items })
         );
         let mut short = vec![0.0; n_items - 1];
         assert_eq!(
@@ -457,11 +446,11 @@ mod tests {
         // New item: no user has seen it, but it is in range everywhere.
         let v = f.push_item();
         assert_eq!(v, n_items);
-        assert!(!f.is_seen(u, v).unwrap());
+        assert!(!f.seen_of(u).unwrap().contains(&v));
 
         // Streamed event on the new user and new item.
         f.record_seen(u, v).expect("in range");
-        assert!(f.is_seen(u, v).unwrap());
+        assert!(f.seen_of(u).unwrap().contains(&v));
         // Recording the same event twice keeps the list distinct.
         f.record_seen(u, v).expect("in range");
         assert_eq!(f.seen_of(u).unwrap(), &[0, 1, 3, v]);

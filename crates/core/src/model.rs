@@ -374,9 +374,8 @@ fn degree_zero_final<S: Scalar>(cfg: &LogiRecConfig, x: &[S]) -> Vec<S> {
 
 impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
     fn score_user(&self, u: usize, out: &mut [f64]) {
-        let st = self.state();
         let geometry = self.cfg.geometry;
-        self.scan_table().keys(st.user_final.row(u), &st.item_final, out);
+        self.scan_table().keys(self.state().user_final.row(u), out);
         for o in out.iter_mut() {
             *o = scan::key_score::<S>(geometry, *o);
         }
@@ -389,8 +388,7 @@ impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
         k: usize,
         scratch: &mut [f64],
     ) -> (Vec<usize>, Vec<f64>) {
-        let st = self.state();
-        self.scan_table().top_k(st.user_final.row(u), &st.item_final, masked, k, scratch)
+        self.scan_table().top_k(self.state().user_final.row(u), masked, k, scratch)
     }
 }
 

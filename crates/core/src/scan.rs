@@ -184,10 +184,9 @@ impl<S: Scalar> ScanTable<S> {
     }
 
     /// Writes every item's key for query `q` into `keys`, widened to `f64`
-    /// and indexed by item. `items` must be the table this scan was built
-    /// from and `keys.len() == items.rows()`.
-    pub fn keys(&self, q: &[S], items: &Embedding<S>, keys: &mut [f64]) {
-        assert_eq!(keys.len(), items.rows(), "key buffer length");
+    /// and indexed by item; `keys` holds one entry per item.
+    pub fn keys(&self, q: &[S], keys: &mut [f64]) {
+        assert_eq!(keys.len(), self.len(), "key buffer length");
         self.run_keys(q, 0..self.len(), keys);
         if let Some(order) = &self.order {
             let by_position = keys.to_vec();
@@ -200,19 +199,17 @@ impl<S: Scalar> ScanTable<S> {
     /// The exact top-K for query `q`: the `k` best items that no list in
     /// `masked` holds, with their scores, best first — bit-identical to
     /// scoring every item, writing `NEG_INFINITY` over the masked ones and
-    /// selecting with `top_k_indices`. `items` must be the table this scan
-    /// was built from; `keys` is scratch of `items.rows()` entries.
+    /// selecting with `top_k_indices`. `keys` is scratch of one entry per
+    /// item.
     ///
     /// This is the walk over every run: one run covering every position.
     pub fn top_k(
         &self,
         q: &[S],
-        items: &Embedding<S>,
         masked: &[&[usize]],
         k: usize,
         keys: &mut [f64],
     ) -> (Vec<usize>, Vec<f64>) {
-        assert_eq!(items.rows(), self.len(), "item table");
         if k == 0 {
             return (Vec::new(), Vec::new());
         }

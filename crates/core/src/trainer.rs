@@ -204,6 +204,7 @@ pub fn train_typed<S: Scalar>(
     dataset: &Dataset,
 ) -> (LogiRec<S>, TrainReport) {
     let cfg = cfg.validated();
+    assert!(cfg.dim >= 1, "LogiRecConfig::dim must be at least 1, got {}", cfg.dim);
     let tel = cfg.telemetry.clone();
     let mut train_span = tel.span("train");
     let c_steps = tel.counter("trainer.steps");
@@ -875,6 +876,13 @@ mod tests {
         let first = report.history.first().unwrap().rank_loss;
         let last = report.history.last().unwrap().rank_loss;
         assert!(last < first, "rank loss did not drop: {first} → {last}");
+    }
+
+    #[test]
+    #[should_panic(expected = "LogiRecConfig::dim must be at least 1")]
+    fn zero_dim_is_refused_with_a_readable_message() {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(1);
+        train(LogiRecConfig { dim: 0, ..quick_cfg() }, &ds);
     }
 
     #[test]

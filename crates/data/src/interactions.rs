@@ -13,8 +13,10 @@ pub enum Split {
     Test,
 }
 
-/// A set of user–item interactions indexed both ways (CSR by user and by
-/// item), supporting O(log n) membership queries.
+/// A set of user–item interactions indexed both ways (one sorted `Vec`
+/// per user and one per item), supporting O(log n) membership queries.
+/// The flat CSR the propagation walks is `logirec_core::PropGraph`, built
+/// from this once per dataset.
 #[derive(Debug, Clone)]
 pub struct InteractionSet {
     n_users: usize,

@@ -70,37 +70,23 @@ impl<S: Scalar> Ball<S> {
         Self { center, radius }
     }
 
-    /// Lemma 1 (membership): point `v` lies inside this ball.
-    pub fn contains_point(&self, v: &[S]) -> bool {
-        ops::dist(v, &self.center) < self.radius
-    }
-
-    /// Lemma 2 (hierarchy): this ball geometrically contains `other`
-    /// (`‖o_i − o_j‖ + r_j < r_i` with `self = i`).
-    pub fn contains_ball(&self, other: &Ball<S>) -> bool {
-        ops::dist(&self.center, &other.center) + other.radius < self.radius
-    }
-
-    /// Lemma 3 (exclusion): this ball is disjoint from `other`
-    /// (`r_i + r_j < ‖o_i − o_j‖`).
-    pub fn disjoint_from(&self, other: &Ball<S>) -> bool {
-        self.radius + other.radius < ops::dist(&self.center, &other.center)
-    }
-
-    /// Margin of Lemma 1: `‖v − o‖ − r` (negative inside, positive outside).
-    /// `max(0, ·)` of this is the membership loss L_Mem (Eq. 3).
+    /// Margin of Lemma 1 (membership): `‖v − o‖ − r`, negative exactly when
+    /// `v` lies inside this ball. `max(0, ·)` of this is the membership loss
+    /// L_Mem (Eq. 3).
     pub fn membership_margin(&self, v: &[S]) -> S {
         ops::dist(v, &self.center) - self.radius
     }
 
-    /// Margin of Lemma 2 for `self ⊃ other`: `‖o_i − o_j‖ + r_j − r_i`.
-    /// `max(0, ·)` of this is the hierarchy loss L_Hie (Eq. 4).
+    /// Margin of Lemma 2 (hierarchy) for `self ⊃ other`:
+    /// `‖o_i − o_j‖ + r_j − r_i`, negative exactly when this ball contains
+    /// `other`. `max(0, ·)` of this is the hierarchy loss L_Hie (Eq. 4).
     pub fn hierarchy_margin(&self, other: &Ball<S>) -> S {
         ops::dist(&self.center, &other.center) + other.radius - self.radius
     }
 
-    /// Margin of Lemma 3: `r_i + r_j − ‖o_i − o_j‖`.
-    /// `max(0, ·)` of this is the exclusion loss L_Ex (Eq. 5).
+    /// Margin of Lemma 3 (exclusion): `r_i + r_j − ‖o_i − o_j‖`, negative
+    /// exactly when the two balls are disjoint. `max(0, ·)` of this is the
+    /// exclusion loss L_Ex (Eq. 5).
     pub fn exclusion_margin(&self, other: &Ball<S>) -> S {
         self.radius + other.radius - ops::dist(&self.center, &other.center)
     }
@@ -199,9 +185,7 @@ mod tests {
         // A point between c and the boundary along +x is inside the ball.
         let inside = [0.7, 0.0];
         let outside = [-0.5, 0.0];
-        assert!(b.contains_point(&inside));
         assert!(b.membership_margin(&inside) < 0.0);
-        assert!(!b.contains_point(&outside));
         assert!(b.membership_margin(&outside) > 0.0);
     }
 
@@ -211,9 +195,7 @@ mod tests {
         // smaller ball nested inside the coarser one.
         let parent = Ball::from_center(&[0.3, 0.0]);
         let child = Ball::from_center(&[0.6, 0.0]);
-        assert!(parent.contains_ball(&child));
         assert!(parent.hierarchy_margin(&child) < 0.0);
-        assert!(!child.contains_ball(&parent));
         assert!(child.hierarchy_margin(&parent) > 0.0);
     }
 
@@ -222,10 +204,8 @@ mod tests {
         // Hyperplanes on opposite sides of the ball are disjoint.
         let a = Ball::from_center(&[0.7, 0.0]);
         let b = Ball::from_center(&[-0.7, 0.0]);
-        assert!(a.disjoint_from(&b));
         assert!(a.exclusion_margin(&b) < 0.0);
         // A ball is never disjoint from itself.
-        assert!(!a.disjoint_from(&a.clone()));
         assert!(a.exclusion_margin(&a.clone()) > 0.0);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Provides the distance metric, Möbius addition, the exponential map used
 //! for Riemannian SGD on Poincaré parameters (Eq. 17 of the paper), the
-//! origin-anchored exp/log maps, and analytic gradients.
+//! exp map at the origin, and analytic gradients.
 //!
 //! All kernels are generic over [`Scalar`]; the gradient kernel also exists
 //! as a `*_into` variant writing into caller-owned buffers so the sharded
@@ -111,17 +111,6 @@ pub fn exp_map_origin<S: Scalar>(v: &[S]) -> Vec<S> {
     out
 }
 
-/// Logarithmic map at the origin: `log_0(x) = atanh(‖x‖) · x/‖x‖`
-/// (inverse of [`exp_map_origin`]).
-pub fn log_map_origin<S: Scalar>(x: &[S]) -> Vec<S> {
-    let n = ops::norm(x);
-    if n < S::from_f64(MIN_NORM) {
-        return x.to_vec();
-    }
-    let nc = n.min(S::from_f64(1.0 - BALL_EPS));
-    ops::scaled(x, nc.atanh() / n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,17 +156,6 @@ mod tests {
         let y = [0.0, 0.9];
         let z = mobius_add(&x, &y);
         assert!(ops::norm(&z) < 1.0, "‖x ⊕ y‖ = {}", ops::norm(&z));
-    }
-
-    #[test]
-    fn exp_log_origin_roundtrip() {
-        let v = [0.7, -1.1, 0.3];
-        let x = exp_map_origin(&v);
-        assert!(in_ball(&x));
-        let back = log_map_origin(&x);
-        for (a, b) in back.iter().zip(&v) {
-            assert_close(*a, *b, 1e-9);
-        }
     }
 
     #[test]

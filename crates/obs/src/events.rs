@@ -8,6 +8,8 @@
 
 use std::collections::VecDeque;
 
+use crate::json::escape_into;
+
 /// A field value attached to an event. The variants cover everything the
 /// instrumentation records; floats are serialized as JSON `null` when
 /// non-finite (JSON has no NaN/∞).
@@ -96,13 +98,13 @@ impl Event {
         out.push_str("{\"t_us\":");
         out.push_str(&self.t_us.to_string());
         out.push_str(",\"kind\":\"");
-        push_escaped(&mut out, self.kind);
+        escape_into(self.kind, &mut out);
         out.push_str("\",\"name\":\"");
-        push_escaped(&mut out, &self.name);
+        escape_into(&self.name, &mut out);
         out.push('"');
         for (k, v) in &self.fields {
             out.push_str(",\"");
-            push_escaped(&mut out, k);
+            escape_into(k, &mut out);
             out.push_str("\":");
             push_value(&mut out, v);
         }
@@ -125,27 +127,10 @@ fn push_value(out: &mut String, v: &Value) {
         }
         Value::Str(s) => {
             out.push('"');
-            push_escaped(out, s);
+            escape_into(s, out);
             out.push('"');
         }
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Escapes a string for inclusion inside JSON quotes.
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! A minimal JSON parser, just big enough to validate and inspect the
 //! JSONL traces this crate emits (the registry is unavailable, so no
 //! serde). Supports objects, arrays, strings with escapes, numbers, bools,
-//! and null; rejects trailing garbage.
+//! and null; rejects trailing garbage. [`escape_into`] is the one string
+//! escaper behind every JSON this workspace writes: trace events and the
+//! serving wire protocol.
 
 use std::collections::BTreeMap;
 
@@ -62,6 +64,23 @@ impl Json {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+}
+
+/// Appends `s` escaped for inclusion inside JSON quotes: quotes,
+/// backslashes and control characters (`\n`, `\r` and `\t` by name, the
+/// rest as `\u00XX`).
+pub fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
 }

@@ -19,7 +19,8 @@
 //!   evaluator's scoped threads record without contention.
 //! * Every event lands in a bounded ring buffer and, when configured, as
 //!   one JSON object per line in a JSONL file. [`summary`] renders the
-//!   aggregate report.
+//!   aggregate report, and [`validate_trace`] checks a JSONL trace and sums
+//!   its spans into the same per-kind table.
 //!
 //! ## Event schema (one JSON object per line)
 //!
@@ -40,7 +41,6 @@ pub mod events;
 pub mod expo;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod rss;
 pub mod summary;
 pub mod trace;
@@ -56,7 +56,6 @@ use std::time::Instant;
 pub use events::{Event, Value};
 pub use expo::Exposition;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use profile::{profile_span_aggs, profile_trace, Profile, ProfileRow};
 pub use summary::SpanAgg;
 pub use trace::{validate_trace, TraceStats};
 
@@ -183,7 +182,7 @@ impl Telemetry {
     }
 
     /// Microseconds since this handle was created (0 when disabled) — the
-    /// wall-clock denominator for live profiling coverage.
+    /// wall clock the summary's span coverage is taken over.
     pub fn elapsed_us(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.now_us())
     }
@@ -316,12 +315,13 @@ impl Telemetry {
         })
     }
 
-    /// Renders the human-readable summary table.
+    /// Renders the human-readable summary table, its span coverage taken
+    /// over this handle's age.
     pub fn summary(&self) -> String {
         if !self.is_enabled() {
             return "telemetry disabled\n".to_string();
         }
-        summary::render(&self.span_aggs(), &self.metrics_snapshot())
+        summary::render(&self.span_aggs(), self.elapsed_us(), &self.metrics_snapshot())
     }
 
     /// The most recent events (bounded by the ring capacity), oldest first.
@@ -555,6 +555,29 @@ mod tests {
         assert_eq!(stats.spans, 1);
         assert_eq!(stats.event_kinds["counter"], 1);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn live_span_aggs_round_trip() {
+        let tel = Telemetry::enabled();
+        {
+            let _outer = tel.span("outer");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let _inner = tel.span("inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let aggs = tel.span_aggs();
+        assert_eq!(aggs.iter().map(|(_, a)| a.count).sum::<u64>(), 2);
+        let agg = |name| aggs.iter().find(|(k, _)| *k == name).expect("span kind").1;
+        let (outer, inner) = (agg("outer"), agg("inner"));
+        assert!(outer.self_us < outer.total_us, "inner time subtracted");
+        assert!(inner.self_us == inner.total_us, "leaf keeps its duration");
+        let attributed = outer.self_us + inner.self_us;
+        assert!(
+            summary::coverage(attributed, tel.elapsed_us()) > 0.5,
+            "most of the run is inside spans"
+        );
+        assert!(tel.summary().contains("% coverage)"), "{}", tel.summary());
     }
 
     #[test]

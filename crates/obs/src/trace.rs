@@ -1,13 +1,17 @@
-//! Structural validation of emitted JSONL traces.
+//! Reading emitted JSONL traces: structural validation and span
+//! attribution in one pass.
 //!
 //! Shared by the `trace_check` CLI binary and the integration tests: every
 //! line must parse as a flat event object, and the span events must form a
 //! well-nested forest (unique ids, parents opened before children, child
-//! intervals contained in their parent's interval).
+//! intervals contained in their parent's interval). A valid trace's spans
+//! are summed per name into the [`SpanAgg`] a live [`crate::Telemetry`]
+//! keeps, so the trace and the live summary render as one table.
 
 use std::collections::BTreeMap;
 
 use crate::json::{self, Json};
+use crate::summary::{self, SpanAgg};
 
 /// Aggregate facts about a validated trace.
 #[derive(Debug, Clone, Default)]
@@ -16,22 +20,34 @@ pub struct TraceStats {
     pub lines: usize,
     /// Events with `kind == "span"`.
     pub spans: usize,
-    /// Span count per span name (`epoch`, `batch`, …).
-    pub span_kinds: BTreeMap<String, usize>,
+    /// Timing per span name (`epoch`, `batch`, …). A span's self-time is
+    /// its duration minus its direct children's, as the live telemetry
+    /// computes it on its span stack.
+    pub span_kinds: BTreeMap<String, SpanAgg>,
     /// Event count per kind (`span`, `counter`, `recovery`, …).
     pub event_kinds: BTreeMap<String, usize>,
+    /// Wall clock of the traced run, µs: the largest event timestamp.
+    pub wall_us: u64,
 }
 
 impl TraceStats {
     /// Number of spans with the given name.
     pub fn span_count(&self, name: &str) -> usize {
-        self.span_kinds.get(name).copied().unwrap_or(0)
+        self.span_kinds.get(name).map_or(0, |agg| agg.count as usize)
+    }
+
+    /// Summed self-time over the wall clock (0 for an empty trace). Above
+    /// 1.0 when spans ran concurrently on worker threads, each thread's
+    /// time counting.
+    pub fn coverage(&self) -> f64 {
+        summary::coverage(self.span_kinds.values().map(|agg| agg.self_us).sum(), self.wall_us)
     }
 }
 
 struct SpanRec {
     start_us: u64,
     end_us: u64,
+    dur_us: u64,
     parent: Option<u64>,
     /// 1-based line the span event came from (for diagnostics).
     line: usize,
@@ -51,8 +67,8 @@ fn depth_of(spans: &BTreeMap<u64, SpanRec>, mut id: u64) -> usize {
 }
 
 /// Validates a whole trace (one JSON object per line). Returns statistics
-/// on success; the first structural violation aborts with a message naming
-/// the offending line.
+/// on success, with every span attributed to its name; the first
+/// structural violation aborts with a message naming the offending line.
 pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     let mut spans: BTreeMap<u64, SpanRec> = BTreeMap::new();
@@ -76,6 +92,7 @@ pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("line {}: missing integer \"t_us\"", ln + 1))?;
         stats.lines += 1;
+        stats.wall_us = stats.wall_us.max(t_us);
         *stats.event_kinds.entry(kind.clone()).or_insert(0) += 1;
 
         if kind == "span" {
@@ -116,6 +133,7 @@ pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
             let rec = SpanRec {
                 start_us: start,
                 end_us: t_us,
+                dur_us: dur,
                 parent,
                 line: ln + 1,
                 name: name.clone(),
@@ -129,12 +147,12 @@ pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
                 ));
             }
             stats.spans += 1;
-            *stats.span_kinds.entry(name).or_insert(0) += 1;
         }
     }
 
     // Containment: spans close child-first, so every parent must exist in
     // the completed map and the child interval must sit inside it.
+    let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
     for (&id, rec) in &spans {
         if let Some(p) = rec.parent {
             let parent = spans.get(&p).ok_or_else(|| {
@@ -159,7 +177,15 @@ pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
                     parent.end_us
                 ));
             }
+            *child_us.entry(p).or_insert(0) += rec.dur_us;
         }
+    }
+    for (id, rec) in spans {
+        let agg = stats.span_kinds.entry(rec.name).or_default();
+        agg.count += 1;
+        agg.total_us += rec.dur_us;
+        agg.self_us += rec.dur_us.saturating_sub(child_us.get(&id).copied().unwrap_or(0));
+        agg.max_us = agg.max_us.max(rec.dur_us);
     }
     Ok(stats)
 }
@@ -167,6 +193,47 @@ pub fn validate_trace(content: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// epoch(1) [0,100] contains batch(2) [10,40] and batch(3) [50,90];
+    /// an unrelated counter event stretches the wall to 120.
+    const TRACE: &str = "\
+{\"t_us\":40,\"kind\":\"span\",\"name\":\"batch\",\"id\":2,\"parent\":1,\"start_us\":10,\"dur_us\":30}
+{\"t_us\":90,\"kind\":\"span\",\"name\":\"batch\",\"id\":3,\"parent\":1,\"start_us\":50,\"dur_us\":40}
+{\"t_us\":100,\"kind\":\"span\",\"name\":\"epoch\",\"id\":1,\"start_us\":0,\"dur_us\":100}
+{\"t_us\":120,\"kind\":\"counter\",\"name\":\"steps\",\"value\":7}
+";
+
+    #[test]
+    fn self_time_subtracts_direct_children() {
+        let stats = validate_trace(TRACE).expect("valid");
+        assert_eq!(stats.spans, 3);
+        assert_eq!(stats.wall_us, 120);
+        let batch = stats.span_kinds["batch"];
+        assert_eq!(batch.count, 2);
+        assert_eq!(batch.total_us, 70);
+        assert_eq!(batch.self_us, 70, "leaves keep their full duration");
+        assert_eq!(batch.max_us, 40);
+        let epoch = stats.span_kinds["epoch"];
+        assert_eq!(epoch.total_us, 100);
+        assert_eq!(epoch.self_us, 30, "100 minus the two 30+40 children");
+        // Attributed = 70 + 30 = the root's full duration.
+        assert!((stats.coverage() - 100.0 / 120.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_trace_profiles_to_zero_coverage() {
+        let stats = validate_trace("").expect("empty ok");
+        assert_eq!(stats.spans, 0);
+        assert_eq!(stats.coverage(), 0.0);
+    }
+
+    #[test]
+    fn malformed_lines_are_reported_with_line_numbers() {
+        let err = validate_trace("{\"kind\":\"span\",\"name\":\"x\",\"dur_us\":1}\n")
+            .expect_err("no t_us");
+        assert!(err.contains("line 1"), "{err}");
+        assert!(validate_trace("nope\n").is_err());
+    }
 
     #[test]
     fn accepts_well_nested_spans() {

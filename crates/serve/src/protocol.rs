@@ -255,7 +255,7 @@ pub fn encode_response(r: &Response) -> String {
     let mut s = format!("{{\"id\":{},\"served_by\":\"{}\"", r.id, r.served_by.as_str());
     if let Some(reason) = &r.reason {
         s.push_str(",\"reason\":\"");
-        escape_into(reason, &mut s);
+        json::escape_into(reason, &mut s);
         s.push('"');
     }
     s.push_str(&format!(",\"model_version\":{}", r.model_version));
@@ -288,7 +288,7 @@ pub fn encode_response(r: &Response) -> String {
 /// Encodes an error response line (a client error; the connection stays up).
 pub fn encode_error(id: u64, msg: &str) -> String {
     let mut s = format!("{{\"id\":{id},\"error\":\"");
-    escape_into(msg, &mut s);
+    json::escape_into(msg, &mut s);
     s.push_str("\"}");
     s
 }
@@ -335,21 +335,6 @@ pub fn parse_response(line: &str) -> Result<Result<Response, String>, String> {
         latency_us: j.get("latency_us").and_then(Json::as_u64).unwrap_or(0),
         approx,
     }))
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

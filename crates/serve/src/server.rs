@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use logirec_obs::{rss, Counter, Exposition, Histogram, HistogramSnapshot, Telemetry};
+use logirec_obs::{json, rss, Counter, Exposition, Histogram, HistogramSnapshot, Telemetry};
 
 use crate::protocol::{self, Message, Request, Response, ServedBy};
 use crate::reload::{ReloadOutcome, Reloader};
@@ -545,7 +545,7 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
             inner.metrics.fold_in_rejected.incr();
             tel.warn("serve.fold_in", format!("fold-in rejected, keeping last-good: {reason}"));
             let mut s = "{\"id\":0,\"fold_in\":\"rejected\",\"reason\":\"".to_string();
-            protocol::escape_into(&reason, &mut s);
+            json::escape_into(&reason, &mut s);
             s.push_str("\"}");
             s
         }
@@ -625,7 +625,7 @@ fn render_exposition(inner: &ServerInner) -> String {
 
 fn metrics_line(inner: &ServerInner) -> String {
     let mut line = "{\"id\":0,\"metrics\":true,\"body\":\"".to_string();
-    protocol::escape_into(&render_exposition(inner), &mut line);
+    json::escape_into(&render_exposition(inner), &mut line);
     line.push_str("\"}");
     line
 }
@@ -638,7 +638,7 @@ fn reload_line(outcome: ReloadOutcome) -> String {
         ReloadOutcome::Unchanged => "{\"id\":0,\"reload\":\"unchanged\"}".to_string(),
         ReloadOutcome::Rejected { reason } => {
             let mut s = "{\"id\":0,\"reload\":\"rejected\",\"reason\":\"".to_string();
-            protocol::escape_into(&reason, &mut s);
+            json::escape_into(&reason, &mut s);
             s.push_str("\"}");
             s
         }

@@ -3,7 +3,8 @@
 # profile runs with overflow-checks on), clippy and rustdoc with warnings
 # denied (so no doc link dangles), then a telemetry smoke run — generate
 # and train with --trace-json and validate both traces with trace_check
-# (every line parses, spans well-nested, all instrumented phases present).
+# (every line parses, spans well-nested, all instrumented phases present,
+# and the training spans cover at least 90% of the run's wall time).
 # The hard slowdown check is the end-to-end benchmark's comparator test,
 # compare::tests::a_thirty_percent_tail_slowdown_is_flagged (`compare` must
 # flag a 1.3x tail slowdown), and the approx recall gate is
@@ -23,16 +24,19 @@ smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 ./target/release/logirec generate --dataset ciao --scale tiny --seed 7 \
   --out "$smoke/data" --trace-json "$smoke/generate.jsonl"
-./target/release/logirec train --data "$smoke/data" --model "$smoke/m.logirec" \
-  --epochs 5 --dim 8 --trace-json "$smoke/train.jsonl" --metrics-summary
+summary_out=$(./target/release/logirec train --data "$smoke/data" --model "$smoke/m.logirec" \
+  --epochs 5 --dim 8 --trace-json "$smoke/train.jsonl" --metrics-summary)
+echo "$summary_out"
+case "$summary_out" in
+  *"% coverage)"*) ;;
+  *) echo "tier1: telemetry smoke FAILED (--metrics-summary printed no span coverage)"; exit 1 ;;
+esac
 ./target/release/trace_check "$smoke/generate.jsonl" --require-kinds synth,dataset
+# The training trace must also attribute at least 90% of the run's wall
+# time to named spans — un-instrumented hot-path time fails the gate.
 ./target/release/trace_check "$smoke/train.jsonl" \
-  --require-kinds train,epoch,batch,forward,loss,backward,mining,checkpoint,eval --min-spans 10
-
-# Span-profiling smoke: the offline profiler must attribute at least 90% of
-# the training run's wall time to named spans — un-instrumented hot-path
-# time fails the gate.
-./target/release/trace_profile "$smoke/train.jsonl" --min-coverage 0.9
+  --require-kinds train,epoch,batch,forward,loss,backward,mining,checkpoint,eval --min-spans 10 \
+  --min-coverage 0.9
 
 # Parallel-training determinism smoke: the sharded gradient path promises
 # bit-identical models for every --train-threads value. Train twice and

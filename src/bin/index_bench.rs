@@ -200,7 +200,7 @@ fn synthetic_sweep(users: usize, seed: u64) {
     let scores: Vec<f64> = items.iter_rows().map(|row| -lorentz::distance(last, row)).collect();
     assert_eq!(
         top_k_indices(&scores, 20),
-        exact.top_k(last, &items, &[], 20, &mut exact_keys).0,
+        exact.top_k(last, &[], 20, &mut exact_keys).0,
         "scan diverged from the distance loop"
     );
 
@@ -208,7 +208,7 @@ fn synthetic_sweep(users: usize, seed: u64) {
         let nprobe = nprobe.min(clusters);
         let ((exact20, exact_us), (results, approx_us)) = timed_pair(
             queries.rows(),
-            |q| exact.top_k(queries.row(q), &items, &[], 20, &mut exact_keys).0,
+            |q| exact.top_k(queries.row(q), &[], 20, &mut exact_keys).0,
             |q| index.search(&table, queries.row(q), &[], 20, nprobe, &mut keys),
         );
         let (mut h10, mut h20, mut scan) = (0usize, 0usize, 0.0f64);

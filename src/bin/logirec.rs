@@ -26,7 +26,7 @@ use logirec_suite::core::{train, LogiRecConfig, Precision, SeenFilter};
 use logirec_suite::data::{load_dataset_traced, save_dataset_traced, Dataset, DatasetSpec, Scale, Split};
 use logirec_suite::eval::{evaluate_traced, Ranker};
 use logirec_suite::obs::json::{self, Json};
-use logirec_suite::obs::{profile_span_aggs, Telemetry};
+use logirec_suite::obs::Telemetry;
 use logirec_suite::serve::{
     recommend_with_retry, Client, IndexConfig, ModelSnapshot, Request, RetryPolicy, ServeContext,
     Server, ServerConfig, WatchConfig,
@@ -109,9 +109,9 @@ degrade to the popularity fallback instead of erroring.
 telemetry (generate / train / evaluate / serve):
   --trace-json FILE     stream structured events (spans, metrics, recoveries,
                         health checks) as JSON lines into FILE
-  --metrics-summary     print the span/counter/histogram summary table on exit
-  --profile             print the span hot-path profile (self-time per span
-                        kind, coverage of wall time) on exit
+  --metrics-summary     print the summary table on exit: spans hottest first
+                        (self-time per kind, coverage of wall time), then
+                        counters, gauges and histograms
 
 metrics: scrape a running server's Prometheus-style text exposition
 (counters, gauges, and latency summaries with p50/p95/p99 quantiles) and
@@ -119,7 +119,7 @@ print it decoded to stdout.";
 
 /// Boolean flags (no value argument follows them).
 const BOOL_FLAGS: &[&str] = &[
-    "no-mining", "metrics-summary", "profile", "stats", "metrics", "reload", "shutdown", "approx",
+    "no-mining", "metrics-summary", "stats", "metrics", "reload", "shutdown", "approx",
     "fold-in-item",
 ];
 
@@ -133,10 +133,10 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Builds the telemetry handle requested by `--trace-json` /
-/// `--metrics-summary` / `--profile` (disabled when none is present).
+/// `--metrics-summary` (disabled when neither is present).
 fn telemetry(flags: &Flags) -> Result<Telemetry, String> {
     let trace_json = flags.get("trace-json");
-    if trace_json.is_none() && !flags.has("metrics-summary") && !flags.has("profile") {
+    if trace_json.is_none() && !flags.has("metrics-summary") {
         return Ok(Telemetry::disabled());
     }
     let mut builder = Telemetry::builder();
@@ -146,14 +146,11 @@ fn telemetry(flags: &Flags) -> Result<Telemetry, String> {
     builder.build().map_err(|e| format!("cannot open trace file: {e}"))
 }
 
-/// Flushes `tel` and prints the summary table / profile when requested.
+/// Flushes `tel` and prints the summary table when requested.
 fn finish_telemetry(flags: &Flags, tel: &Telemetry) {
     tel.finish();
     if flags.has("metrics-summary") {
         print!("{}", tel.summary());
-    }
-    if flags.has("profile") {
-        print!("{}", profile_span_aggs(&tel.span_aggs(), tel.elapsed_us()).render(12));
     }
     if let Some(path) = flags.get("trace-json") {
         println!("trace written to {path}");
@@ -192,6 +189,10 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let dim = flags.parse_or("dim", 64)?;
+    if dim == 0 {
+        return Err("bad value for --dim: 0 (the embedding needs at least 1 dimension)".into());
+    }
     let tel = telemetry(flags)?;
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
@@ -201,7 +202,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         epochs: flags.parse_or("epochs", 40)?,
         precision,
         lambda: flags.parse_or("lambda", 0.5)?,
-        dim: flags.parse_or("dim", 64)?,
+        dim,
         mining: !flags.has("no-mining"),
         seed: flags.parse_or("seed", 2024)?,
         eval_threads: flags.parse_or("threads", default_threads())?,

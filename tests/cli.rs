@@ -117,6 +117,21 @@ fn cli_reports_errors_cleanly() {
         .expect("recommend");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+
+    // A zero-width embedding is refused by name, before any work: exit 1,
+    // not a panic.
+    let out = bin()
+        .args(["train", "--data"])
+        .arg(&data)
+        .arg("--model")
+        .arg(dir.join("dim0.bin"))
+        .args(["--epochs", "1", "--dim", "0"])
+        .output()
+        .expect("train");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--dim"), "{stderr}");
+    assert!(!dir.join("dim0.bin").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -221,6 +236,64 @@ fn bench_binaries_reject_unknown_flags() {
         assert!(stderr.contains("usage:"), "{exe}: no usage text in {stderr}");
     }
     assert!(!replay_out.exists(), "replay_bench ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `trace_check` validates a trace and attributes its wall time in one
+/// pass: a valid trace prints its span table, `--min-coverage` fails a
+/// trace whose spans cover too little of the wall clock, a span whose
+/// parent never closed fails however well covered, and a flag the binary
+/// does not read is an error.
+#[test]
+fn trace_check_gates_coverage_and_rejects_malformed_traces() {
+    let dir = work_dir("trace-check");
+    // epoch [0, 100] holds batch [10, 40] and batch [50, 90]; a counter at
+    // 120 sets the wall clock, so the spans cover 100 of 120 µs.
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(
+        &trace,
+        "\
+{\"t_us\":40,\"kind\":\"span\",\"name\":\"batch\",\"id\":2,\"parent\":1,\"start_us\":10,\"dur_us\":30}
+{\"t_us\":90,\"kind\":\"span\",\"name\":\"batch\",\"id\":3,\"parent\":1,\"start_us\":50,\"dur_us\":40}
+{\"t_us\":100,\"kind\":\"span\",\"name\":\"epoch\",\"id\":1,\"start_us\":0,\"dur_us\":100}
+{\"t_us\":120,\"kind\":\"counter\",\"name\":\"steps\",\"value\":7}
+",
+    )
+    .expect("write trace");
+    let orphan = dir.join("orphan.jsonl");
+    std::fs::write(
+        &orphan,
+        "{\"t_us\":5,\"kind\":\"span\",\"name\":\"batch\",\"id\":8,\"parent\":7,\"start_us\":0,\"dur_us\":5}\n",
+    )
+    .expect("write orphan trace");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let orphan = orphan.to_str().expect("utf-8 temp path");
+    let check = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace_check"))
+            .args(args)
+            .output()
+            .expect("run trace_check");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+
+    let (code, stdout, stderr) = check(&[trace, "--min-coverage", "0.8"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("attributed 100µs of 120µs wall (83.3% coverage)"), "{stdout}");
+    let row = |kind: &str| stdout.find(&format!("  {kind} ")).expect("span row");
+    assert!(row("batch") < row("epoch"), "hottest first: {stdout}");
+
+    let (code, _, stderr) = check(&[trace, "--min-coverage", "0.9"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("coverage 83.3% below the required 90.0%"), "{stderr}");
+
+    let (code, _, stderr) = check(&[orphan]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("missing parent 7"), "{stderr}");
+
+    let (code, _, stderr) = check(&[trace, "--top", "3"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag --top") && stderr.contains("usage:"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,9 @@
 //! Observability acceptance tests: the latency percentiles reported by
 //! `{"stats":true}` and the Prometheus-style `{"metrics":true}` exposition
 //! must match the server's authoritative histograms at the wire level, a
-//! scripted session's scrapes are pinned family by family, and the offline
-//! span profiler must attribute (nearly) all of a training run's wall time
-//! to named spans.
+//! scripted session's scrapes are pinned family by family, and a training
+//! run's trace must attribute (nearly) all of its wall time to named spans,
+//! with the same per-kind timings the live telemetry kept.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,8 +12,7 @@ use logirec_suite::core::{train, LogiRec, LogiRecConfig, Precision};
 use logirec_suite::data::interactions::Dataset;
 use logirec_suite::data::{DatasetSpec, Scale};
 use logirec_suite::obs::json::{self, Json};
-use logirec_suite::obs::profile::profile_trace_file;
-use logirec_suite::obs::Telemetry;
+use logirec_suite::obs::{validate_trace_file, Telemetry};
 use logirec_suite::serve::{
     Client, ModelSnapshot, Request, ServeContext, ServedBy, Server, ServerConfig,
 };
@@ -327,9 +326,11 @@ fn enabled_telemetry_exposes_every_family_once() {
     server.shutdown();
 }
 
-/// The offline profiler must attribute at least 90% of a training run's
-/// wall time to named spans — the acceptance bar for "no un-instrumented
-/// time on the hot path".
+/// A training run's trace must attribute at least 90% of its wall time to
+/// named spans — the acceptance bar for "no un-instrumented time on the hot
+/// path" — and read, for every span kind, the count, total, self and max
+/// time the live telemetry summed while the spans closed, so the trace and
+/// `--metrics-summary` print one table.
 #[test]
 fn trace_profile_attributes_training_wall_time_to_spans() {
     let path = tmp("train.jsonl");
@@ -345,16 +346,24 @@ fn trace_profile_attributes_training_wall_time_to_spans() {
     assert!(model.all_finite());
     tel.finish();
 
-    let profile = profile_trace_file(&path).expect("trace profiles");
+    let stats = validate_trace_file(&path).expect("valid trace");
     assert!(
-        profile.coverage() >= 0.9,
+        stats.coverage() >= 0.9,
         "spans must cover >=90% of wall time, got {:.1}% over {}us",
-        profile.coverage() * 100.0,
-        profile.wall_us
+        stats.coverage() * 100.0,
+        stats.wall_us
     );
-    let names: Vec<&str> = profile.rows.iter().map(|r| r.name.as_str()).collect();
-    assert!(names.contains(&"epoch"), "per-epoch spans must be present: {names:?}");
-    let rendered = profile.render(10);
-    assert!(rendered.contains("epoch"), "{rendered}");
+    assert!(
+        stats.span_count("epoch") > 0,
+        "per-epoch spans must be present: {:?}",
+        stats.span_kinds
+    );
+    let live = tel.span_aggs();
+    let live_kinds: Vec<&str> = live.iter().map(|(kind, _)| *kind).collect();
+    let trace_kinds: Vec<&str> = stats.span_kinds.keys().map(String::as_str).collect();
+    assert_eq!(live.len(), trace_kinds.len(), "live {live_kinds:?} vs trace {trace_kinds:?}");
+    for (kind, agg) in &live {
+        assert_eq!(stats.span_kinds.get(*kind), Some(agg), "span kind {kind:?}");
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -125,7 +125,7 @@ fn assert_parity<S: Scalar>(
     }
     let want = top_k_indices(&scores, k);
     let mut keys = vec![0.0; items.rows()];
-    let (got, got_scores) = ScanTable::new(geometry, items).top_k(q, items, &[mask], k, &mut keys);
+    let (got, got_scores) = ScanTable::new(geometry, items).top_k(q, &[mask], k, &mut keys);
     assert_eq!(got, want, "{what}: items differ at k = {k}");
     for (&v, s) in got.iter().zip(&got_scores) {
         assert_eq!(

@@ -132,14 +132,14 @@ fn check_layouts<S: Scalar>(label: &str) {
             for k in [0, 1, 10, n] {
                 for m in [&[][..], &mask[..]] {
                     let (want, want_bits) = reference(geometry, &q, &items, &all, m, k);
-                    let (items_plain, scores_plain) = plain.top_k(&q, &items, &[m], k, &mut keys);
+                    let (items_plain, scores_plain) = plain.top_k(&q, &[m], k, &mut keys);
                     assert_eq!(items_plain, want, "{what}: item-order top_k, k {k}");
                     assert_eq!(
                         bits(&scores_plain),
                         want_bits,
                         "{what}: item-order scores, k {k}"
                     );
-                    let (got, scores) = permuted.top_k(&q, &items, &[m], k, &mut keys);
+                    let (got, scores) = permuted.top_k(&q, &[m], k, &mut keys);
                     assert_eq!(
                         (got, bits(&scores)),
                         (want.clone(), want_bits.clone()),
@@ -179,8 +179,8 @@ fn check_layouts<S: Scalar>(label: &str) {
             }
             // Item-indexed keys on both layouts.
             let mut by_item = vec![0.0; n];
-            plain.keys(&q, &items, &mut keys);
-            permuted.keys(&q, &items, &mut by_item);
+            plain.keys(&q, &mut keys);
+            permuted.keys(&q, &mut by_item);
             assert_eq!(bits(&keys), bits(&by_item), "{what}: keys");
         }
     }
