@@ -2,7 +2,7 @@
 //! 2021), HRCF (Yang et al. 2022), and the mixed-geometry GDCF (Zhang et
 //! al. 2022).
 
-use logirec_core::graph;
+use logirec_core::graph::{self, PropGraph};
 use logirec_data::{BatchIter, Dataset, NegativeSampler};
 use logirec_eval::Ranker;
 use logirec_hyperbolic::{lorentz, poincare, rsgd};
@@ -99,6 +99,7 @@ pub fn train_hgcf(cfg: &BaselineConfig, ds: &Dataset, root_regularization: bool)
         items.row_mut(v).copy_from_slice(&lorentz::exp_origin(init_v.row(v)));
     }
 
+    let adj: PropGraph = PropGraph::build(&ds.train);
     let forward = |users: &Embedding, items: &Embedding| {
         let mut z_u0 = Embedding::zeros(users.rows(), dim);
         for u in 0..users.rows() {
@@ -108,7 +109,7 @@ pub fn train_hgcf(cfg: &BaselineConfig, ds: &Dataset, root_regularization: bool)
         for v in 0..items.rows() {
             z_v0.row_mut(v).copy_from_slice(&lorentz::log_origin(items.row(v)));
         }
-        let (fu_t, fv_t) = graph::propagate_forward(&ds.train, &z_u0, &z_v0, cfg.layers);
+        let (fu_t, fv_t) = graph::propagate_forward_graph(&adj, &z_u0, &z_v0, cfg.layers, 1);
         let mut fu = Embedding::zeros(users.rows(), dim + 1);
         for u in 0..users.rows() {
             fu.row_mut(u).copy_from_slice(&lorentz::exp_origin(fu_t.row(u)));
@@ -161,7 +162,7 @@ pub fn train_hgcf(cfg: &BaselineConfig, ds: &Dataset, root_regularization: bool)
                     .copy_from_slice(&lorentz::exp_origin_vjp(fv_t.row(v), g_fv.row(v)));
             }
             let (mut g_u0, mut g_v0) =
-                graph::propagate_backward(&ds.train, &g_fut, &g_fvt, cfg.layers);
+                graph::propagate_backward_graph(&adj, &g_fut, &g_fvt, cfg.layers, 1);
             if root_regularization {
                 // HRCF root alignment: increase layer-0 tangent norms, i.e.
                 // descend −aux·‖z‖ ⇒ gradient −aux·z/‖z‖.

@@ -3,7 +3,7 @@
 //! Table IV `L` ablation's compute side).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use logirec_core::graph;
+use logirec_core::graph::{self, PropGraph};
 use logirec_data::{DatasetSpec, Scale};
 use logirec_linalg::{Embedding, SplitMix64};
 use std::hint::black_box;
@@ -15,13 +15,20 @@ fn bench_gcn(c: &mut Criterion) {
     let zu: Embedding = Embedding::normal(ds.n_users(), dim, 0.1, &mut rng);
     let zv: Embedding = Embedding::normal(ds.n_items(), dim, 0.1, &mut rng);
 
+    // Each iteration builds the graph and runs one pass.
     let mut group = c.benchmark_group("gcn_propagate");
     for layers in [1usize, 2, 3, 4] {
         group.bench_with_input(BenchmarkId::new("forward", layers), &layers, |b, &l| {
-            b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu, &zv, l))
+            b.iter(|| {
+                let adj = PropGraph::build(black_box(&ds.train));
+                graph::propagate_forward_graph(&adj, &zu, &zv, l, 1)
+            })
         });
         group.bench_with_input(BenchmarkId::new("backward", layers), &layers, |b, &l| {
-            b.iter(|| graph::propagate_backward(black_box(&ds.train), &zu, &zv, l))
+            b.iter(|| {
+                let adj = PropGraph::build(black_box(&ds.train));
+                graph::propagate_backward_graph(&adj, &zu, &zv, l, 1)
+            })
         });
     }
     group.finish();

@@ -5,7 +5,7 @@
 //! from this bin are committed to `results/kernels.txt`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use logirec_core::graph;
+use logirec_core::graph::{self, PropGraph};
 use logirec_data::{DatasetSpec, Scale};
 use logirec_hyperbolic::lorentz;
 use logirec_linalg::{Embedding, Scalar, SplitMix64};
@@ -106,12 +106,20 @@ fn bench_propagate(c: &mut Criterion) {
     let zu32 = zu.cast::<f32>();
     let zv32 = zv.cast::<f32>();
 
+    // Each iteration builds the graph and runs one pass, as the committed
+    // `results/kernels.txt` rows were measured.
     let mut group = c.benchmark_group("propagate_forward");
     group.bench_function("f64", |b| {
-        b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu, &zv, 2))
+        b.iter(|| {
+            let adj = PropGraph::build(black_box(&ds.train));
+            graph::propagate_forward_graph(&adj, &zu, &zv, 2, 1)
+        })
     });
     group.bench_function("f32", |b| {
-        b.iter(|| graph::propagate_forward(black_box(&ds.train), &zu32, &zv32, 2))
+        b.iter(|| {
+            let adj = PropGraph::build(black_box(&ds.train));
+            graph::propagate_forward_graph(&adj, &zu32, &zv32, 2, 1)
+        })
     });
     group.finish();
 }

@@ -7,10 +7,12 @@
 //! `z^final  = Σ_{l=1}^{L} z^l`
 //!
 //! Because the map is linear, backpropagation only needs the transposed
-//! adjacency — no stored activations. [`propagate_backward`] implements the
-//! reverse recurrence `G_l = g_l + Mᵀ G_{l+1}`, where `M = I + A` is the
-//! joint propagation matrix and `g_l` is the direct contribution of layer
-//! `l` to the final sum (`g_final` for `1 ≤ l ≤ L`, zero for `l = 0`).
+//! adjacency — no stored activations. [`propagate_backward_graph`]
+//! implements the reverse recurrence `G_l = g_l + Mᵀ G_{l+1}`, where
+//! `M = I + A` is the joint propagation matrix and `g_l` is the direct
+//! contribution of layer `l` to the final sum (`g_final` for
+//! `1 ≤ l ≤ L`, zero for `l = 0`). Every pass walks the CSR rows of the
+//! [`InteractionSet`] a [`PropGraph`] holds beside its normalizers.
 //!
 //! ## Receptive fields
 //!
@@ -32,28 +34,17 @@ use logirec_linalg::{ops, Embedding, Scalar};
 
 use crate::parallel::{for_each_row, for_each_row_pair};
 
-/// Immutable propagation cache for one interaction graph: flat CSR
-/// adjacency in both directions plus the pre-divided mean-aggregation
-/// normalizers `1/|N_u|` and `1/|N_v|`.
+/// Immutable propagation cache for one interaction graph: the
+/// [`InteractionSet`] itself, whose flat CSR rows the kernels walk, plus
+/// the pre-divided mean-aggregation normalizers `1/|N_u|` and `1/|N_v|`.
 ///
-/// [`InteractionSet`] stores one `Vec` per node, so walking it re-derefs a
-/// heap pointer per row and recomputes `1.0 / len` per edge visit — every
-/// batch, for every layer, in both passes. A `PropGraph` is built **once
-/// per dataset** (the trainer builds it before the epoch loop) and reused
-/// by every propagate/backward call. The arithmetic is unchanged: the same
-/// neighbor order and the same `1/deg` values, so results are bit-identical
-/// to the uncached path.
+/// Without the normalizer tables every edge visit would recompute
+/// `1.0 / len` — every batch, for every layer, in both passes. A
+/// `PropGraph` is built **once per dataset** (the trainer builds it before
+/// the epoch loop) and reused by every propagate/backward call.
 #[derive(Debug, Clone)]
 pub struct PropGraph<S: Scalar = f64> {
-    n_users: usize,
-    n_items: usize,
-    /// CSR of items per user: neighbors of user `u` are
-    /// `u_adj[u_off[u]..u_off[u + 1]]`.
-    u_off: Vec<usize>,
-    u_adj: Vec<usize>,
-    /// CSR of users per item.
-    v_off: Vec<usize>,
-    v_adj: Vec<usize>,
+    adj: InteractionSet,
     /// `1/|N_u|` (0.0 for isolated users — never multiplied in that case).
     u_norm: Vec<S>,
     /// `1/|N_v|`.
@@ -61,81 +52,43 @@ pub struct PropGraph<S: Scalar = f64> {
 }
 
 impl<S: Scalar> PropGraph<S> {
-    /// Builds the cache from an interaction set (one pass per direction).
+    /// Builds the cache from an interaction set: a copy of the set and one
+    /// normalizer per row.
     pub fn build(adj: &InteractionSet) -> Self {
-        let n_users = adj.n_users();
-        let n_items = adj.n_items();
-        let mut u_off = Vec::with_capacity(n_users + 1);
-        let mut u_adj = Vec::with_capacity(adj.len());
-        let mut u_norm = Vec::with_capacity(n_users);
-        u_off.push(0);
-        for u in 0..n_users {
-            let items = adj.items_of(u);
-            u_adj.extend_from_slice(items);
-            u_off.push(u_adj.len());
-            u_norm.push(if items.is_empty() {
-                S::ZERO
-            } else {
-                S::from_f64(1.0 / items.len() as f64)
-            });
+        let norm = |deg: usize| if deg == 0 { S::ZERO } else { S::from_f64(1.0 / deg as f64) };
+        Self {
+            u_norm: (0..adj.n_users()).map(|u| norm(adj.items_of(u).len())).collect(),
+            v_norm: (0..adj.n_items()).map(|v| norm(adj.users_of(v).len())).collect(),
+            adj: adj.clone(),
         }
-        let mut v_off = Vec::with_capacity(n_items + 1);
-        let mut v_adj = Vec::with_capacity(adj.len());
-        let mut v_norm = Vec::with_capacity(n_items);
-        v_off.push(0);
-        for v in 0..n_items {
-            let users = adj.users_of(v);
-            v_adj.extend_from_slice(users);
-            v_off.push(v_adj.len());
-            v_norm.push(if users.is_empty() {
-                S::ZERO
-            } else {
-                S::from_f64(1.0 / users.len() as f64)
-            });
-        }
-        Self { n_users, n_items, u_off, u_adj, v_off, v_adj, u_norm, v_norm }
     }
 
     /// Number of user rows.
     pub fn n_users(&self) -> usize {
-        self.n_users
+        self.adj.n_users()
     }
 
     /// Number of item rows.
     pub fn n_items(&self) -> usize {
-        self.n_items
+        self.adj.n_items()
     }
 
     /// Sorted item neighbors of user `u`.
     #[inline]
     pub fn items_of(&self, u: usize) -> &[usize] {
-        &self.u_adj[self.u_off[u]..self.u_off[u + 1]]
+        self.adj.items_of(u)
     }
 
     /// Sorted user neighbors of item `v`.
     #[inline]
     pub fn users_of(&self, v: usize) -> &[usize] {
-        &self.v_adj[self.v_off[v]..self.v_off[v + 1]]
+        self.adj.users_of(v)
     }
 }
 
 /// Forward propagation: returns the final tangent embeddings
 /// `(user_final, item_final)`; with `layers == 0` these are copies of the
-/// inputs (the "w/o HGCN" variant). Builds a throwaway [`PropGraph`]; hot
-/// loops should build one and call [`propagate_forward_graph`].
-pub fn propagate_forward<S: Scalar>(
-    adj: &InteractionSet,
-    z_u0: &Embedding<S>,
-    z_v0: &Embedding<S>,
-    layers: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    if layers == 0 {
-        return (z_u0.clone(), z_v0.clone());
-    }
-    propagate_forward_graph(&PropGraph::build(adj), z_u0, z_v0, layers, 1)
-}
-
-/// Forward propagation against a cached [`PropGraph`].
+/// inputs (the "w/o HGCN" variant).
 pub fn propagate_forward_graph<S: Scalar>(
     adj: &PropGraph<S>,
     z_u0: &Embedding<S>,
@@ -146,7 +99,7 @@ pub fn propagate_forward_graph<S: Scalar>(
     if layers == 0 {
         return (z_u0.clone(), z_v0.clone());
     }
-    let sides = || Sides::zeros(adj.n_users, adj.n_items, z_u0.dim());
+    let sides = || Sides::zeros(adj.n_users(), adj.n_items(), z_u0.dim());
     let (mut a, mut b, mut acc) = (sides(), sides(), sides());
     let z0 = Some((z_u0, z_v0));
     forward_layers(adj, z0, &mut a, &mut b, &mut acc, layers, threads, Reach::ALL);
@@ -155,21 +108,7 @@ pub fn propagate_forward_graph<S: Scalar>(
 
 /// Backward pass: given gradients w.r.t. the final tangent embeddings,
 /// returns gradients w.r.t. the layer-0 embeddings (the exact adjoint of
-/// [`propagate_forward`]). Builds a throwaway [`PropGraph`]; hot loops
-/// should build one and call [`propagate_backward_graph`].
-pub fn propagate_backward<S: Scalar>(
-    adj: &InteractionSet,
-    g_fu: &Embedding<S>,
-    g_fv: &Embedding<S>,
-    layers: usize,
-) -> (Embedding<S>, Embedding<S>) {
-    if layers == 0 {
-        return (g_fu.clone(), g_fv.clone());
-    }
-    propagate_backward_graph(&PropGraph::build(adj), g_fu, g_fv, layers, 1)
-}
-
-/// Backward propagation against a cached [`PropGraph`].
+/// [`propagate_forward_graph`]).
 pub fn propagate_backward_graph<S: Scalar>(
     adj: &PropGraph<S>,
     g_fu: &Embedding<S>,
@@ -180,7 +119,7 @@ pub fn propagate_backward_graph<S: Scalar>(
     if layers == 0 {
         return (g_fu.clone(), g_fv.clone());
     }
-    let sides = || Sides::zeros(adj.n_users, adj.n_items, g_fu.dim());
+    let sides = || Sides::zeros(adj.n_users(), adj.n_items(), g_fu.dim());
     let (mut a, mut b) = (sides(), sides());
     let at = backward_layers(adj, (g_fu, g_fv), &mut a, &mut b, layers, threads, Reach::ALL);
     let g0 = if at == 0 { a } else { b };
@@ -464,9 +403,10 @@ mod tests {
     use super::*;
     use logirec_linalg::SplitMix64;
 
-    fn toy_adj() -> InteractionSet {
+    fn toy_adj() -> PropGraph {
         // 3 users, 4 items.
-        InteractionSet::from_pairs(3, 4, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)])
+        let pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)];
+        PropGraph::build(&InteractionSet::from_pairs(3, 4, &pairs))
     }
 
     #[test]
@@ -475,7 +415,7 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let zu: Embedding = Embedding::normal(3, 4, 1.0, &mut rng);
         let zv: Embedding = Embedding::normal(4, 4, 1.0, &mut rng);
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 0);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 0, 1);
         assert_eq!(fu, zu);
         assert_eq!(fv, zv);
     }
@@ -491,7 +431,7 @@ mod tests {
         for v in 0..4 {
             zv.row_mut(v)[0] = 10.0 * (v + 1) as f64; // 10, 20, 30, 40
         }
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 1);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 1, 1);
         // user 0: 1 + (10+20)/2 = 16; user 1: 2 + (20+30)/2 = 27;
         // user 2: 3 + 40 = 43.
         assert_eq!(fu.row(0)[0], 16.0);
@@ -507,12 +447,12 @@ mod tests {
 
     #[test]
     fn isolated_nodes_pass_through() {
-        let adj = InteractionSet::from_pairs(2, 2, &[(0, 0)]);
+        let adj = PropGraph::build(&InteractionSet::from_pairs(2, 2, &[(0, 0)]));
         let mut zu: Embedding = Embedding::zeros(2, 1);
         zu.row_mut(1)[0] = 5.0;
         let mut zv: Embedding = Embedding::zeros(2, 1);
         zv.row_mut(1)[0] = 7.0;
-        let (fu, fv) = propagate_forward(&adj, &zu, &zv, 2);
+        let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, 2, 1);
         // Isolated user 1 / item 1 only self-accumulate: Σ_{l=1,2} z = 2z.
         assert_eq!(fu.row(1)[0], 10.0);
         assert_eq!(fv.row(1)[0], 14.0);
@@ -530,8 +470,8 @@ mod tests {
             let zv = Embedding::normal(4, 5, 1.0, &mut rng);
             let gu = Embedding::normal(3, 5, 1.0, &mut rng);
             let gv = Embedding::normal(4, 5, 1.0, &mut rng);
-            let (fu, fv) = propagate_forward(&adj, &zu, &zv, layers);
-            let (bu, bv) = propagate_backward(&adj, &gu, &gv, layers);
+            let (fu, fv) = propagate_forward_graph(&adj, &zu, &zv, layers, 1);
+            let (bu, bv) = propagate_backward_graph(&adj, &gu, &gv, layers, 1);
             let lhs = ops::dot(fu.as_slice(), gu.as_slice())
                 + ops::dot(fv.as_slice(), gv.as_slice());
             let rhs = ops::dot(zu.as_slice(), bu.as_slice())
@@ -555,10 +495,10 @@ mod tests {
         let wu = Embedding::normal(3, 2, 1.0, &mut rng);
         let wv = Embedding::normal(4, 2, 1.0, &mut rng);
         let f = |zu: &Embedding, zv: &Embedding| {
-            let (fu, fv) = propagate_forward(&adj, zu, zv, layers);
+            let (fu, fv) = propagate_forward_graph(&adj, zu, zv, layers, 1);
             ops::dot(fu.as_slice(), wu.as_slice()) + ops::dot(fv.as_slice(), wv.as_slice())
         };
-        let (bu, bv) = propagate_backward(&adj, &wu, &wv, layers);
+        let (bu, bv) = propagate_backward_graph(&adj, &wu, &wv, layers, 1);
         let h = 1e-6;
         // Probe a few coordinates of both tables.
         for (row, col) in [(0usize, 0usize), (1, 1), (2, 0)] {
@@ -589,17 +529,16 @@ mod tests {
         let (users, items) = (4_200, 4_500);
         let pairs: Vec<(usize, usize)> =
             (0..12_000).map(|_| (rng.index(users), rng.index(items))).collect();
-        let adj = InteractionSet::from_pairs(users, items, &pairs);
-        let graph = PropGraph::build(&adj);
+        let adj = PropGraph::build(&InteractionSet::from_pairs(users, items, &pairs));
         let zu: Embedding = Embedding::normal(users, 4, 1.0, &mut rng);
         let zv = Embedding::normal(items, 4, 1.0, &mut rng);
         for layers in [1usize, 3] {
-            let (a_u, a_v) = propagate_forward(&adj, &zu, &zv, layers);
-            let (b_u, b_v) = propagate_forward_graph(&graph, &zu, &zv, layers, 6);
+            let (a_u, a_v) = propagate_forward_graph(&adj, &zu, &zv, layers, 1);
+            let (b_u, b_v) = propagate_forward_graph(&adj, &zu, &zv, layers, 6);
             assert_eq!(a_u, b_u);
             assert_eq!(a_v, b_v);
-            let (c_u, c_v) = propagate_backward(&adj, &zu, &zv, layers);
-            let (d_u, d_v) = propagate_backward_graph(&graph, &zu, &zv, layers, 6);
+            let (c_u, c_v) = propagate_backward_graph(&adj, &zu, &zv, layers, 1);
+            let (d_u, d_v) = propagate_backward_graph(&adj, &zu, &zv, layers, 6);
             assert_eq!(c_u, d_u);
             assert_eq!(c_v, d_v);
         }
@@ -615,7 +554,7 @@ mod tests {
         zu.row_mut(1)[0] = -1.0;
         zu.row_mut(2)[0] = 1.0;
         let zv: Embedding = Embedding::zeros(4, 1);
-        let (fu, _) = propagate_forward(&adj, &zu, &zv, 2);
+        let (fu, _) = propagate_forward_graph(&adj, &zu, &zv, 2, 1);
         // After propagation through the shared item, user 0 picks up some
         // of user 1's negative mass.
         assert!(fu.row(0)[0] < 3.0 * 1.0, "shared structure must mix signals");

@@ -205,6 +205,11 @@ pub fn train_typed<S: Scalar>(
 ) -> (LogiRec<S>, TrainReport) {
     let cfg = cfg.validated();
     assert!(cfg.dim >= 1, "LogiRecConfig::dim must be at least 1, got {}", cfg.dim);
+    assert!(
+        cfg.lambda.is_finite() && cfg.lambda >= 0.0,
+        "LogiRecConfig::lambda must be finite and at least 0, got {}",
+        cfg.lambda
+    );
     let tel = cfg.telemetry.clone();
     let mut train_span = tel.span("train");
     let c_steps = tel.counter("trainer.steps");
@@ -883,6 +888,17 @@ mod tests {
     fn zero_dim_is_refused_with_a_readable_message() {
         let ds = DatasetSpec::ciao(Scale::Tiny).generate(1);
         train(LogiRecConfig { dim: 0, ..quick_cfg() }, &ds);
+    }
+
+    #[test]
+    fn nan_or_negative_lambda_is_refused_with_a_readable_message() {
+        let ds = DatasetSpec::ciao(Scale::Tiny).generate(1);
+        for lambda in [f64::NAN, -1.0, f64::INFINITY] {
+            let cfg = LogiRecConfig { lambda, ..quick_cfg() };
+            let err = std::panic::catch_unwind(|| train(cfg, &ds)).expect_err("refused");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("LogiRecConfig::lambda must be finite and at least 0"), "{msg}");
+        }
     }
 
     #[test]

@@ -13,97 +13,106 @@ pub enum Split {
     Test,
 }
 
-/// A set of user–item interactions indexed both ways (one sorted `Vec`
-/// per user and one per item), supporting O(log n) membership queries.
-/// The flat CSR the propagation walks is `logirec_core::PropGraph`, built
-/// from this once per dataset.
+/// A set of user–item interactions indexed both ways as flat CSR
+/// adjacency: per side an offsets array and one neighbour array, each row
+/// ascending (the paper's `N_u` and `N_v`). This is the layout the
+/// propagation walks — `logirec_core::PropGraph` adds only the `1/|N|`
+/// normalizers — and a clone is four copies of flat arrays. Membership is
+/// a binary search within a row.
 #[derive(Debug, Clone)]
 pub struct InteractionSet {
-    n_users: usize,
-    n_items: usize,
-    /// `by_user[u]` = sorted item ids user `u` interacted with.
-    by_user: Vec<Vec<usize>>,
-    /// `by_item[v]` = sorted user ids who interacted with item `v`.
-    by_item: Vec<Vec<usize>>,
-    len: usize,
+    /// Items of user `u`: `user_items[user_off[u]..user_off[u + 1]]`.
+    user_off: Vec<usize>,
+    user_items: Vec<usize>,
+    /// Users of item `v`: `item_users[item_off[v]..item_off[v + 1]]`.
+    item_off: Vec<usize>,
+    item_users: Vec<usize>,
 }
 
 impl InteractionSet {
     /// Builds from `(user, item)` pairs; duplicates are collapsed.
     pub fn from_pairs(n_users: usize, n_items: usize, pairs: &[(usize, usize)]) -> Self {
-        let mut by_user = vec![Vec::new(); n_users];
-        let mut by_item = vec![Vec::new(); n_items];
-        for &(u, v) in pairs {
-            debug_assert!(u < n_users && v < n_items);
-            by_user[u].push(v);
-            by_item[v].push(u);
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut user_off = vec![0; n_users + 1];
+        let mut item_off = vec![0; n_items + 1];
+        for &(u, v) in &pairs {
+            user_off[u + 1] += 1;
+            item_off[v + 1] += 1;
         }
-        let mut len = 0;
-        for list in &mut by_user {
-            list.sort_unstable();
-            list.dedup();
-            len += list.len();
+        for off in [&mut user_off, &mut item_off] {
+            let mut sum = 0;
+            for o in off.iter_mut() {
+                sum += *o;
+                *o = sum;
+            }
         }
-        for list in &mut by_item {
-            list.sort_unstable();
-            list.dedup();
+        // A counting pass by item over the user-sorted pairs keeps each
+        // item's users ascending.
+        let mut item_users = vec![0; pairs.len()];
+        let mut next = item_off.clone();
+        for &(u, v) in &pairs {
+            item_users[next[v]] = u;
+            next[v] += 1;
         }
-        Self { n_users, n_items, by_user, by_item, len }
+        let user_items = pairs.into_iter().map(|(_, v)| v).collect();
+        Self { user_off, user_items, item_off, item_users }
     }
 
     /// Number of users (rows).
+    #[inline]
     pub fn n_users(&self) -> usize {
-        self.n_users
+        self.user_off.len() - 1
     }
 
     /// Number of items (columns).
+    #[inline]
     pub fn n_items(&self) -> usize {
-        self.n_items
+        self.item_off.len() - 1
     }
 
     /// Total number of distinct interactions.
     pub fn len(&self) -> usize {
-        self.len
+        self.user_items.len()
     }
 
     /// True when the set holds no interactions.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.user_items.is_empty()
     }
 
     /// Sorted items of user `u` (the paper's `N_u`).
+    #[inline]
     pub fn items_of(&self, u: usize) -> &[usize] {
-        &self.by_user[u]
+        &self.user_items[self.user_off[u]..self.user_off[u + 1]]
     }
 
     /// Sorted users of item `v` (the paper's `N_v`).
+    #[inline]
     pub fn users_of(&self, v: usize) -> &[usize] {
-        &self.by_item[v]
+        &self.item_users[self.item_off[v]..self.item_off[v + 1]]
     }
 
     /// True when `(u, v)` is present.
+    #[inline]
     pub fn contains(&self, u: usize, v: usize) -> bool {
-        self.by_user[u].binary_search(&v).is_ok()
+        self.items_of(u).binary_search(&v).is_ok()
     }
 
     /// Appends a user with no interactions (id `n_users()` before the call).
     pub fn push_user(&mut self) {
-        self.by_user.push(Vec::new());
-        self.n_users += 1;
+        self.user_off.push(self.user_items.len());
     }
 
     /// Appends an item with no interactions (id `n_items()` before the call).
     pub fn push_item(&mut self) {
-        self.by_item.push(Vec::new());
-        self.n_items += 1;
+        self.item_off.push(self.item_users.len());
     }
 
     /// Iterates all `(user, item)` pairs in user order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.by_user
-            .iter()
-            .enumerate()
-            .flat_map(|(u, items)| items.iter().map(move |&v| (u, v)))
+        (0..self.n_users()).flat_map(move |u| self.items_of(u).iter().map(move |&v| (u, v)))
     }
 }
 

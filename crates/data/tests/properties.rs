@@ -1,5 +1,7 @@
 //! Property-based tests of the dataset substrate.
 
+use std::collections::BTreeSet;
+
 use logirec_data::interactions::temporal_split;
 use logirec_data::{InteractionSet, NegativeSampler};
 use logirec_linalg::SplitMix64;
@@ -49,7 +51,7 @@ proptest! {
     #[test]
     fn interaction_set_indexes_agree(pairs in prop::collection::vec((0usize..6, 0usize..10), 0..80)) {
         let s = InteractionSet::from_pairs(6, 10, &pairs);
-        // by_user and by_item are transposes of each other.
+        // The user-side and item-side rows are transposes of each other.
         for u in 0..6 {
             for &v in s.items_of(u) {
                 prop_assert!(s.users_of(v).contains(&u));
@@ -64,6 +66,51 @@ proptest! {
         let total: usize = (0..6).map(|u| s.items_of(u).len()).sum();
         prop_assert_eq!(total, s.len());
         prop_assert_eq!(s.iter_pairs().count(), s.len());
+    }
+
+    /// The flat set against per-node `BTreeSet`s. Pairs fall on users 0..5
+    /// and items 0..9 of a 7 × 12 set (so rows 5–6 and columns 9–11 stay
+    /// empty) and repeat often; then users and items are pushed in a
+    /// random interleaving (`0` pushes a user, `1` an item).
+    #[test]
+    fn flat_set_matches_a_per_node_reference(
+        pairs in prop::collection::vec((0usize..5, 0usize..9), 0..90),
+        pushes in prop::collection::vec(0usize..2, 0..8),
+    ) {
+        let mut s = InteractionSet::from_pairs(7, 12, &pairs);
+        let mut by_user = vec![BTreeSet::new(); 7];
+        let mut by_item = vec![BTreeSet::new(); 12];
+        for &(u, v) in &pairs {
+            by_user[u].insert(v);
+            by_item[v].insert(u);
+        }
+        for &push in &pushes {
+            if push == 0 {
+                s.push_user();
+                by_user.push(BTreeSet::new());
+            } else {
+                s.push_item();
+                by_item.push(BTreeSet::new());
+            }
+        }
+        prop_assert_eq!((s.n_users(), s.n_items()), (by_user.len(), by_item.len()));
+        for (u, items) in by_user.iter().enumerate() {
+            prop_assert_eq!(s.items_of(u), items.iter().copied().collect::<Vec<_>>().as_slice());
+            for v in 0..by_item.len() {
+                prop_assert_eq!(s.contains(u, v), items.contains(&v), "contains({}, {})", u, v);
+            }
+        }
+        for (v, users) in by_item.iter().enumerate() {
+            prop_assert_eq!(s.users_of(v), users.iter().copied().collect::<Vec<_>>().as_slice());
+        }
+        let reference: Vec<(usize, usize)> = by_user
+            .iter()
+            .enumerate()
+            .flat_map(|(u, items)| items.iter().map(move |&v| (u, v)))
+            .collect();
+        prop_assert_eq!(s.len(), reference.len());
+        prop_assert_eq!(s.is_empty(), reference.is_empty());
+        prop_assert_eq!(s.iter_pairs().collect::<Vec<_>>(), reference);
     }
 
     #[test]

@@ -206,51 +206,25 @@ pub fn evaluate_traced(
     }
 }
 
-/// Indices of the `k` largest scores, best first. Ties break toward the
-/// smaller index so results are deterministic.
+/// Indices of the `k` largest scores, best first: the [`TopK`] walk over
+/// `scores`. Ties break toward the smaller index so results are
+/// deterministic; `NEG_INFINITY` (masked) and NaN entries are skipped.
 pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    // Maintain a min-heap of the best k (value, Reverse(index)) pairs via a
-    // sorted insertion buffer — k is tiny (≤ 20 in the paper's protocol), so
-    // linear insertion beats a heap's constant factors.
-    let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
+    let mut top = TopK::new(k.min(scores.len()));
     for (i, &s) in scores.iter().enumerate() {
-        if s == f64::NEG_INFINITY {
-            continue;
-        }
-        if best.len() < k || s > best[best.len() - 1].0 {
-            let mut pos = best
-                .binary_search_by(|probe| {
-                    probe.0.partial_cmp(&s).expect("no NaN scores").reverse()
-                })
-                .unwrap_or_else(|e| e);
-            // On equal score, keep earlier index first: advance past equals.
-            while pos < best.len() && best[pos].0 == s && best[pos].1 < i {
-                pos += 1;
-            }
-            best.insert(pos, (s, i));
-            if best.len() > k {
-                best.pop();
-            }
-        }
+        top.offer(i, s);
     }
-    best.into_iter().map(|(_, i)| i).collect()
+    top.best.into_iter().map(|(_, i)| i).collect()
 }
 
 /// A running top-K selection over candidates in **any** arrival order:
-/// keeps the `k` best `(item, score)` pairs under the exact ordering
-/// [`top_k_indices`] uses — score descending, ties toward the smaller item
-/// index — and skips `NEG_INFINITY` (masked) entries. Offering every index
-/// of a score slice reproduces `top_k_indices(scores, k)` bit for bit,
-/// which is what lets an approximate retrieval tier re-rank a shortlist and
-/// stay byte-compatible with the exact full-scan path whenever the
-/// shortlist covers the catalog. [`TopK::worst`] is readable mid-scan, so
-/// such a tier can prune candidates that cannot place.
-///
-/// Scores must not be NaN (same contract as [`top_k_indices`]).
+/// keeps the `k` best `(item, score)` pairs, score descending, ties toward
+/// the smaller item index, and skips `NEG_INFINITY` (masked) and NaN
+/// entries. [`top_k_indices`] is this selection offered every index of a
+/// score slice, which is what lets an approximate retrieval tier re-rank a
+/// shortlist and stay byte-compatible with the exact full-scan path
+/// whenever the shortlist covers the catalog. [`TopK::worst`] is readable
+/// mid-scan, so such a tier can prune candidates that cannot place.
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
@@ -280,12 +254,12 @@ impl TopK {
     /// Offers item `i` with score `s`.
     #[inline]
     pub fn offer(&mut self, i: usize, s: f64) {
-        if self.k == 0 || s == f64::NEG_INFINITY {
+        if self.k == 0 || s == f64::NEG_INFINITY || s.is_nan() {
             return;
         }
-        // Unlike `top_k_indices` the acceptance test must compare the index
-        // too: an equal-score candidate with a smaller index arriving late
-        // still has to displace the current worst.
+        // The acceptance test compares the index too: an equal-score
+        // candidate with a smaller index arriving late still has to
+        // displace the current worst.
         if self.is_full() {
             let (ws, wi) = self.best[self.k - 1];
             if s < ws || (s == ws && i > wi) {
@@ -333,8 +307,8 @@ mod tests {
 
     #[test]
     fn top_k_skips_masked_scores() {
-        let scores = [f64::NEG_INFINITY, 2.0, f64::NEG_INFINITY, 1.0];
-        assert_eq!(top_k_indices(&scores, 4), vec![1, 3]);
+        let scores = [f64::NEG_INFINITY, 2.0, f64::NEG_INFINITY, 1.0, f64::NAN, 3.0];
+        assert_eq!(top_k_indices(&scores, 6), vec![5, 1, 3]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 pre-merge gate: release build, full workspace test suite (the test
 # profile runs with overflow-checks on), clippy and rustdoc with warnings
-# denied (so no doc link dangles), then a telemetry smoke run — generate
-# and train with --trace-json and validate both traces with trace_check
-# (every line parses, spans well-nested, all instrumented phases present,
-# and the training spans cover at least 90% of the run's wall time).
+# denied (so no doc link dangles), a run of every example, then a
+# telemetry smoke run — generate and train with --trace-json and validate
+# both traces with trace_check (every line parses, spans well-nested, all
+# instrumented phases present, and the training spans cover at least 90%
+# of the run's wall time).
 # The hard slowdown check is the end-to-end benchmark's comparator test,
 # compare::tests::a_thirty_percent_tail_slowdown_is_flagged (`compare` must
 # flag a 1.3x tail slowdown), and the approx recall gate is
@@ -19,6 +20,15 @@ cargo build --release
 cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# Every example runs to completion: `cargo test` builds them but runs none.
+cargo build --release --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "tier1: example $name"
+  ./target/release/examples/"$name" > /dev/null \
+    || { echo "tier1: example $name FAILED"; exit 1; }
+done
 
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT

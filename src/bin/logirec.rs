@@ -40,21 +40,16 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = Flags::parse(&args[1..], VALUE_FLAGS, BOOL_FLAGS, USAGE);
-    let result = flags.and_then(|flags| match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "train" => cmd_train(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "serve" => cmd_serve(&flags),
-        "request" => cmd_request(&flags),
-        "metrics" => cmd_metrics(&flags),
+    let result = match command.as_str() {
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    });
+        name => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(c) => Flags::parse(&args[1..], c.values, c.bools, USAGE).and_then(|f| (c.run)(&f)),
+            None => Err(format!("unknown command {name:?}\n{USAGE}")),
+        },
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -67,7 +62,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   logirec generate  --dataset ciao|cd|clothing|book --scale tiny|small|paper --seed N --out DIR
   logirec train     --data DIR --model FILE [--epochs N] [--lambda X] [--dim N] [--no-mining]
-                    [--precision f32|f64] [--train-threads N]
+                    [--precision f32|f64] [--train-threads N] [--threads N]
                     [--checkpoint FILE [--checkpoint-every N]] [--resume FILE] [--seed N]
                     (a model file given to --resume trains on from its tables, sampling
                     on --seed like a fresh run)
@@ -117,19 +112,62 @@ metrics: scrape a running server's Prometheus-style text exposition
 (counters, gauges, and latency summaries with p50/p95/p99 quantiles) and
 print it decoded to stdout.";
 
-/// Boolean flags (no value argument follows them).
-const BOOL_FLAGS: &[&str] = &[
-    "no-mining", "metrics-summary", "stats", "metrics", "reload", "shutdown", "approx",
-    "fold-in-item",
-];
+/// A command: the function that runs it and the flags it reads, those
+/// followed by a value and the boolean ones. A command refuses every other
+/// flag. The telemetry pair (`--trace-json`, `--metrics-summary`) belongs
+/// to `generate`, `train`, `evaluate` and `serve` only.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    values: &'static [&'static str],
+    bools: &'static [&'static str],
+}
 
-/// Flags followed by a value argument.
-const VALUE_FLAGS: &[&str] = &[
-    "addr", "approx-deadline-ms", "checkpoint", "checkpoint-every", "data", "dataset",
-    "deadline-ms", "dim", "epochs", "fold-in", "id", "index-clusters", "k", "lambda", "lr",
-    "max-inflight", "max-k", "model", "nprobe", "out", "precision", "resume", "retries", "scale",
-    "seed", "shed-limit", "steps", "threads", "trace-json", "train-threads", "user", "watch",
-    "watch-poll-ms",
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        run: cmd_generate,
+        values: &["dataset", "out", "scale", "seed", "trace-json"],
+        bools: &["metrics-summary"],
+    },
+    Command {
+        name: "train",
+        run: cmd_train,
+        values: &[
+            "checkpoint", "checkpoint-every", "data", "dim", "epochs", "lambda", "model",
+            "precision", "resume", "seed", "threads", "train-threads", "trace-json",
+        ],
+        bools: &["metrics-summary", "no-mining"],
+    },
+    Command {
+        name: "evaluate",
+        run: cmd_evaluate,
+        values: &["data", "model", "precision", "threads", "trace-json"],
+        bools: &["metrics-summary"],
+    },
+    Command {
+        name: "recommend",
+        run: cmd_recommend,
+        values: &["data", "k", "model", "user"],
+        bools: &[],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        values: &[
+            "addr", "approx-deadline-ms", "data", "deadline-ms", "index-clusters", "max-inflight",
+            "max-k", "model", "nprobe", "precision", "shed-limit", "trace-json", "watch",
+            "watch-poll-ms",
+        ],
+        bools: &["approx", "metrics-summary"],
+    },
+    Command {
+        name: "request",
+        run: cmd_request,
+        values: &["addr", "deadline-ms", "fold-in", "id", "k", "lr", "retries", "steps", "user"],
+        bools: &["fold-in-item", "metrics", "reload", "shutdown", "stats"],
+    },
+    Command { name: "metrics", run: cmd_metrics, values: &["addr"], bools: &[] },
 ];
 
 /// Builds the telemetry handle requested by `--trace-json` /
@@ -193,6 +231,11 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     if dim == 0 {
         return Err("bad value for --dim: 0 (the embedding needs at least 1 dimension)".into());
     }
+    let lambda: f64 = flags.parse_or("lambda", 0.5)?;
+    if !(lambda.is_finite() && lambda >= 0.0) {
+        let why = "the logic-loss weight must be finite and at least 0";
+        return Err(format!("bad value for --lambda: {lambda} ({why})"));
+    }
     let tel = telemetry(flags)?;
     let ds = load(flags, &tel)?;
     let model_path = PathBuf::from(flags.require("model")?);
@@ -201,7 +244,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let cfg = LogiRecConfig {
         epochs: flags.parse_or("epochs", 40)?,
         precision,
-        lambda: flags.parse_or("lambda", 0.5)?,
+        lambda,
         dim,
         mining: !flags.has("no-mining"),
         seed: flags.parse_or("seed", 2024)?,

@@ -132,6 +132,24 @@ fn cli_reports_errors_cleanly() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("--dim"), "{stderr}");
     assert!(!dir.join("dim0.bin").exists());
+
+    // So is a logic-loss weight that is NaN or negative, which would train
+    // without the logic losses (λ = 0 stays legal: Table IV sweeps it).
+    for lambda in ["nan", "-1"] {
+        let refused = dir.join(format!("lambda{lambda}.bin"));
+        let out = bin()
+            .args(["train", "--data"])
+            .arg(&data)
+            .arg("--model")
+            .arg(&refused)
+            .args(["--epochs", "1", "--dim", "8", "--lambda", lambda])
+            .output()
+            .expect("train");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--lambda {lambda}: {stderr}");
+        assert!(stderr.contains("bad value for --lambda"), "--lambda {lambda}: {stderr}");
+        assert!(!refused.exists(), "--lambda {lambda} trained a model");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -175,9 +193,10 @@ fn a_model_for_another_catalog_is_refused_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A misspelled flag, a value flag with no value, and a stray argument
-/// each fail before any work is done, naming the offender and printing
-/// the usage text: each of these commands would otherwise train a model.
+/// A misspelled flag, a value flag with no value, a stray argument and a
+/// flag only another command reads each fail before any work is done,
+/// naming the offender and printing the usage text: each of these
+/// commands would otherwise train a model.
 #[test]
 fn cli_rejects_unknown_flags_and_missing_values() {
     let dir = work_dir("flags");
@@ -194,6 +213,8 @@ fn cli_rejects_unknown_flags_and_missing_values() {
         (&["--dim", "8", "--epochs"][..], "missing value for --epochs"),
         (&["--epochs", "--dim", "8"][..], "missing value for --epochs"),
         (&["--epochs", "1", "8"][..], "unexpected argument \"8\""),
+        // A flag another command reads is as foreign to `train` as a typo.
+        (&["--epochs", "1", "--dim", "8", "--nprobe", "16"][..], "unknown flag --nprobe"),
     ] {
         let out = bin()
             .args(["train", "--data"])
