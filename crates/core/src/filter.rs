@@ -12,7 +12,7 @@
 
 use logirec_data::{Dataset, Split};
 use logirec_hyperbolic::Ball;
-use logirec_linalg::ops;
+use logirec_linalg::{ops, CowVec};
 
 use crate::model::LogiRec;
 
@@ -71,30 +71,39 @@ impl std::error::Error for FilterError {}
 /// Built from one or more dataset splits; masking writes `f64::NEG_INFINITY`
 /// over every seen item's score, which [`logirec_eval::ranking::top_k_indices`]
 /// then skips.
+///
+/// The lists are one flat CSR (an offsets array and one item array, each
+/// row ascending), both copy-on-write [`CowVec`]s: a clone costs two
+/// reference counts, and [`Self::push_user`] appends the new list and one
+/// offset in place, so a serving fold-in shares every earlier list with
+/// the snapshot it grew from. [`Self::record_seen`] inserts into the
+/// middle of the flat array and so copies it.
 #[derive(Debug, Clone)]
 pub struct SeenFilter {
     n_items: usize,
-    /// `seen[u]` = sorted, distinct item ids user `u` has interacted with
-    /// in the splits the filter was built from.
-    seen: Vec<Vec<usize>>,
+    /// The seen items of user `u`: `items[offsets[u]..offsets[u + 1]]`,
+    /// sorted and distinct, from the splits the filter was built from.
+    offsets: CowVec<usize>,
+    items: CowVec<usize>,
 }
 
 impl SeenFilter {
     /// Builds the filter from the union of `splits` of `dataset`.
     pub fn from_splits(dataset: &Dataset, splits: &[Split]) -> Self {
-        let n_users = dataset.n_users();
-        let mut seen: Vec<Vec<usize>> = vec![Vec::new(); n_users];
-        for &split in splits {
-            let set = dataset.split(split);
-            for (u, list) in seen.iter_mut().enumerate() {
-                list.extend_from_slice(set.items_of(u));
+        let mut offsets = Vec::with_capacity(dataset.n_users() + 1);
+        offsets.push(0);
+        let (mut items, mut row) = (Vec::new(), Vec::new());
+        for u in 0..dataset.n_users() {
+            row.clear();
+            for &split in splits {
+                row.extend_from_slice(dataset.split(split).items_of(u));
             }
+            row.sort_unstable();
+            row.dedup();
+            items.extend_from_slice(&row);
+            offsets.push(items.len());
         }
-        for list in &mut seen {
-            list.sort_unstable();
-            list.dedup();
-        }
-        Self { n_items: dataset.n_items(), seen }
+        Self { n_items: dataset.n_items(), offsets: offsets.into(), items: items.into() }
     }
 
     /// The mask offline test-split evaluation applies (Train ∪ Validation)
@@ -105,7 +114,7 @@ impl SeenFilter {
 
     /// Number of users the filter covers.
     pub fn n_users(&self) -> usize {
-        self.seen.len()
+        self.offsets.len() - 1
     }
 
     /// Number of items the filter covers.
@@ -115,10 +124,10 @@ impl SeenFilter {
 
     /// The sorted seen-item list of `u`, or a typed error for unknown users.
     pub fn seen_of(&self, u: usize) -> Result<&[usize], FilterError> {
-        self.seen
-            .get(u)
-            .map(Vec::as_slice)
-            .ok_or(FilterError::UserOutOfRange { user: u, n_users: self.seen.len() })
+        if u >= self.n_users() {
+            return Err(FilterError::UserOutOfRange { user: u, n_users: self.n_users() });
+        }
+        Ok(&self.items[self.offsets[u]..self.offsets[u + 1]])
     }
 
     /// Appends one user with the given seen-item list (sorted and deduped
@@ -133,8 +142,9 @@ impl SeenFilter {
         let mut list = items.to_vec();
         list.sort_unstable();
         list.dedup();
-        self.seen.push(list);
-        Ok(self.seen.len() - 1)
+        self.items.extend_from_slice(&list);
+        self.offsets.push(self.items.len());
+        Ok(self.n_users() - 1)
     }
 
     /// Grows the item space by one (a freshly folded-in item no user has
@@ -145,18 +155,27 @@ impl SeenFilter {
     }
 
     /// Records that existing user `u` interacted with item `v` (a streamed
-    /// event), keeping the per-user list sorted and distinct.
+    /// event), keeping the per-user list sorted and distinct. A new entry
+    /// shifts every later list, so this copies the flat item array.
     pub fn record_seen(&mut self, u: usize, v: usize) -> Result<(), FilterError> {
         if v >= self.n_items {
             return Err(FilterError::ItemOutOfRange { item: v, n_items: self.n_items });
         }
-        let n_users = self.seen.len();
-        let list =
-            self.seen.get_mut(u).ok_or(FilterError::UserOutOfRange { user: u, n_users })?;
-        if let Err(pos) = list.binary_search(&v) {
-            list.insert(pos, v);
+        let Err(pos) = self.seen_of(u)?.binary_search(&v) else { return Ok(()) };
+        let mut items = self.items.to_vec();
+        items.insert(self.offsets[u] + pos, v);
+        self.items = items.into();
+        for off in &mut self.offsets.as_mut_slice()[u + 1..] {
+            *off += 1;
         }
         Ok(())
+    }
+
+    /// True when this filter and `other` share both flat arrays: a clone,
+    /// or a clone that only [`Self::push_user`] grew since.
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        self.offsets.shares_storage_with(&other.offsets)
+            && self.items.shares_storage_with(&other.items)
     }
 
     /// Masks every seen item of `u` out of `scores` (sets the slot to

@@ -44,7 +44,7 @@ pub use ablation::Variant;
 pub use config::{Geometry, LogiRecConfig, Precision};
 pub use filter::{FilterError, FilteredRanker, LogicFilter, SeenFilter};
 pub use graph::PropGraph;
-pub use model::LogiRec;
+pub use model::{ForwardState, LogiRec};
 pub use scan::{KeyTopK, ScanTable};
 pub use shard::{merge_tree, shard_count, shard_ranges, Merge, SparseGrad};
 pub use step::TrainStep;

@@ -13,11 +13,12 @@
 //!
 //! Everything here is generic over the working precision [`Scalar`] and
 //! **allocation-free per sample**: each loss function owns a small
-//! `LogicScratch` / `RankScratch` (allocated once per call — i.e. once
-//! per shard job in the parallel trainer) and every per-pair or per-triplet
-//! kernel writes into those buffers via the `*_into` variants. The `f64`
-//! instantiation performs the identical floating-point operation sequence
-//! as the historical allocating code, so sharded results stay bit-exact.
+//! `LogicScratch` / `RankScratch` (allocated once per shard job in the
+//! parallel trainer, and once per fold-in for all of its steps) and every
+//! per-pair or per-triplet kernel writes into those buffers via the
+//! `*_into` variants. The `f64` instantiation performs the identical
+//! floating-point operation sequence as the historical allocating code, so
+//! sharded results stay bit-exact.
 
 use logirec_hyperbolic::{hyperplane, lorentz};
 use logirec_linalg::{ops, Embedding, Scalar};
@@ -339,6 +340,7 @@ pub fn rank_loss_grad<S: Scalar>(
         per_triplet_weight,
         |u, g| ops::axpy(S::ONE, g, user_final.row_mut(u)),
         |v, g| ops::axpy(S::ONE, g, item_final.row_mut(v)),
+        &mut rank_scratch(ambient),
     );
     out.loss = loss;
     out.active = active;
@@ -346,11 +348,18 @@ pub fn rank_loss_grad<S: Scalar>(
 }
 
 /// Reusable scratch for the ranking inner loop: the two distance-VJP
-/// outputs. Allocated once per [`rank_accumulate`] call (one shard job);
-/// the per-triplet loop writes into these via `distance_vjp_into`.
-struct RankScratch<S: Scalar> {
+/// outputs. [`rank_scratch`] allocates the pair [`rank_accumulate`] writes
+/// (a triplet's positive and negative) once per shard job, or once per
+/// fold-in for all its steps; the per-triplet loop writes into these via
+/// `distance_vjp_into`.
+pub(crate) struct RankScratch<S: Scalar> {
     gx: Vec<S>,
     gy: Vec<S>,
+}
+
+/// The scratch pair [`rank_accumulate`] needs for `ambient`-wide rows.
+pub(crate) fn rank_scratch<S: Scalar>(ambient: usize) -> [RankScratch<S>; 2] {
+    [(); 2].map(|_| RankScratch { gx: vec![S::ZERO; ambient], gy: vec![S::ZERO; ambient] })
 }
 
 /// The one LMNN hinge walk (Eq. 9), shared by the trainer's dense and
@@ -374,10 +383,8 @@ pub(crate) fn rank_accumulate<'q, S: Scalar>(
     per_triplet_weight: f64,
     mut add_query: impl FnMut(usize, &[S]),
     mut add_table: impl FnMut(usize, &[S]),
+    [sp, sq]: &mut [RankScratch<S>; 2],
 ) -> (f64, usize) {
-    let ambient = table.dim();
-    let mut sp = RankScratch { gx: vec![S::ZERO; ambient], gy: vec![S::ZERO; ambient] };
-    let mut sq = RankScratch { gx: vec![S::ZERO; ambient], gy: vec![S::ZERO; ambient] };
     let (mut loss, mut active) = (0.0, 0usize);
     for (u, vp, vq) in triplets {
         let q = query(u);
@@ -391,9 +398,9 @@ pub(crate) fn rank_accumulate<'q, S: Scalar>(
         let w = per_triplet_weight * alpha.map_or(1.0, |a| a[u]);
         loss += w * hinge.to_f64();
         // + d(u, v⁺): upstream +w on both ends.
-        carrier_distance_vjp(geometry, q, table.row(vp), S::from_f64(w), &mut sp);
+        carrier_distance_vjp(geometry, q, table.row(vp), S::from_f64(w), sp);
         // − d(u, v⁻): upstream −w.
-        carrier_distance_vjp(geometry, q, table.row(vq), S::from_f64(-w), &mut sq);
+        carrier_distance_vjp(geometry, q, table.row(vq), S::from_f64(-w), sq);
         add_query(u, &sp.gx);
         add_query(u, &sq.gx);
         add_table(vp, &sp.gy);
@@ -453,6 +460,7 @@ fn rank_shard_on<S: Scalar>(
         per_triplet_weight,
         |u, g| users.add(u, g),
         |v, g| items.add(v, g),
+        &mut rank_scratch(ambient),
     );
     RankShard { users, items, loss, active }
 }

@@ -16,6 +16,7 @@
 use std::sync::{Arc, OnceLock};
 
 use logirec_data::{Dataset, InteractionSet};
+use logirec_eval::Ranker;
 use logirec_hyperbolic::{lorentz, maps, poincare};
 use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 
@@ -26,13 +27,17 @@ use crate::step;
 
 /// What a full [`LogiRec::propagate`] keeps of every row: the finals, and
 /// the exact-scan table of the item finals once it is built (a training
-/// step keeps its own tables, see [`crate::step`]).
+/// step keeps its own tables, see [`crate::step`]). It is everything
+/// ranking reads (Eq. 9), so it ranks on its own ([`Ranker`]), and a
+/// serving snapshot keeps it alone, without the parameter tables
+/// ([`LogiRec::into_state`]).
 #[derive(Debug, Clone)]
 pub struct ForwardState<S: Scalar = f64> {
     /// Final user embeddings in the carrier space (`U × ambient`).
     pub user_final: Embedding<S>,
     /// Final item embeddings in the carrier space (`V × ambient`).
     pub item_final: Embedding<S>,
+    geometry: Geometry,
     /// The exact-scan table of `item_final`, once built or installed.
     scan: ScanCache<S>,
 }
@@ -56,7 +61,7 @@ pub struct LogiRec<S: Scalar = f64> {
 
 /// The exact-scan table of a forward state's item finals, built on first
 /// use in item order (or installed in cluster order by a serving index,
-/// through [`LogiRec::set_scan_table`]). It lives and dies with the state,
+/// through [`ForwardState::set_scan_table`]). It lives and dies with the state,
 /// and a pushed item row empties it. A clone shares the table (it is a pure
 /// function of the item finals, which the clone shares too), so a user
 /// fold-in — which clones the model and leaves the item finals alone —
@@ -73,6 +78,70 @@ impl<S: Scalar> ScanCache<S> {
 impl<S: Scalar> Clone for ScanCache<S> {
     fn clone(&self) -> Self {
         Self(self.0.get().map_or_else(OnceLock::new, |table| OnceLock::from(Arc::clone(table))))
+    }
+}
+
+impl<S: Scalar> ForwardState<S> {
+    /// The exact-scan table over the item finals (see [`crate::scan`]),
+    /// built on first use — once per state, never per query. Callers that
+    /// must not pay the build on a request path (snapshot validation) call
+    /// this up front.
+    pub fn scan_table(&self) -> &ScanTable<S> {
+        self.scan.0.get_or_init(|| Arc::new(ScanTable::new(self.geometry, &self.item_final)))
+    }
+
+    /// Installs `table` as the exact-scan table of the item finals, in
+    /// place of the item-order one [`Self::scan_table`] would build: a
+    /// serving index lays the table out in cluster order, and the exact
+    /// scan then walks that one table too. It is kept and shared exactly
+    /// like a built one. Panics unless `table` covers the item finals.
+    pub fn set_scan_table(&mut self, table: ScanTable<S>) {
+        assert_eq!(table.len(), self.item_final.rows(), "scan table size");
+        self.scan = ScanCache(OnceLock::from(Arc::new(table)));
+    }
+
+    /// Appends the final of a new user with no edges whose parameter row
+    /// (carrier coordinates) is `row`; the item finals, and with them the
+    /// scan table, are untouched. `cfg` is the model's. Returns the new
+    /// user's id.
+    pub fn push_user_row(&mut self, cfg: &LogiRecConfig, row: &[S]) -> usize {
+        self.user_final.push_row(&degree_zero_final(cfg, row));
+        self.user_final.rows() - 1
+    }
+
+    /// Appends the final of a new item with no edges whose parameter row
+    /// (Poincaré / Euclidean coordinates) is `row`, emptying the scan
+    /// table, which the grown item finals invalidate. `cfg` is the model's.
+    /// Returns the new item's id.
+    pub fn push_item_row(&mut self, cfg: &LogiRecConfig, row: &[S]) -> usize {
+        let point = match cfg.geometry {
+            Geometry::Hyperbolic => maps::poincare_to_lorentz(row),
+            Geometry::Euclidean => row.to_vec(),
+        };
+        self.item_final.push_row(&degree_zero_final(cfg, &point));
+        self.scan = ScanCache::empty();
+        self.item_final.rows() - 1
+    }
+}
+
+/// The one scoring path: LogiRec's [`Ranker`] is its forward state's, and a
+/// serving snapshot ranks through the state it keeps.
+impl<S: Scalar> Ranker for ForwardState<S> {
+    fn score_user(&self, u: usize, out: &mut [f64]) {
+        self.scan_table().keys(self.user_final.row(u), out);
+        for o in out.iter_mut() {
+            *o = scan::key_score::<S>(self.geometry, *o);
+        }
+    }
+
+    fn top_k(
+        &self,
+        u: usize,
+        masked: &[&[usize]],
+        k: usize,
+        scratch: &mut [f64],
+    ) -> (Vec<usize>, Vec<f64>) {
+        self.scan_table().top_k(self.user_final.row(u), masked, k, scratch)
     }
 }
 
@@ -199,7 +268,9 @@ impl<S: Scalar> LogiRec<S> {
     pub fn propagate_graph(&mut self, adj: &PropGraph<S>) {
         let fwd_timer = self.cfg.telemetry.timer();
         let (user_final, item_final) = step::finals_every_row(self, adj);
-        self.state = Some(ForwardState { user_final, item_final, scan: ScanCache::empty() });
+        let geometry = self.cfg.geometry;
+        self.state =
+            Some(ForwardState { user_final, item_final, geometry, scan: ScanCache::empty() });
         self.cfg.telemetry.observe_us("gcn.propagate_us", fwd_timer);
     }
 
@@ -213,26 +284,26 @@ impl<S: Scalar> LogiRec<S> {
         self.state.is_some()
     }
 
-    /// The exact-scan table over the cached item finals (see
-    /// [`crate::scan`]), built on first use — once per propagated state,
-    /// never per query. Callers that must not pay the build on a request
-    /// path (snapshot validation) call this up front. Panics if
-    /// [`Self::propagate`] has not run.
-    pub fn scan_table(&self) -> &ScanTable<S> {
-        let st = self.state();
-        st.scan.0.get_or_init(|| Arc::new(ScanTable::new(self.cfg.geometry, &st.item_final)))
+    /// The cached forward state, dropping the parameter tables: all a
+    /// model that only ranks needs. Panics if [`Self::propagate`] has not
+    /// run.
+    pub fn into_state(self) -> ForwardState<S> {
+        self.state.expect("propagate() must run before taking the state")
     }
 
-    /// Installs `table` as the exact-scan table of the cached item finals,
-    /// in place of the item-order one [`Self::scan_table`] would build: a
-    /// serving index lays the table out in cluster order, and the exact
-    /// scan then walks that one table too. It is kept and shared exactly
-    /// like a built one. Panics unless a forward state is cached and
-    /// `table` covers its item finals.
+    /// The exact-scan table over the cached item finals
+    /// ([`ForwardState::scan_table`]). Panics if [`Self::propagate`] has
+    /// not run.
+    pub fn scan_table(&self) -> &ScanTable<S> {
+        self.state().scan_table()
+    }
+
+    /// Installs `table` as the exact-scan table of the cached item finals
+    /// ([`ForwardState::set_scan_table`]). Panics unless a forward state is
+    /// cached and `table` covers its item finals.
     pub fn set_scan_table(&mut self, table: ScanTable<S>) {
         let st = self.state.as_mut().expect("propagate() must run before setting a scan table");
-        assert_eq!(table.len(), st.item_final.rows(), "scan table size");
-        st.scan = ScanCache(OnceLock::from(Arc::new(table)));
+        st.set_scan_table(table);
     }
 
     /// Backward pass of the ranking head: takes dense ambient gradients
@@ -315,31 +386,26 @@ impl<S: Scalar> LogiRec<S> {
     }
 
     /// Appends one user parameter row (carrier coordinates) and, when a
-    /// forward state is cached, its final row (the item finals, and with
-    /// them the scan table, are untouched). Returns the new user's id.
+    /// forward state is cached, its final row
+    /// ([`ForwardState::push_user_row`]). Returns the new user's id.
     pub fn push_user_row(&mut self, row: &[S]) -> usize {
         assert_eq!(row.len(), self.cfg.ambient_dim(), "user row width");
         self.users.push_row(row);
         if let Some(st) = self.state.as_mut() {
-            st.user_final.push_row(&degree_zero_final(&self.cfg, row));
+            st.push_user_row(&self.cfg, row);
         }
         self.users.rows() - 1
     }
 
     /// Appends one item parameter row (Poincaré / Euclidean coordinates)
     /// and, when a forward state is cached, its final row, emptying the
-    /// scan table, which the grown item finals invalidate. Returns the new
-    /// item's id.
+    /// scan table ([`ForwardState::push_item_row`]). Returns the new item's
+    /// id.
     pub fn push_item_row(&mut self, row: &[S]) -> usize {
         assert_eq!(row.len(), self.cfg.dim, "item row width");
         self.items.push_row(row);
         if let Some(st) = self.state.as_mut() {
-            let point = match self.cfg.geometry {
-                Geometry::Hyperbolic => maps::poincare_to_lorentz(row),
-                Geometry::Euclidean => row.to_vec(),
-            };
-            st.item_final.push_row(&degree_zero_final(&self.cfg, &point));
-            st.scan = ScanCache::empty();
+            st.push_item_row(&self.cfg, row);
         }
         self.items.rows() - 1
     }
@@ -372,13 +438,9 @@ fn degree_zero_final<S: Scalar>(cfg: &LogiRecConfig, x: &[S]) -> Vec<S> {
     }
 }
 
-impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
+impl<S: Scalar> Ranker for LogiRec<S> {
     fn score_user(&self, u: usize, out: &mut [f64]) {
-        let geometry = self.cfg.geometry;
-        self.scan_table().keys(self.state().user_final.row(u), out);
-        for o in out.iter_mut() {
-            *o = scan::key_score::<S>(geometry, *o);
-        }
+        self.state().score_user(u, out);
     }
 
     fn top_k(
@@ -388,7 +450,7 @@ impl<S: Scalar> logirec_eval::Ranker for LogiRec<S> {
         k: usize,
         scratch: &mut [f64],
     ) -> (Vec<usize>, Vec<f64>) {
-        self.scan_table().top_k(self.state().user_final.row(u), masked, k, scratch)
+        self.state().top_k(u, masked, k, scratch)
     }
 }
 

@@ -298,6 +298,10 @@ impl<S: Scalar> ScanTable<S> {
         mut mask: impl FnMut(&Range<usize>, &mut [f64]),
     ) -> (Vec<usize>, Vec<f64>) {
         assert_eq!(keys.len(), self.len(), "key buffer length");
+        // No walk selects more items than the table holds, and a larger k
+        // would only size the selection's buffers (an unbounded k from a
+        // caller must not reach the allocator).
+        let k = k.min(self.len());
         let mut best = KeyTopK::<S>::new(self.geometry, k);
         let mut walked: Vec<Range<usize>> = Vec::new();
         while let Some(run) = next_run(&best) {
@@ -446,6 +450,31 @@ mod tests {
         let (items, scores) = best.finish(cands);
         assert_eq!(items, vec![2]);
         assert_eq!(scores[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn an_unbounded_k_selects_what_the_table_size_selects() {
+        let mut rng = logirec_linalg::SplitMix64::new(3);
+        let tangents: Embedding = Embedding::normal(6, 3, 0.3, &mut rng);
+        let mut items = Embedding::zeros(6, 4);
+        for v in 0..6 {
+            items.row_mut(v).copy_from_slice(&lorentz::exp_origin(tangents.row(v)));
+        }
+        let q = lorentz::exp_origin(&[0.1, -0.2, 0.05]);
+        for table in [
+            ScanTable::new(Geometry::Hyperbolic, &items),
+            ScanTable::in_order(Geometry::Hyperbolic, &items, vec![3, 1, 5, 0, 2, 4]),
+        ] {
+            let mut keys = vec![0.0; 6];
+            let n = table.top_k(&q, &[&[2]], 6, &mut keys);
+            assert_eq!(n.0.len(), 5);
+            assert_eq!(table.top_k(&q, &[&[2]], usize::MAX, &mut keys), n);
+            let mut runs = |k| {
+                let mut all = Some(0..6);
+                table.top_k_runs(&q, &[2], k, &mut keys, |_| all.take())
+            };
+            assert_eq!(runs(usize::MAX), runs(6));
+        }
     }
 
     #[test]

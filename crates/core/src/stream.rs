@@ -38,12 +38,14 @@
 //! whose degree-0 propagation reproduces `x`: for users
 //! `exp₀(log₀(x)/L)`, for items the Poincaré image of that point.
 //! Appending the row appends its degree-0 final to the cached forward
-//! state (`LogiRec::push_user_row` / `push_item_row`), bit-identical to
-//! re-propagating over the grown graph, so a serving snapshot publishes
-//! the extended state as is. The folded row's final embedding equals the
-//! optimized point up to one exp/log round trip (~1e-9), while every
-//! pre-existing final embedding is untouched because the new node
-//! contributes no messages.
+//! state (`ForwardState::push_user_row` / `push_item_row`, which a model's
+//! `push_user_row` / `push_item_row` call), bit-identical to
+//! re-propagating over the grown graph, so a serving snapshot, which keeps
+//! only the state, appends the final of [`new_user_row`] /
+//! [`new_item_row`] and publishes the extended state as is. The folded
+//! row's final embedding equals the optimized point up to one exp/log
+//! round trip (~1e-9), while every pre-existing final embedding is
+//! untouched because the new node contributes no messages.
 
 use std::path::{Path, PathBuf};
 
@@ -54,7 +56,7 @@ use logirec_linalg::{ops, Embedding, Scalar, SplitMix64};
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::config::{Geometry, LogiRecConfig};
 use crate::graph::PropGraph;
-use crate::losses::rank_accumulate;
+use crate::losses::{rank_accumulate, rank_scratch, RankScratch};
 use crate::model::LogiRec;
 use crate::step::TrainStep;
 use crate::trainer::{apply_updates, check_health, inject_model_faults, EpochStats};
@@ -178,18 +180,8 @@ pub fn fold_in_objective<S: Scalar>(
     triplets: &[(usize, usize)],
     margin: f64,
 ) -> f64 {
-    rank_accumulate(
-        geometry,
-        |_| x,
-        finals,
-        triplets.iter().map(|&(vp, vq)| (0, vp, vq)),
-        margin,
-        None,
-        1.0 / triplets.len() as f64,
-        |_, _| {},
-        |_, _| {},
-    )
-    .0
+    let scratch = &mut rank_scratch(finals.dim());
+    fold_in_walk(geometry, x, finals, triplets, margin, None, scratch)
 }
 
 /// Analytic gradient of [`fold_in_objective`] w.r.t. `x` (ambient
@@ -202,7 +194,24 @@ pub fn fold_in_grad_into<S: Scalar>(
     margin: f64,
     gx: &mut [S],
 ) -> f64 {
-    gx.fill(S::ZERO);
+    let scratch = &mut rank_scratch(finals.dim());
+    fold_in_walk(geometry, x, finals, triplets, margin, Some(gx), scratch)
+}
+
+/// [`fold_in_objective`], and with `gx` its gradient, in the caller's
+/// scratch, so a fold-in's steps allocate nothing per step.
+fn fold_in_walk<S: Scalar>(
+    geometry: Geometry,
+    x: &[S],
+    finals: &Embedding<S>,
+    triplets: &[(usize, usize)],
+    margin: f64,
+    mut gx: Option<&mut [S]>,
+    scratch: &mut [RankScratch<S>; 2],
+) -> f64 {
+    if let Some(gx) = gx.as_deref_mut() {
+        gx.fill(S::ZERO);
+    }
     rank_accumulate(
         geometry,
         |_| x,
@@ -211,76 +220,96 @@ pub fn fold_in_grad_into<S: Scalar>(
         margin,
         None,
         1.0 / triplets.len() as f64,
-        |_, g| ops::axpy(S::ONE, g, gx),
+        |_, g| {
+            if let Some(gx) = gx.as_deref_mut() {
+                ops::axpy(S::ONE, g, gx);
+            }
+        },
         |_, _| {},
+        scratch,
     )
     .0
 }
 
-/// Folds a brand-new user with the given interacted items into the model:
-/// optimizes only the new row against the frozen item finals, then appends
-/// the base parameter row (and extends the cached state). Every
-/// pre-existing parameter stays byte-identical. Returns the new user id in
-/// the report.
-pub fn fold_in_user<S: Scalar>(
-    model: &mut LogiRec<S>,
+/// A new entity's parameter row, computed by fold-in before it is
+/// appended, and what its optimization saw.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NewRow<S: Scalar = f64> {
+    /// The base parameter row whose degree-0 propagation reproduces the
+    /// optimized final-space point: carrier coordinates for a user,
+    /// Poincaré / Euclidean ones for an item.
+    pub row: Vec<S>,
+    /// Objective before the first step.
+    pub initial_loss: f64,
+    /// Objective after the last step.
+    pub final_loss: f64,
+    /// Hinge triplets the objective averaged over.
+    pub triplets: usize,
+}
+
+impl<S: Scalar> NewRow<S> {
+    fn report(&self, id: usize, steps: usize) -> FoldInReport {
+        let (initial_loss, final_loss, triplets) =
+            (self.initial_loss, self.final_loss, self.triplets);
+        FoldInReport { id, initial_loss, final_loss, steps, triplets }
+    }
+}
+
+/// The row [`fold_in_user`] appends for a new user who interacted with
+/// `positives`: optimized against the frozen `item_final` of a model with
+/// config `cfg`, then mapped back to the base parameter row. Appending it
+/// is the caller's: a model appends the row and its final
+/// ([`LogiRec::push_user_row`]), a served forward state only the final
+/// ([`crate::ForwardState::push_user_row`]).
+pub fn new_user_row<S: Scalar>(
+    cfg: &LogiRecConfig,
+    item_final: &Embedding<S>,
     positives: &[usize],
     opts: &FoldInOptions,
-) -> Result<FoldInReport, FoldInError> {
-    if !model.has_state() {
-        return Err(FoldInError::NoForwardState);
-    }
-    let n_items = model.items.rows();
+) -> Result<NewRow<S>, FoldInError> {
+    let n_items = item_final.rows();
     if let Some(&bad) = positives.iter().find(|&&v| v >= n_items) {
         return Err(FoldInError::PositiveOutOfRange { id: bad, limit: n_items });
     }
-    let geometry = model.cfg.geometry;
     let (x, initial_loss, final_loss, triplets) =
-        optimize_new_row(geometry, &model.state().item_final, positives, opts)?;
-    let base = match geometry {
-        Geometry::Hyperbolic => {
-            let mut z = lorentz::log_origin(&x);
-            scale_in_place(&mut z, 1.0 / model.cfg.layers.max(1) as f64);
-            lorentz::exp_origin(&z)
-        }
-        Geometry::Euclidean => {
-            let mut z = x;
-            scale_in_place(&mut z, 1.0 / model.cfg.layers.max(1) as f64);
-            z
-        }
+        optimize_new_row(cfg.geometry, item_final, positives, opts)?;
+    let mut z = match cfg.geometry {
+        Geometry::Hyperbolic => lorentz::log_origin(&x),
+        Geometry::Euclidean => x,
     };
-    if !ops::all_finite(&base) {
+    scale_in_place(&mut z, 1.0 / cfg.layers.max(1) as f64);
+    let row = match cfg.geometry {
+        Geometry::Hyperbolic => lorentz::exp_origin(&z),
+        Geometry::Euclidean => z,
+    };
+    if !ops::all_finite(&row) {
         return Err(FoldInError::NonFinite);
     }
-    let id = model.push_user_row(&base);
-    Ok(FoldInReport { id, initial_loss, final_loss, steps: opts.steps, triplets })
+    Ok(NewRow { row, initial_loss, final_loss, triplets })
 }
 
-/// Folds a brand-new item with the given interacting users into the model
-/// (the mirror of [`fold_in_user`]: optimizes against the frozen user
-/// finals and appends a Poincaré / Euclidean item row).
-pub fn fold_in_item<S: Scalar>(
-    model: &mut LogiRec<S>,
+/// The row [`fold_in_item`] appends for a new item that `positives`
+/// interacted with (the mirror of [`new_user_row`]: optimized against the
+/// frozen `user_final`, mapped back to a Poincaré / Euclidean item row).
+pub fn new_item_row<S: Scalar>(
+    cfg: &LogiRecConfig,
+    user_final: &Embedding<S>,
     positives: &[usize],
     opts: &FoldInOptions,
-) -> Result<FoldInReport, FoldInError> {
-    if !model.has_state() {
-        return Err(FoldInError::NoForwardState);
-    }
-    let n_users = model.users.rows();
+) -> Result<NewRow<S>, FoldInError> {
+    let n_users = user_final.rows();
     if let Some(&bad) = positives.iter().find(|&&u| u >= n_users) {
         return Err(FoldInError::PositiveOutOfRange { id: bad, limit: n_users });
     }
-    let geometry = model.cfg.geometry;
     let (x, initial_loss, final_loss, triplets) =
-        optimize_new_row(geometry, &model.state().user_final, positives, opts)?;
-    let base = match geometry {
+        optimize_new_row(cfg.geometry, user_final, positives, opts)?;
+    let row = match cfg.geometry {
         Geometry::Hyperbolic => {
             // Final point → layer-0 tangent → carrier → Poincaré
             // parameter: the inverse of the item forward chain for a
             // degree-0 node.
             let mut z = lorentz::log_origin(&x);
-            scale_in_place(&mut z, 1.0 / model.cfg.layers.max(1) as f64);
+            scale_in_place(&mut z, 1.0 / cfg.layers.max(1) as f64);
             let carrier = lorentz::exp_origin(&z);
             let mut p = maps::lorentz_to_poincare(&carrier);
             if !poincare::in_ball(&p) {
@@ -290,15 +319,49 @@ pub fn fold_in_item<S: Scalar>(
         }
         Geometry::Euclidean => {
             let mut z = x;
-            scale_in_place(&mut z, 1.0 / model.cfg.layers.max(1) as f64);
+            scale_in_place(&mut z, 1.0 / cfg.layers.max(1) as f64);
             z
         }
     };
-    if !ops::all_finite(&base) {
+    if !ops::all_finite(&row) {
         return Err(FoldInError::NonFinite);
     }
-    let id = model.push_item_row(&base);
-    Ok(FoldInReport { id, initial_loss, final_loss, steps: opts.steps, triplets })
+    Ok(NewRow { row, initial_loss, final_loss, triplets })
+}
+
+/// Folds a brand-new user with the given interacted items into the model:
+/// optimizes only the new row against the frozen item finals
+/// ([`new_user_row`]), then appends the base parameter row (and extends the
+/// cached state). Every pre-existing parameter stays byte-identical.
+/// Returns the new user id in the report.
+pub fn fold_in_user<S: Scalar>(
+    model: &mut LogiRec<S>,
+    positives: &[usize],
+    opts: &FoldInOptions,
+) -> Result<FoldInReport, FoldInError> {
+    if !model.has_state() {
+        return Err(FoldInError::NoForwardState);
+    }
+    let new = new_user_row(&model.cfg, &model.state().item_final, positives, opts)?;
+    let id = model.push_user_row(&new.row);
+    Ok(new.report(id, opts.steps))
+}
+
+/// Folds a brand-new item with the given interacting users into the model
+/// (the mirror of [`fold_in_user`]: optimizes against the frozen user
+/// finals with [`new_item_row`] and appends a Poincaré / Euclidean item
+/// row).
+pub fn fold_in_item<S: Scalar>(
+    model: &mut LogiRec<S>,
+    positives: &[usize],
+    opts: &FoldInOptions,
+) -> Result<FoldInReport, FoldInError> {
+    if !model.has_state() {
+        return Err(FoldInError::NoForwardState);
+    }
+    let new = new_item_row(&model.cfg, &model.state().user_final, positives, opts)?;
+    let id = model.push_item_row(&new.row);
+    Ok(new.report(id, opts.steps))
 }
 
 /// Shared fold-in optimizer: a serial RSGD loop on one final-space point
@@ -347,13 +410,14 @@ fn optimize_new_row<S: Scalar>(
     };
 
     let triplets = fold_in_triplets(positives, finals.rows(), opts.negatives, opts.seed);
-    let initial_loss = fold_in_objective(geometry, &x, finals, &triplets, opts.margin);
+    let (margin, scratch) = (opts.margin, &mut rank_scratch(ambient));
+    let initial_loss = fold_in_walk(geometry, &x, finals, &triplets, margin, None, scratch);
     let mut gx = vec![S::ZERO; x.len()];
     for _ in 0..opts.steps {
         if triplets.is_empty() {
             break;
         }
-        fold_in_grad_into(geometry, &x, finals, &triplets, opts.margin, &mut gx);
+        fold_in_walk(geometry, &x, finals, &triplets, margin, Some(&mut gx), scratch);
         match geometry {
             Geometry::Hyperbolic => rsgd::lorentz_step(&mut x, &gx, opts.lr),
             Geometry::Euclidean => rsgd::euclidean_step(&mut x, &gx, opts.lr),
@@ -379,7 +443,7 @@ fn optimize_new_row<S: Scalar>(
     if origin_span(&x) > FOLD_IN_EXPLOSION_FACTOR * max_span {
         return Err(FoldInError::NonFinite);
     }
-    let final_loss = fold_in_objective(geometry, &x, finals, &triplets, opts.margin);
+    let final_loss = fold_in_walk(geometry, &x, finals, &triplets, margin, None, scratch);
     Ok((x, initial_loss, final_loss, triplets.len()))
 }
 

@@ -1,5 +1,6 @@
 //! Interaction storage and the temporal train/validation/test split.
 
+use logirec_linalg::CowVec;
 use logirec_taxonomy::{LogicalRelations, TagId, Taxonomy};
 
 /// Which split an evaluation runs against.
@@ -17,16 +18,17 @@ pub enum Split {
 /// adjacency: per side an offsets array and one neighbour array, each row
 /// ascending (the paper's `N_u` and `N_v`). This is the layout the
 /// propagation walks — `logirec_core::PropGraph` adds only the `1/|N|`
-/// normalizers — and a clone is four copies of flat arrays. Membership is
-/// a binary search within a row.
+/// normalizers. Each array is a copy-on-write [`CowVec`], so a clone costs
+/// four reference counts and [`Self::push_user`] / [`Self::push_item`]
+/// append one offset in place. Membership is a binary search within a row.
 #[derive(Debug, Clone)]
 pub struct InteractionSet {
     /// Items of user `u`: `user_items[user_off[u]..user_off[u + 1]]`.
-    user_off: Vec<usize>,
-    user_items: Vec<usize>,
+    user_off: CowVec<usize>,
+    user_items: CowVec<usize>,
     /// Users of item `v`: `item_users[item_off[v]..item_off[v + 1]]`.
-    item_off: Vec<usize>,
-    item_users: Vec<usize>,
+    item_off: CowVec<usize>,
+    item_users: CowVec<usize>,
 }
 
 impl InteractionSet {
@@ -56,8 +58,13 @@ impl InteractionSet {
             item_users[next[v]] = u;
             next[v] += 1;
         }
-        let user_items = pairs.into_iter().map(|(_, v)| v).collect();
-        Self { user_off, user_items, item_off, item_users }
+        let user_items: Vec<usize> = pairs.into_iter().map(|(_, v)| v).collect();
+        Self {
+            user_off: user_off.into(),
+            user_items: user_items.into(),
+            item_off: item_off.into(),
+            item_users: item_users.into(),
+        }
     }
 
     /// Number of users (rows).
@@ -108,6 +115,15 @@ impl InteractionSet {
     /// Appends an item with no interactions (id `n_items()` before the call).
     pub fn push_item(&mut self) {
         self.item_off.push(self.item_users.len());
+    }
+
+    /// True when this set and `other` share all four arrays: a clone, or a
+    /// clone that only [`Self::push_user`] / [`Self::push_item`] grew since.
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        self.user_off.shares_storage_with(&other.user_off)
+            && self.user_items.shares_storage_with(&other.user_items)
+            && self.item_off.shares_storage_with(&other.item_off)
+            && self.item_users.shares_storage_with(&other.item_users)
     }
 
     /// Iterates all `(user, item)` pairs in user order.

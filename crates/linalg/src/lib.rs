@@ -18,6 +18,7 @@
 
 pub mod block;
 pub mod cluster;
+pub mod cow;
 pub mod matrix;
 pub mod ops;
 pub mod rng;
@@ -25,6 +26,7 @@ pub mod scalar;
 
 pub use block::{RowBlocks, BLOCK_ROWS};
 pub use cluster::{assign_clusters, kmeans, nearest_centroid, update_centroids, KMeans};
+pub use cow::CowVec;
 pub use matrix::Embedding;
 pub use rng::SplitMix64;
 pub use scalar::Scalar;

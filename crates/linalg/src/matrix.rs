@@ -7,29 +7,16 @@
 //!
 //! # Copy-on-write
 //!
-//! The buffer sits behind an `Arc`, so an `Embedding` keeps value semantics
-//! while a clone costs one reference-count increment: the clone and the
-//! original share every element until one of them writes. Every `&mut`
-//! accessor ([`Embedding::row_mut`], [`Embedding::rows_mut2`],
-//! [`Embedding::as_mut_slice`], [`Embedding::fill_zero`]) first makes the
-//! buffer unique — one atomic check when it already is, one copy of the
-//! table when it is shared — so a write through one handle is never visible
-//! through another. Reads never check anything. This is what lets a serving
-//! fold-in clone a whole model and pay only for the tables it appends to:
-//! the tables it leaves alone stay shared with the live snapshot.
-//!
-//! # Appending to a shared table
-//!
-//! A handle sees only its own `rows × dim` prefix of the buffer, so
-//! [`Embedding::push_row`] need not copy a shared table either. The buffer
-//! records how far it has been written; a handle whose rows end exactly
-//! there claims the next row with one compare-and-swap and writes it into
-//! spare capacity, where no other handle looks (every other handle's rows
-//! end at or before the claimed row). A handle that is not at that end (a
-//! sibling appended first), or finds no spare capacity, copies its rows
-//! once into a buffer with room to double. A chain of fold-ins, each
-//! appending one row to a clone of the last, therefore copies a table only
-//! when its capacity runs out, and never allocates per signup.
+//! The buffer is a [`CowVec`]: an `Embedding` keeps value semantics while a
+//! clone costs one reference-count increment, every `&mut` accessor
+//! ([`Embedding::row_mut`], [`Embedding::rows_mut2`],
+//! [`Embedding::as_mut_slice`], [`Embedding::fill_zero`]) copies a shared
+//! buffer first, and [`Embedding::push_row`] appends in place when the
+//! handle's rows end where the buffer's written part ends and it has spare
+//! capacity (see [`crate::cow`]). So a serving fold-in that clones a
+//! snapshot's tables pays only for the row it appends: a chain of fold-ins,
+//! each appending one row to a clone of the last, copies a table only when
+//! its capacity runs out, and never allocates per signup.
 //!
 //! The element type is generic over [`Scalar`] with an `f64` default, so the
 //! plain `Embedding` spelling every existing caller uses still means the
@@ -39,100 +26,11 @@
 //! different random model.
 
 use std::fmt;
-use std::mem::ManuallyDrop;
-use std::ptr::NonNull;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::Arc;
 
+use crate::cow::CowVec;
 use crate::ops;
 use crate::rng::SplitMix64;
 use crate::Scalar;
-
-/// The allocation behind one or more [`Embedding`] handles: `cap` elements,
-/// of which the first `written` are initialized.
-///
-/// Invariant: every handle's `rows × dim` prefix lies inside the written
-/// part, and no element of any handle's prefix is written while another
-/// handle exists. Writes happen either through a unique handle (the
-/// `Arc`'s strong count is one, so nobody else can read) or into a range
-/// [`Buffer::claim`] reserved past `written`, which no handle's prefix
-/// reaches.
-struct Buffer<S: Scalar> {
-    ptr: NonNull<S>,
-    cap: usize,
-    written: AtomicUsize,
-}
-
-// SAFETY: `ptr` owns its allocation like a `Vec<S>` does, and `S: Scalar`
-// is `Send + Sync`, so elements may be read, written and freed from any
-// thread; access to them follows the invariant above (shared reads of
-// prefixes, writes only to claimed or uniquely owned ranges). `cap` never
-// changes, and `written` is atomic.
-unsafe impl<S: Scalar> Send for Buffer<S> {}
-unsafe impl<S: Scalar> Sync for Buffer<S> {}
-
-impl<S: Scalar> Buffer<S> {
-    fn from_vec(data: Vec<S>) -> Self {
-        let mut data = ManuallyDrop::new(data);
-        Self {
-            ptr: NonNull::new(data.as_mut_ptr()).expect("Vec pointers are non-null"),
-            cap: data.capacity(),
-            written: AtomicUsize::new(data.len()),
-        }
-    }
-
-    /// The first `n` elements. The caller's handle covers them, so they are
-    /// written and, by the invariant, not written again while shared.
-    fn prefix(&self, n: usize) -> &[S] {
-        debug_assert!(n <= self.written.load(Ordering::Relaxed));
-        // SAFETY: `n` elements from the start of a live allocation of `cap
-        // ≥ n`, all initialized, none written while this borrow lasts.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), n) }
-    }
-
-    /// The first `n` elements, mutably; `&mut self` proves no other handle.
-    fn prefix_mut(&mut self, n: usize) -> &mut [S] {
-        debug_assert!(n <= *self.written.get_mut());
-        // SAFETY: as in `prefix`, and the exclusive borrow of the only
-        // handle's buffer rules out every other reader.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), n) }
-    }
-
-    /// Reserves `[at, at + len)` for the caller when its rows end at `at`,
-    /// `at` is where the written part ends, and the capacity has room.
-    /// Exactly one of several handles racing for the same `at` wins.
-    ///
-    /// `written` publishes no element: rows reach another thread only with
-    /// a handle that covers them, through whatever hands that handle over,
-    /// and a handle that resets `written` is unique, ordered after the
-    /// other handles' writes by the `Arc` drop (release) and `get_mut`
-    /// (acquire) that made it so. The compare-and-swap only decides who
-    /// owns the range.
-    fn claim(&self, at: usize, len: usize) -> bool {
-        at + len <= self.cap
-            && self
-                .written
-                .compare_exchange(at, at + len, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    /// Copies `src` to `[at, at + src.len())`.
-    ///
-    /// # Safety
-    /// The range must have been reserved by a successful [`Buffer::claim`]
-    /// and not written since.
-    unsafe fn write_claimed(&self, at: usize, src: &[S]) {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.as_ptr().add(at), src.len());
-    }
-}
-
-impl<S: Scalar> Drop for Buffer<S> {
-    fn drop(&mut self) {
-        // SAFETY: `ptr` and `cap` came from a `Vec<S>`; length 0 because
-        // `S: Copy` has nothing to drop, so only the allocation is freed.
-        unsafe { drop(Vec::from_raw_parts(self.ptr.as_ptr(), 0, self.cap)) }
-    }
-}
 
 /// Dense row-major `n × d` matrix of scalars (default `f64`), with a
 /// copy-on-write buffer (see the module docs). Equality compares shapes and
@@ -141,7 +39,7 @@ impl<S: Scalar> Drop for Buffer<S> {
 pub struct Embedding<S: Scalar = f64> {
     rows: usize,
     dim: usize,
-    data: Arc<Buffer<S>>,
+    data: CowVec<S>,
 }
 
 impl<S: Scalar> Embedding<S> {
@@ -152,7 +50,7 @@ impl<S: Scalar> Embedding<S> {
 
     fn from_vec(rows: usize, dim: usize, data: Vec<S>) -> Self {
         debug_assert_eq!(data.len(), rows * dim);
-        Self { rows, dim, data: Arc::new(Buffer::from_vec(data)) }
+        Self { rows, dim, data: data.into() }
     }
 
     /// Uniform init in `[-scale, scale)`, the classic MF/GCN initialization.
@@ -221,53 +119,27 @@ impl<S: Scalar> Embedding<S> {
     /// Flat view of the whole matrix.
     #[inline]
     pub fn as_slice(&self) -> &[S] {
-        self.data.prefix(self.rows * self.dim)
+        self.data.as_slice()
     }
 
     /// Flat mutable view of the whole matrix (copies a shared buffer
     /// first).
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [S] {
-        if !self.owns_buffer() {
-            self.data = Arc::new(Buffer::from_vec(self.as_slice().to_vec()));
-        }
-        // SAFETY: the buffer is now this handle's alone (checked, or just
-        // allocated), its first `rows × dim` elements are written, and the
-        // returned borrow of `self` keeps any clone from being made.
-        unsafe { std::slice::from_raw_parts_mut(self.data.ptr.as_ptr(), self.rows * self.dim) }
-    }
-
-    /// True when no other handle shares the buffer. Handles never make
-    /// `Weak` references and `&mut self` keeps this one from being cloned,
-    /// so a strong count of one decides it, without the locked
-    /// compare-and-swap `Arc::get_mut` spends on the weak count — this
-    /// check runs on every row a trainer writes. The acquire fence pairs
-    /// with the release in each other handle's drop, ordering this
-    /// handle's writes after everything they did with the buffer.
-    #[inline]
-    fn owns_buffer(&self) -> bool {
-        let unique = Arc::strong_count(&self.data) == 1;
-        if unique {
-            fence(Ordering::Acquire);
-        }
-        unique
+        self.data.as_mut_slice()
     }
 
     /// Sets every element to zero, reusing the allocation when this handle
     /// owns it alone (a shared buffer is left to its other owners and
     /// replaced by a fresh zeroed one — nothing to copy).
     pub fn fill_zero(&mut self) {
-        let n = self.rows * self.dim;
-        match Arc::get_mut(&mut self.data) {
-            Some(data) => data.prefix_mut(n).fill(S::ZERO),
-            None => self.data = Arc::new(Buffer::from_vec(vec![S::ZERO; n])),
-        }
+        self.data.fill(S::ZERO);
     }
 
     /// True when this handle and `other` share one buffer: a clone that
     /// neither side has written to since, or that only appended rows to.
     pub fn shares_storage_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        self.data.shares_storage_with(&other.data)
     }
 
     /// Iterator over row views.
@@ -291,21 +163,7 @@ impl<S: Scalar> Embedding<S> {
     /// Panics if `row.len() != dim` (a shape bug, not a data error).
     pub fn push_row(&mut self, row: &[S]) {
         assert_eq!(row.len(), self.dim, "push_row requires a {}-dim row", self.dim);
-        let n = self.rows * self.dim;
-        if let Some(data) = Arc::get_mut(&mut self.data) {
-            // No other handle: rows that handles since dropped appended
-            // past this one's are unreachable, so their space is free.
-            *data.written.get_mut() = n;
-        }
-        if self.data.claim(n, row.len()) {
-            // SAFETY: the claim just reserved this range for this handle.
-            unsafe { self.data.write_claimed(n, row) };
-        } else {
-            let mut data = Vec::with_capacity((2 * n).max(n + row.len()));
-            data.extend_from_slice(self.as_slice());
-            data.extend_from_slice(row);
-            self.data = Arc::new(Buffer::from_vec(data));
-        }
+        self.data.extend_from_slice(row);
         self.rows += 1;
     }
 

@@ -3,7 +3,7 @@
 //! never by release builds), extending `logirec_core::faults` from the
 //! training loop into serving.
 //!
-//! Three hook points:
+//! Four hook points:
 //!
 //! * [`ServeFaultPlan::maybe_stall`] — called inside the scoring span, so a
 //!   scheduled stall pushes an otherwise-fast request past its deadline and
@@ -13,7 +13,10 @@
 //!   client's bounded-retry path is tested against real refused work;
 //! * [`ServeFaultPlan::take_fold_in_reload`] — consulted by a fold-in after
 //!   it built its candidate and before it publishes, forcing a reload into
-//!   exactly the window where a lost update could happen.
+//!   exactly the window where a lost update could happen;
+//! * [`ServeFaultPlan::maybe_delay_fold_in`] — called at the start of a
+//!   fold-in's work, so a scheduled delay shows up in the fold-in's span and
+//!   latency histogram.
 //!
 //! Torn/corrupt checkpoint files reuse the core helpers re-exported here
 //! ([`truncate_file`], [`flip_bit`]) — corrupt the watched file on disk and
@@ -31,6 +34,8 @@ struct Inner {
     stalls_left: AtomicU64,
     conn_drops_left: AtomicU64,
     fold_in_reloads_left: AtomicU64,
+    fold_in_delay_us: AtomicU64,
+    fold_in_delays_left: AtomicU64,
 }
 
 /// Consumes one unit of a scheduled budget; false once it is spent.
@@ -86,6 +91,21 @@ impl ServeFaultPlan {
     /// Fold-in hook: true when a reload should land now, consuming one.
     pub fn take_fold_in_reload(&self) -> bool {
         take_one(&self.inner.fold_in_reloads_left)
+    }
+
+    /// Schedules the next `times` fold-ins to sleep for `dur` each before
+    /// they fold.
+    pub fn delay_fold_ins(&self, dur: Duration, times: u64) {
+        self.inner.fold_in_delay_us.store(dur.as_micros() as u64, Ordering::SeqCst);
+        self.inner.fold_in_delays_left.store(times, Ordering::SeqCst);
+    }
+
+    /// Fold-in hook: sleeps if a delay is scheduled, consuming one.
+    pub fn maybe_delay_fold_in(&self) {
+        if take_one(&self.inner.fold_in_delays_left) {
+            let us = self.inner.fold_in_delay_us.load(Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(us));
+        }
     }
 
     /// Stalls still scheduled (tests assert exhaustion).

@@ -66,7 +66,8 @@ impl Reloader {
         }
     }
 
-    /// One reload check. Unforced checks are change-driven (mtime + length
+    /// One reload check: [`Self::due`], then, when a load is due,
+    /// [`Self::load`]. Unforced checks are change-driven (mtime + length
     /// signature); `force` always attempts a load. Every attempted load is
     /// fully validated before the swap; a failed candidate leaves the
     /// store untouched.
@@ -76,23 +77,33 @@ impl Reloader {
         ctx: &Arc<ServeContext>,
         store: &SnapshotStore,
     ) -> ReloadOutcome {
+        match self.due(force) {
+            Ok(false) => ReloadOutcome::Unchanged,
+            Ok(true) => self.load(ctx, store),
+            Err(reason) => ReloadOutcome::Rejected { reason },
+        }
+    }
+
+    /// Whether a load is due: `Ok(false)` when the watched file is absent,
+    /// or unchanged and `force` is off; `Err` when it cannot be read.
+    /// A due load is recorded up front: a rejected file is not retried
+    /// until it changes again (or a forced reload asks for it).
+    pub fn due(&mut self, force: bool) -> Result<bool, String> {
         let meta = match fs::metadata(&self.path) {
             Ok(m) => m,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return ReloadOutcome::Unchanged,
-            Err(e) => {
-                return ReloadOutcome::Rejected {
-                    reason: format!("cannot stat {}: {e}", self.path.display()),
-                }
-            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(format!("cannot stat {}: {e}", self.path.display())),
         };
         let sig = (meta.modified().ok(), meta.len());
         if !force && self.last.as_ref() == Some(&sig) {
-            return ReloadOutcome::Unchanged;
+            return Ok(false);
         }
-        // Record the attempt up front: a rejected file is not retried until
-        // it changes again (or a forced reload asks for it).
         self.last = Some(sig);
+        Ok(true)
+    }
 
+    /// Loads the watched file and swaps it in once fully validated.
+    pub fn load(&self, ctx: &Arc<ServeContext>, store: &SnapshotStore) -> ReloadOutcome {
         let current = store.get();
         let base_cfg = current.config().clone();
         let precision = current.precision();

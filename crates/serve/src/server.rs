@@ -28,8 +28,8 @@
 //!
 //! Fold-in requests run off the request path: they optimize the single new
 //! row against the frozen model, grow the serving context, validate the
-//! candidate with the same canaries as a reload (see
-//! [`ModelSnapshot::fold_in`] for what a publish copies and reuses), and
+//! candidate (see [`ModelSnapshot::fold_in`] for what a publish checks,
+//! copies and reuses), and
 //! install it only if the snapshot they folded into is still live
 //! ([`SnapshotStore::swap_if`]). A reload that lands mid-fold-in makes the
 //! fold-in start over from the reloaded snapshot instead of being
@@ -162,6 +162,8 @@ struct Metrics {
     approx_latency_us: Histogram,
     fallback_latency_us: Histogram,
     shed_latency_us: Histogram,
+    /// Every fold-in's wall time, swapped or rejected.
+    fold_in_latency_us: Histogram,
 }
 
 impl Metrics {
@@ -185,6 +187,7 @@ impl Metrics {
             approx_latency_us: r.histogram("serve.approx_latency_us"),
             fallback_latency_us: r.histogram("serve.fallback_latency_us"),
             shed_latency_us: r.histogram("serve.shed_latency_us"),
+            fold_in_latency_us: r.histogram("serve.fold_in_latency_us"),
             registry,
         }
     }
@@ -432,28 +435,36 @@ fn watch_loop(inner: &Arc<ServerInner>, poll: Duration) {
 }
 
 /// One reload check, with the span/counter bookkeeping shared by the
-/// watcher, the admin request, and [`Server::reload_now`].
+/// watcher, the admin request, and [`Server::reload_now`]. A check that
+/// finds the file unchanged opens no span; an attempted load's `reload`
+/// span covers the load and validation, and records the outcome (and a
+/// rejection's reason).
 fn try_reload(inner: &ServerInner, force: bool) -> ReloadOutcome {
     let Some(reloader) = &inner.reloader else {
         return ReloadOutcome::Rejected { reason: "no watch path configured".to_string() };
     };
-    let outcome = reloader
-        .lock()
-        .expect("reloader poisoned")
-        .attempt(force, &inner.ctx, &inner.store);
+    let mut reloader = reloader.lock().expect("reloader poisoned");
+    let due = reloader.due(force);
+    if due == Ok(false) {
+        return ReloadOutcome::Unchanged;
+    }
     let tel = &inner.cfg.telemetry;
+    let mut span = tel.span("reload");
+    let outcome = match due {
+        Err(reason) => ReloadOutcome::Rejected { reason },
+        Ok(_) => reloader.load(&inner.ctx, &inner.store),
+    };
     match &outcome {
         ReloadOutcome::Unchanged => {}
         ReloadOutcome::Swapped { version } => {
             inner.metrics.reload_success.incr();
-            let mut span = tel.span("reload");
             span.field("outcome", "swapped");
             span.field("version", *version);
         }
         ReloadOutcome::Rejected { reason } => {
             inner.metrics.reload_rejected.incr();
-            let mut span = tel.span("reload");
             span.field("outcome", "rejected");
+            span.field("reason", reason.clone());
             tel.warn("serve.reload", format!("reload rejected, keeping last-good: {reason}"));
         }
     }
@@ -524,16 +535,23 @@ const FOLD_IN_ATTEMPTS: usize = 3;
 
 /// Handles one fold-in admin request: grow the current snapshot by one
 /// entity off the request path and publish it, or keep the last-good
-/// snapshot when validation rejects the candidate.
+/// snapshot when validation rejects the candidate. The `fold_in` span and
+/// the `serve.fold_in_latency_us` histogram cover the whole fold-in,
+/// swapped or rejected; the span records the outcome (and a rejection's
+/// reason).
 fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
     let _serial = inner.fold_in_lock.lock().expect("fold-in lock poisoned");
     let tel = &inner.cfg.telemetry;
     let entity = if verb.item { "item" } else { "user" };
-    match publish_fold_in(inner, verb) {
+    let t0 = Instant::now();
+    let mut span = tel.span("fold_in");
+    span.field("entity", entity);
+    let published = publish_fold_in(inner, verb);
+    inner.metrics.fold_in_latency_us.record(t0.elapsed().as_micros() as u64);
+    match published {
         Ok((new_id, version)) => {
             inner.metrics.fold_in_success.incr();
-            let mut span = tel.span("fold_in");
-            span.field("entity", entity);
+            span.field("outcome", "swapped");
             span.field("new_id", new_id);
             span.field("version", version);
             format!(
@@ -543,6 +561,8 @@ fn fold_in_line(inner: &ServerInner, verb: &protocol::FoldInVerb) -> String {
         }
         Err(reason) => {
             inner.metrics.fold_in_rejected.incr();
+            span.field("outcome", "rejected");
+            span.field("reason", reason.clone());
             tel.warn("serve.fold_in", format!("fold-in rejected, keeping last-good: {reason}"));
             let mut s = "{\"id\":0,\"fold_in\":\"rejected\",\"reason\":\"".to_string();
             json::escape_into(&reason, &mut s);
@@ -559,6 +579,10 @@ fn publish_fold_in(
     inner: &ServerInner,
     verb: &protocol::FoldInVerb,
 ) -> Result<(usize, u64), String> {
+    #[cfg(feature = "fault-injection")]
+    if let Some(f) = &inner.cfg.faults {
+        f.maybe_delay_fold_in();
+    }
     for _ in 0..FOLD_IN_ATTEMPTS {
         let base = inner.store.get();
         let (candidate, new_id) = base.fold_in(verb.item, &verb.positives, verb.steps, verb.lr)?;

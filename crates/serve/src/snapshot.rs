@@ -13,10 +13,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use logirec_core::stream::{self, FoldInOptions};
-use logirec_core::{FilterError, LogiRec, LogiRecConfig, Precision, SeenFilter};
+use logirec_core::{
+    FilterError, ForwardState, Geometry, LogiRec, LogiRecConfig, Precision, ScanTable, SeenFilter,
+};
 use logirec_data::{Dataset, InteractionSet};
 use logirec_eval::Ranker;
-use logirec_linalg::Scalar;
+use logirec_hyperbolic::lorentz;
+use logirec_linalg::{ops, CowVec, Scalar};
 
 use crate::index::{ClusterIndex, IndexConfig, ProbeReport};
 
@@ -26,18 +29,23 @@ pub type ApproxAnswer = (Vec<usize>, Vec<f64>, ProbeReport);
 
 /// Dataset-derived serving state shared by every snapshot: who has seen
 /// what, the popularity prior used for degraded responses, and the canary
-/// users every candidate snapshot must score sanely before going live.
+/// users every candidate snapshot built from a file, or grown by an item
+/// fold-in, must score sanely before going live.
+///
+/// Every table is copy-on-write (a [`CowVec`] underneath, the canaries an
+/// `Arc`), so a clone costs a few reference counts, and growing a clone by
+/// one user appends in place (see [`Self::with_new_user`]).
 #[derive(Debug, Clone)]
 pub struct ServeContext {
     train: InteractionSet,
     seen: SeenFilter,
     /// All item ids, most train-popular first (ties toward smaller id).
-    popularity: Vec<usize>,
+    popularity: CowVec<usize>,
     /// Fallback scores aligned with `popularity` (the item's train
     /// interaction count as `f64`), precomputed once at context build so
     /// the degraded path is a straight scan with no per-item gather.
-    pop_scores: Vec<f64>,
-    canaries: Vec<usize>,
+    pop_scores: CowVec<f64>,
+    canaries: Arc<[usize]>,
 }
 
 /// How many canary users a candidate snapshot is probed against.
@@ -55,16 +63,16 @@ impl ServeContext {
         }
         let mut popularity: Vec<usize> = (0..n_items).collect();
         popularity.sort_by(|&a, &b| item_degree[b].cmp(&item_degree[a]).then(a.cmp(&b)));
-        let pop_scores = popularity.iter().map(|&v| item_degree[v] as f64).collect();
+        let pop_scores: Vec<f64> = popularity.iter().map(|&v| item_degree[v] as f64).collect();
         let n_users = ds.n_users();
         let step = (n_users / N_CANARIES).max(1);
-        let canaries = (0..n_users).step_by(step).take(N_CANARIES).collect();
+        let canaries: Vec<usize> = (0..n_users).step_by(step).take(N_CANARIES).collect();
         Self {
             train: ds.train.clone(),
             seen: SeenFilter::eval_mask(ds),
-            popularity,
-            pop_scores,
-            canaries,
+            popularity: popularity.into(),
+            pop_scores: pop_scores.into(),
+            canaries: canaries.into(),
         }
     }
 
@@ -79,7 +87,8 @@ impl ServeContext {
     }
 
     /// The training interactions a snapshot built from a file propagates
-    /// over (fold-in candidates carry their extended forward state instead).
+    /// over, grown by an empty row per folded-in entity (fold-in candidates
+    /// carry their extended forward state instead).
     pub fn train(&self) -> &InteractionSet {
         &self.train
     }
@@ -89,7 +98,8 @@ impl ServeContext {
         &self.seen
     }
 
-    /// The users every candidate snapshot is probed against.
+    /// The users every candidate snapshot built from a file, or grown by
+    /// an item fold-in, is probed against.
     pub fn canaries(&self) -> &[usize] {
         &self.canaries
     }
@@ -105,7 +115,7 @@ impl ServeContext {
         Ok(self
             .popularity
             .iter()
-            .zip(&self.pop_scores)
+            .zip(self.pop_scores.iter())
             .filter(|&(v, _)| seen.binary_search(v).is_err())
             .take(k)
             .unzip())
@@ -120,10 +130,13 @@ impl ServeContext {
     }
 
     /// A copy of this context grown by one user whose seen items are
-    /// `positives`. The training interactions gain an empty row and keep
-    /// their edges — the new user is **isolated** in the propagation graph,
-    /// which is why a fold-in publishes its extended forward state instead
-    /// of re-propagating: propagating over this graph would leave every
+    /// `positives`. The copy shares every table with this context: the
+    /// user's seen list and two offsets (the filter's and the training
+    /// interactions') are appended in place, past what this context sees.
+    /// The training interactions gain an empty row and keep their edges —
+    /// the new user is **isolated** in the propagation graph, which is why
+    /// a fold-in publishes its extended forward state instead of
+    /// re-propagating: propagating over this graph would leave every
     /// pre-existing final embedding byte-identical and reproduce the new
     /// row bit for bit (see `logirec_core::stream`).
     pub fn with_new_user(&self, positives: &[usize]) -> Result<Self, FilterError> {
@@ -134,11 +147,11 @@ impl ServeContext {
     }
 
     /// A copy of this context grown by one item, marked seen for each of
-    /// `interacting_users`. The training interactions gain an empty item
-    /// column, as in [`Self::with_new_user`]. The new item joins the
-    /// popularity ranking with a zero interaction count (it sorts after
-    /// every existing item, which is where a brand-new item belongs in a
-    /// popularity prior).
+    /// `interacting_users` (which copies the seen filter's item array). The
+    /// training interactions gain an empty item column, as in
+    /// [`Self::with_new_user`]. The new item joins the popularity ranking
+    /// with a zero interaction count (it sorts after every existing item,
+    /// which is where a brand-new item belongs in a popularity prior).
     pub fn with_new_item(&self, interacting_users: &[usize]) -> Result<Self, FilterError> {
         let mut next = self.clone();
         let v = next.seen.push_item();
@@ -154,24 +167,26 @@ impl ServeContext {
     }
 }
 
-/// The model behind a snapshot, at its working precision. The one generic
-/// impl for `LogiRec<S>` serves both precisions, so
+/// What a snapshot serves: the finals of the model, at its working
+/// precision — its [`ForwardState`], which ranks on its own. The parameter
+/// tables are dropped once propagation has produced the state. The one
+/// generic impl for `ForwardState<S>` serves both precisions, so
 /// [`ModelSnapshot::build_with_index`] is the only code that dispatches on
 /// [`Precision`]. Scores surface as `f64` at both (the `Ranker` contract),
 /// so the protocol layer is precision-blind.
 trait ServedModel: Ranker + std::fmt::Debug + Send {
-    fn config(&self) -> &LogiRecConfig;
-    /// Shape and finiteness checks against `ctx`; then forward propagation
-    /// over its training graph, unless the model already carries a forward
-    /// state (a fold-in candidate); then the one exact-scan table: with
-    /// `index`, k-means and the table in cluster order (the index is
-    /// returned), else the item-order table unless the state already has
-    /// a table (a user fold-in shares its parent's, index and all).
-    fn prepare(
-        &mut self,
-        ctx: &ServeContext,
-        index: Option<&IndexConfig>,
-    ) -> Result<Option<ClusterIndex>, String>;
+    /// Users and items the finals cover.
+    fn shape(&self) -> (usize, usize);
+    /// True when every final is finite.
+    fn all_finite(&self) -> bool;
+    /// True when user `u`'s final is finite and, in the hyperbolic
+    /// geometry, on the sheet.
+    fn user_final_ok(&self, geometry: Geometry, u: usize) -> bool;
+    /// Readies the one exact-scan table: with `index`, k-means and the
+    /// table in cluster order (the index is returned), else the item-order
+    /// table unless one is installed already (a user fold-in shares its
+    /// parent's, index and all).
+    fn prepare(&mut self, geometry: Geometry, index: Option<&IndexConfig>) -> Option<ClusterIndex>;
     /// The approx tier's walk over this model's scan table, which `index`
     /// was built with.
     fn search(
@@ -182,47 +197,45 @@ trait ServedModel: Ranker + std::fmt::Debug + Send {
         k: usize,
         nprobe: usize,
     ) -> ApproxAnswer;
-    /// A clone of the model grown by one folded-in entity, and its id.
-    /// The clone shares every table it does not append to.
+    /// A clone of the finals grown by one folded-in entity's final, and
+    /// its id. The clone shares every table it does not append to.
     fn fold_in(
         &self,
+        cfg: &LogiRecConfig,
         item: bool,
         positives: &[usize],
         opts: &FoldInOptions,
     ) -> Result<(Box<dyn ServedModel>, usize), String>;
+    /// Where `[user finals, item finals, scan table]` live: two live
+    /// snapshots share a table exactly when they hold it at one address.
+    fn table_addresses(&self) -> [*const (); 3];
 }
 
-impl<S: Scalar> ServedModel for LogiRec<S> {
-    fn config(&self) -> &LogiRecConfig {
-        &self.cfg
+impl<S: Scalar> ServedModel for ForwardState<S> {
+    fn shape(&self) -> (usize, usize) {
+        (self.user_final.rows(), self.item_final.rows())
     }
 
-    fn prepare(
-        &mut self,
-        ctx: &ServeContext,
-        index: Option<&IndexConfig>,
-    ) -> Result<Option<ClusterIndex>, String> {
-        self.check_catalog(ctx.n_users(), ctx.n_items())?;
-        if !self.all_finite() {
-            return Err("model has non-finite parameters".to_string());
-        }
-        // A model from a file has no forward state. A fold-in candidate
-        // carries the state `push_user_row` / `push_item_row` extended,
-        // which is bit-identical to propagating over `ctx`'s grown graph.
-        if !self.has_state() {
-            self.propagate(ctx.train());
-        }
+    fn all_finite(&self) -> bool {
+        self.user_final.all_finite() && self.item_final.all_finite()
+    }
+
+    fn user_final_ok(&self, geometry: Geometry, u: usize) -> bool {
+        let row = self.user_final.row(u);
+        ops::all_finite(row) && (geometry == Geometry::Euclidean || lorentz::on_sheet(row))
+    }
+
+    fn prepare(&mut self, geometry: Geometry, index: Option<&IndexConfig>) -> Option<ClusterIndex> {
         // Build the exact-scan table now, so the first request served
         // from this snapshot does not pay for it. An indexed snapshot's
         // one table is in cluster order, built with its index.
         let index = index.map(|cfg| {
-            let finals = &self.state().item_final;
-            let (index, table) = ClusterIndex::build_with_table(finals, self.cfg.geometry, cfg);
+            let (index, table) = ClusterIndex::build_with_table(&self.item_final, geometry, cfg);
             self.set_scan_table(table);
             index
         });
         self.scan_table();
-        Ok(index)
+        index
     }
 
     fn search(
@@ -233,25 +246,62 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
         k: usize,
         nprobe: usize,
     ) -> ApproxAnswer {
-        let user = self.state().user_final.row(u);
+        let user = self.user_final.row(u);
         let mut keys = vec![0.0; index.n_items()];
         index.search(self.scan_table(), user, seen, k, nprobe, &mut keys)
     }
 
     fn fold_in(
         &self,
+        cfg: &LogiRecConfig,
         item: bool,
         positives: &[usize],
         opts: &FoldInOptions,
     ) -> Result<(Box<dyn ServedModel>, usize), String> {
+        let failed = |e: stream::FoldInError| format!("fold-in: {e}");
         let mut grown = self.clone();
-        let report = if item {
-            stream::fold_in_item(&mut grown, positives, opts)
+        let id = if item {
+            let new = stream::new_item_row(cfg, &self.user_final, positives, opts);
+            grown.push_item_row(cfg, &new.map_err(failed)?.row)
         } else {
-            stream::fold_in_user(&mut grown, positives, opts)
-        }
-        .map_err(|e| format!("fold-in: {e}"))?;
-        Ok((Box::new(grown), report.id))
+            let new = stream::new_user_row(cfg, &self.item_final, positives, opts);
+            grown.push_user_row(cfg, &new.map_err(failed)?.row)
+        };
+        Ok((Box::new(grown), id))
+    }
+
+    fn table_addresses(&self) -> [*const (); 3] {
+        [
+            self.user_final.as_slice().as_ptr().cast(),
+            self.item_final.as_slice().as_ptr().cast(),
+            (self.scan_table() as *const ScanTable<S>).cast(),
+        ]
+    }
+}
+
+/// Where a snapshot came from, in bounded space however long its fold-in
+/// chain: the source it was built from, how many fold-ins grew it since,
+/// and the last entity folded in.
+#[derive(Debug)]
+struct Lineage {
+    base: Arc<str>,
+    fold_ins: u64,
+    /// `base`, or `<base> + <n> fold-ins (last: <entity> <id>)`.
+    source: String,
+}
+
+impl Lineage {
+    fn new(base: String) -> Self {
+        Self { base: base.as_str().into(), fold_ins: 0, source: base }
+    }
+
+    /// The lineage of a snapshot grown from this one by folding in `kind`
+    /// `id`.
+    fn folded(&self, kind: &str, id: usize) -> Self {
+        let fold_ins = self.fold_ins + 1;
+        let s = if fold_ins == 1 { "" } else { "s" };
+        let source = format!("{} + {fold_ins} fold-in{s} (last: {kind} {id})", self.base);
+        Self { base: Arc::clone(&self.base), fold_ins, source }
     }
 }
 
@@ -259,13 +309,15 @@ impl<S: Scalar> ServedModel for LogiRec<S> {
 /// (propagation + canary probe happen in [`ModelSnapshot::build`], or
 /// validation of a grown candidate in [`ModelSnapshot::fold_in`], off the
 /// request path), then shared read-only behind an `Arc` — requests never
-/// lock or mutate it.
+/// lock or mutate it. It holds the model's config and finals, not its
+/// parameter tables.
 #[derive(Debug)]
 pub struct ModelSnapshot {
     version: u64,
     precision: Precision,
-    source: String,
-    model: Box<dyn ServedModel>,
+    lineage: Lineage,
+    cfg: Arc<LogiRecConfig>,
+    finals: Box<dyn ServedModel>,
     /// The serving context this snapshot was validated against. Owned (as
     /// a shared handle) so model, index, and context always swap as one
     /// unit — a fold-in that grows the tables publishes a grown context in
@@ -275,19 +327,37 @@ pub struct ModelSnapshot {
     /// The approximate-retrieval index over this snapshot's item table,
     /// when the server was configured with one. Owned by the snapshot so a
     /// hot swap replaces model and index atomically — they can never skew.
-    index: Option<ClusterIndex>,
+    /// A user fold-in's candidate shares its parent's.
+    index: Option<Arc<ClusterIndex>>,
     /// The config the index was built with, carried so a reload rebuilds
     /// the candidate's index with identical knobs.
     index_cfg: Option<IndexConfig>,
 }
 
+/// Checks `model` against `ctx` (shape, finite parameters), propagates it
+/// over the training graph (any forward state it carries is dropped first)
+/// and keeps only the finals.
+fn finals_of<S: Scalar>(
+    mut model: LogiRec<S>,
+    ctx: &ServeContext,
+) -> Result<Box<dyn ServedModel>, String> {
+    model.check_catalog(ctx.n_users(), ctx.n_items())?;
+    if !model.all_finite() {
+        return Err("model has non-finite parameters".to_string());
+    }
+    model.clear_state();
+    model.propagate(ctx.train());
+    Ok(Box::new(model.into_state()))
+}
+
 impl ModelSnapshot {
     /// Validates `model` against `ctx` and prepares it for serving:
     /// shape check, finiteness check, forward propagation over the training
-    /// graph (any forward state `model` carries is dropped first), then a
-    /// canary probe (every canary user must produce finite
-    /// scores for every item). Any failure returns the reason instead of a
-    /// snapshot — the caller keeps serving its last-good snapshot.
+    /// graph (any forward state `model` carries is dropped first, and the
+    /// parameter tables once the finals exist), then a canary probe (every
+    /// canary user must produce finite scores for every item). Any failure
+    /// returns the reason instead of a snapshot — the caller keeps serving
+    /// its last-good snapshot.
     pub fn build(
         model: LogiRec,
         precision: Precision,
@@ -306,53 +376,64 @@ impl ModelSnapshot {
     /// `Reloader` a failure means rollback, so a bad index can never go
     /// live, exactly like a bad model.
     pub fn build_with_index(
-        mut model: LogiRec,
+        model: LogiRec,
         precision: Precision,
         ctx: &Arc<ServeContext>,
         source: impl Into<String>,
         index_cfg: Option<IndexConfig>,
     ) -> Result<Self, String> {
-        let model: Box<dyn ServedModel> = match precision {
-            Precision::F64 => {
-                model.clear_state();
-                Box::new(model)
+        let cfg = Arc::new(model.cfg.clone());
+        let finals = match precision {
+            Precision::F64 => finals_of(model, ctx)?,
+            Precision::F32 => {
+                let narrow = model.cast::<f32>();
+                drop(model);
+                finals_of(narrow, ctx)?
             }
-            Precision::F32 => Box::new(model.cast::<f32>()),
         };
-        Self::assemble(model, precision, ctx, source.into(), index_cfg, None)
+        let lineage = Lineage::new(source.into());
+        let snap = Self::assemble(cfg, finals, precision, ctx, lineage, index_cfg, None);
+        snap.probe(snap.ctx.canaries(), "canary")?;
+        Ok(snap)
     }
 
-    /// Prepares `model` against `ctx`, installs `index` or (when it is
-    /// `None` and an index is configured) builds one, and runs the canary
-    /// probe (see [`ModelSnapshot::build`]).
+    /// Wraps `finals` as a snapshot on `ctx` and readies its scan table:
+    /// installs `index`, or (when it is `None` and an index is configured)
+    /// builds one (see [`ServedModel::prepare`]).
     fn assemble(
-        mut model: Box<dyn ServedModel>,
+        cfg: Arc<LogiRecConfig>,
+        mut finals: Box<dyn ServedModel>,
         precision: Precision,
         ctx: &Arc<ServeContext>,
-        source: String,
+        lineage: Lineage,
         index_cfg: Option<IndexConfig>,
-        index: Option<ClusterIndex>,
-    ) -> Result<Self, String> {
+        index: Option<Arc<ClusterIndex>>,
+    ) -> Self {
         let rebuild = index_cfg.filter(|_| index.is_none());
-        let built = model.prepare(ctx, rebuild.as_ref())?;
-        let index = index.or(built);
-        let snap = Self {
+        let built = finals.prepare(cfg.geometry, rebuild.as_ref());
+        Self {
             version: 0,
             precision,
-            source,
-            model,
+            lineage,
+            cfg,
+            finals,
             ctx: Arc::clone(ctx),
-            index,
+            index: index.or(built.map(Arc::new)),
             index_cfg,
-        };
-        let mut scores = vec![0.0f64; ctx.n_items()];
-        for &u in ctx.canaries() {
-            snap.score_user(u, &mut scores);
+        }
+    }
+
+    /// Scores every item for each of `users` and fails on the first score
+    /// that is not finite, naming the user as a `who` user.
+    fn probe(&self, users: &[usize], who: &str) -> Result<(), String> {
+        let mut scores = vec![0.0f64; self.ctx.n_items()];
+        for &u in users {
+            self.score_user(u, &mut scores);
             if let Some(v) = scores.iter().position(|s| !s.is_finite()) {
-                return Err(format!("canary user {u} scores item {v} non-finite"));
+                return Err(format!("{who} user {u} scores item {v} non-finite"));
             }
         }
-        Ok(snap)
+        Ok(())
     }
 
     /// The version the owning [`SnapshotStore`] assigned (0 before install).
@@ -365,19 +446,23 @@ impl ModelSnapshot {
         self.precision
     }
 
-    /// Where the snapshot came from (file path, or a caller-chosen label).
+    /// Where the snapshot came from: the file path (or a caller-chosen
+    /// label) it was built from, followed, once fold-ins grew it, by their
+    /// count and the last entity folded in —
+    /// `<source> + <n> fold-ins (last: user <id>)`. Its length does not
+    /// grow with the chain.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.lineage.source
     }
 
     /// The model hyperparameters (used as the base config when reloading).
     pub fn config(&self) -> &LogiRecConfig {
-        self.model.config()
+        &self.cfg
     }
 
     /// The approximate-retrieval index, when one was built.
     pub fn index(&self) -> Option<&ClusterIndex> {
-        self.index.as_ref()
+        self.index.as_deref()
     }
 
     /// The index configuration this snapshot was built with (a reload
@@ -393,28 +478,46 @@ impl ModelSnapshot {
         &self.ctx
     }
 
-    /// Folds one brand-new entity into a **candidate** snapshot: clones
-    /// the frozen model, runs the deterministic new-row-only optimization
-    /// (`logirec_core::stream`), grows the serving context, and validates
-    /// the candidate with every check [`ModelSnapshot::build_with_index`]
-    /// runs — shape, finiteness, and the canary probe.
+    /// Whether each of this snapshot's tables shares its storage with
+    /// `other`'s: `[user finals, item finals, scan table]`. A user
+    /// fold-in's candidate shares all three with its parent, except that
+    /// the user finals are copied, with room to double, when their buffer
+    /// is full.
+    pub fn shares_tables_with(&self, other: &ModelSnapshot) -> [bool; 3] {
+        let (mine, theirs) = (self.finals.table_addresses(), other.finals.table_addresses());
+        [0, 1, 2].map(|t| mine[t] == theirs[t])
+    }
+
+    /// Folds one brand-new entity into a **candidate** snapshot: computes
+    /// the new row with the deterministic new-row-only optimization
+    /// (`logirec_core::stream`), appends its final to a clone of this
+    /// snapshot's finals, grows the serving context, and validates the
+    /// candidate.
     ///
-    /// The publish costs only what the fold-in changes. The clone shares
-    /// every table with this snapshot, and the new row is appended past
-    /// the rows this snapshot sees, into spare capacity when the table
-    /// has it (a table is copied, with room to grow, only when it has
-    /// not). The candidate serves the forward state that
-    /// appending extended, without re-propagating: the new entity has no
-    /// edges, so propagation would reproduce that state bit for bit. A user
-    /// fold-in leaves the item finals byte-identical, so it keeps this
-    /// snapshot's scan table and index (k-means is a pure function of the
-    /// item finals); an item fold-in rebuilds both. The candidate therefore
-    /// answers exactly what `build_with_index` of the grown model on the
-    /// grown context answers.
+    /// The publish costs only what the fold-in adds. The clone shares
+    /// every table with this snapshot, and the new final is appended past
+    /// the rows this snapshot sees, into spare capacity when the table has
+    /// it (a table is copied, with room to double, only when it has not);
+    /// the context grows the same way ([`ServeContext::with_new_user`]).
+    /// The candidate serves the forward state that appending extended,
+    /// without re-propagating: the new entity has no edges, so propagation
+    /// would reproduce that state bit for bit.
+    ///
+    /// A user fold-in leaves the item finals byte-identical, so it keeps
+    /// this snapshot's scan table and index (k-means is a pure function of
+    /// the item finals), and it checks only what it adds: the new final is
+    /// finite and on the sheet, and it scores every item finite. Every
+    /// other score the candidate can produce is, bit for bit, one this
+    /// snapshot already produces, and this snapshot passed the same checks
+    /// (by induction down to a full build's canary probe). An item fold-in
+    /// changes the item finals, so it rebuilds the table and index and runs
+    /// every check a build runs: shape, finiteness of the finals, and the
+    /// canary probe. Either candidate answers exactly what
+    /// `build_with_index` of the grown model on the grown context answers.
     ///
     /// The current snapshot is untouched; on any failure (non-finite row,
-    /// out-of-range positives, canary failure) the error is returned and
-    /// the caller keeps serving last-good.
+    /// out-of-range positives, failed probe) the error is returned and the
+    /// caller keeps serving last-good.
     ///
     /// `steps` / `lr` override the fold-in defaults when given. Returns
     /// the candidate and the id the new entity was assigned.
@@ -425,7 +528,7 @@ impl ModelSnapshot {
         steps: Option<usize>,
         lr: Option<f64>,
     ) -> Result<(Self, usize), String> {
-        let mut opts = FoldInOptions::for_config(self.config());
+        let mut opts = FoldInOptions::for_config(&self.cfg);
         if let Some(s) = steps {
             opts.steps = s;
         }
@@ -434,7 +537,7 @@ impl ModelSnapshot {
         }
         // Fold at the serving precision, so the appended row is exactly
         // what this snapshot's scoring path would have produced.
-        let (model, new_id) = self.model.fold_in(item, positives, &opts)?;
+        let (finals, new_id) = self.finals.fold_in(&self.cfg, item, positives, &opts)?;
         let grown = if item {
             self.ctx.with_new_item(positives)
         } else {
@@ -442,10 +545,25 @@ impl ModelSnapshot {
         }
         .map_err(|e| format!("fold-in context: {e}"))?;
         let kind = if item { "item" } else { "user" };
-        let source = format!("{} + fold_in {kind} {new_id}", self.source);
+        let lineage = self.lineage.folded(kind, new_id);
         let index = if item { None } else { self.index.clone() };
+        let (cfg, ctx) = (Arc::clone(&self.cfg), Arc::new(grown));
         let snap =
-            Self::assemble(model, self.precision, &Arc::new(grown), source, self.index_cfg, index)?;
+            Self::assemble(cfg, finals, self.precision, &ctx, lineage, self.index_cfg, index);
+        if snap.finals.shape() != (snap.ctx.n_users(), snap.ctx.n_items()) {
+            return Err("fold-in candidate does not match its grown context".to_string());
+        }
+        if item {
+            if !snap.finals.all_finite() {
+                return Err("fold-in candidate has non-finite finals".to_string());
+            }
+            snap.probe(snap.ctx.canaries(), "canary")?;
+        } else {
+            if !snap.finals.user_final_ok(self.cfg.geometry, new_id) {
+                return Err(format!("folded user {new_id} has a non-finite or off-sheet final"));
+            }
+            snap.probe(&[new_id], "folded")?;
+        }
         Ok((snap, new_id))
     }
 
@@ -464,13 +582,13 @@ impl ModelSnapshot {
         let Some(index) = &self.index else { return Ok(None) };
         let seen = self.ctx.seen().seen_of(u)?;
         let nprobe = nprobe.unwrap_or_else(|| index.nprobe());
-        Ok(Some(self.model.search(index, u, seen, k, nprobe)))
+        Ok(Some(self.finals.search(index, u, seen, k, nprobe)))
     }
 
     /// Scores every item for `u` into `out` (higher is better), exactly as
     /// the offline evaluator would.
     pub fn score_user(&self, u: usize, out: &mut [f64]) {
-        self.model.score_user(u, out);
+        self.finals.score_user(u, out);
     }
 
     /// The exact top-K response for `u`: the model's [`Ranker::top_k`]
@@ -489,7 +607,7 @@ impl ModelSnapshot {
         let seen = self.ctx.seen().seen_of(u)?;
         scratch.clear();
         scratch.resize(self.ctx.n_items(), 0.0);
-        Ok(self.model.top_k(u, &[seen], k, scratch))
+        Ok(self.finals.top_k(u, &[seen], k, scratch))
     }
 }
 
@@ -648,8 +766,21 @@ mod tests {
         let (candidate, id) = live.fold_in(false, &[1, 4, 9], None, None).expect("fold in");
         assert_eq!(store.swap_if(live.version(), candidate), Ok(3));
         let live = store.get();
-        assert_eq!(live.source(), format!("reload + fold_in user {id}"));
+        assert_eq!(live.source(), format!("reload + 1 fold-in (last: user {id})"));
         assert_eq!(live.ctx().n_users(), ds.n_users() + 1);
+    }
+
+    #[test]
+    fn the_source_stays_bounded_over_a_long_fold_in_chain() {
+        let (ds, _, mut snap) = fixture();
+        for j in 0..1_000 {
+            let (next, id) = snap.fold_in(false, &[1, 4, 9], None, None).expect("fold in");
+            assert_eq!(id, ds.n_users() + j);
+            snap = next;
+            assert!(snap.source().len() <= 48, "{}", snap.source());
+        }
+        let last = ds.n_users() + 999;
+        assert_eq!(snap.source(), format!("test + 1000 fold-ins (last: user {last})"));
     }
 
     #[test]

@@ -79,7 +79,8 @@ cmp "$smoke/p1f32.logirec" "$smoke/p2f32.logirec" \
 # Serving smoke: start `logirec serve` with a trace, issue one healthy
 # request (must be exact) and one deadline-starved request (must degrade to
 # the popularity fallback, never an error), shut the server down cleanly,
-# then validate the serve trace (serve/request/score spans present).
+# then validate the serve trace (serve/request/score/fold_in spans
+# present).
 # Bind port 0 and read the chosen address back from the banner — no fixed
 # port to collide with.
 ./target/release/logirec serve --data "$smoke/data" --model "$smoke/m.logirec" \
@@ -148,10 +149,20 @@ case "$folded_out" in
   *"served_by: exact"*) ;;
   *) echo "tier1: fold-in smoke FAILED (folded user not served exact)"; exit 1 ;;
 esac
+# The fold-in's latency is in the exposition, and its span in the trace.
+metrics_out=$(./target/release/logirec metrics --addr "$serve_addr")
+for series in \
+  "# TYPE logirec_serve_fold_in_latency_us summary" \
+  "logirec_serve_fold_in_latency_us_count 1"; do
+  case "$metrics_out" in
+    *"$series"*) ;;
+    *) echo "tier1: fold-in metrics scrape FAILED (missing: $series)"; echo "$metrics_out"; exit 1 ;;
+  esac
+done
 ./target/release/logirec request --addr "$serve_addr" --shutdown
 wait "$serve_pid" \
   || { echo "tier1: serve smoke FAILED (server did not exit cleanly)"; exit 1; }
-./target/release/trace_check "$smoke/serve.jsonl" --require-kinds serve,request,score
+./target/release/trace_check "$smoke/serve.jsonl" --require-kinds serve,request,score,fold_in
 
 # Approx-serving smoke: a live server carrying the clustered retrieval
 # index with --approx must tag every healthy request served_by: approx.

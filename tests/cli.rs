@@ -339,12 +339,9 @@ fn recommend(data: &Path, model: &Path, user: usize, k: usize) -> Vec<usize> {
     printed_items(&out.stdout)
 }
 
-/// `recommend` prints what the served exact tier returns: the same scan
-/// under the same Train ∪ Validation mask. Checked on every user whose
-/// answer a Train-only mask would change.
-#[test]
-fn recommend_prints_the_served_exact_answer() {
-    let dir = work_dir("served");
+/// Generates tiny Ciao (seed 3) under `dir` and trains a small model on
+/// it; returns the data directory and the model file.
+fn tiny_trained(dir: &Path) -> (PathBuf, PathBuf) {
     let data = dir.join("data");
     let model = dir.join("m.bin");
     assert!(bin()
@@ -362,7 +359,16 @@ fn recommend_prints_the_served_exact_answer() {
         .status()
         .expect("train")
         .success());
+    (data, model)
+}
 
+/// `recommend` prints what the served exact tier returns: the same scan
+/// under the same Train ∪ Validation mask. Checked on every user whose
+/// answer a Train-only mask would change.
+#[test]
+fn recommend_prints_the_served_exact_answer() {
+    let dir = work_dir("served");
+    let (data, model) = tiny_trained(&dir);
     let ds = load_dataset(&data, "dataset", ExclusionRule::SiblingsWithoutCommonItems)
         .expect("load dataset");
     let loaded = load_model(&model, LogiRecConfig::default()).expect("load model");
@@ -389,5 +395,24 @@ fn recommend_prints_the_served_exact_answer() {
         }
     }
     assert!(checked > 0, "no user's answer depends on the Validation mask");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--k` far beyond the catalog lists every item the mask leaves, as
+/// `--k` equal to the catalog size does, instead of sizing the scan's
+/// buffers by it.
+#[test]
+fn recommend_with_an_unbounded_k_lists_every_unmasked_item() {
+    let dir = work_dir("huge-k");
+    let (data, model) = tiny_trained(&dir);
+    let ds = load_dataset(&data, "dataset", ExclusionRule::SiblingsWithoutCommonItems)
+        .expect("load dataset");
+    let user = 1;
+    let unmasked = (0..ds.n_items())
+        .filter(|&v| !ds.train.contains(user, v) && !ds.validation.contains(user, v))
+        .count();
+    let all = recommend(&data, &model, user, ds.n_items());
+    assert_eq!(all.len(), unmasked);
+    assert_eq!(recommend(&data, &model, user, 1 << 62), all);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,12 +7,14 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use logirec_suite::core::{train, LogiRec, LogiRecConfig, Precision};
 use logirec_suite::data::interactions::Dataset;
 use logirec_suite::data::{DatasetSpec, Scale};
 use logirec_suite::obs::json::{self, Json};
 use logirec_suite::obs::{validate_trace_file, Telemetry};
+use logirec_suite::serve::faults::ServeFaultPlan;
 use logirec_suite::serve::{
     Client, ModelSnapshot, Request, ServeContext, ServedBy, Server, ServerConfig,
 };
@@ -212,6 +214,7 @@ fn scripted_session_scrapes_are_pinned() {
         "# TYPE logirec_serve_approx_latency_us summary",
         "# TYPE logirec_serve_fallback_latency_us summary",
         "# TYPE logirec_serve_shed_latency_us summary",
+        "# TYPE logirec_serve_fold_in_latency_us summary",
     ];
     if logirec_suite::obs::rss::sample_peak_rss_bytes().is_none() {
         want_types.retain(|l| !l.contains("peak_rss"));
@@ -244,6 +247,7 @@ fn scripted_session_scrapes_are_pinned() {
             "logirec_serve_approx_latency_us_count 0",
             "logirec_serve_fallback_latency_us_count 4",
             "logirec_serve_shed_latency_us_count 0",
+            "logirec_serve_fold_in_latency_us_count 2",
         ],
         "counter values changed:\n{body}"
     );
@@ -290,6 +294,70 @@ fn scripted_session_scrapes_are_pinned() {
     );
     drop(client);
     server.shutdown();
+}
+
+/// The exposition's `(count, sum)` of the fold-in latency histogram.
+fn fold_in_latency(server: &Server) -> (u64, u64) {
+    let body = server.exposition();
+    let value = |suffix: &str| -> u64 {
+        let prefix = format!("logirec_serve_fold_in_latency_us_{suffix} ");
+        let line = body.lines().find_map(|l| l.strip_prefix(&prefix));
+        line.expect("fold-in latency series").parse().expect("integer")
+    };
+    (value("count"), value("sum"))
+}
+
+/// The `fold_in` span and the `serve.fold_in_latency_us` histogram time a
+/// fold-in's work, swapped or rejected: under a fault-injected delay, each
+/// fold-in's span and histogram sample last at least that long, and each
+/// span records its outcome (a rejection also its reason).
+#[test]
+fn fold_in_spans_and_latency_time_the_work() {
+    let path = tmp("fold-in-spans.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let tel = Telemetry::builder().jsonl(&path).build().expect("jsonl sink");
+    let faults = ServeFaultPlan::new();
+    let cfg = ServerConfig {
+        telemetry: tel.clone(),
+        faults: Some(faults.clone()),
+        ..ServerConfig::default()
+    };
+    let (server, ctx) = start_server(cfg);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let delay = Duration::from_millis(40);
+    let delay_us = delay.as_micros() as u64;
+
+    faults.delay_fold_ins(delay, 1);
+    let good = client.fold_in(false, &[1, 4, 9], None, None).expect("round-trips");
+    assert_eq!(good.get("fold_in").and_then(Json::as_str), Some("swapped"));
+    let (count, first) = fold_in_latency(&server);
+    assert_eq!(count, 1);
+    assert!(first >= delay_us, "swapped fold-in recorded {first}µs");
+    faults.delay_fold_ins(delay, 1);
+    let bad = client.fold_in(false, &[ctx.n_items() + 100], None, None).expect("round-trips");
+    assert_eq!(bad.get("fold_in").and_then(Json::as_str), Some("rejected"));
+    let (count, both) = fold_in_latency(&server);
+    assert_eq!(count, 2);
+    assert!(both - first >= delay_us, "rejected fold-in recorded {}µs", both - first);
+    drop(client);
+    server.shutdown();
+    tel.finish();
+
+    let trace = std::fs::read_to_string(&path).expect("trace written");
+    let spans: Vec<Json> = trace
+        .lines()
+        .map(|l| json::parse(l).expect("trace line parses"))
+        .filter(|j| j.get("name").and_then(Json::as_str) == Some("fold_in"))
+        .collect();
+    assert_eq!(spans.len(), 2, "{trace}");
+    for (span, outcome) in spans.iter().zip(["swapped", "rejected"]) {
+        assert_eq!(span.get("outcome").and_then(Json::as_str), Some(outcome));
+        let dur = span.get("dur_us").and_then(Json::as_u64).expect("span duration");
+        assert!(dur >= delay_us, "{outcome} fold-in span lasted {dur}µs");
+    }
+    let reason = spans[1].get("reason").and_then(Json::as_str).unwrap_or_default();
+    assert!(reason.contains("out of range"), "{reason}");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// With telemetry enabled the server's metrics live in the caller's

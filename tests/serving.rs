@@ -449,7 +449,7 @@ fn a_reload_during_a_fold_in_is_never_lost() {
     assert_eq!(j.get("model_version").and_then(|v| v.as_u64()), Some(3));
     let live = server.store().get();
     assert_eq!(live.version(), 3);
-    assert_eq!(live.source(), format!("{} + fold_in user {new_user}", path.display()));
+    assert_eq!(live.source(), format!("{} + 1 fold-in (last: user {new_user})", path.display()));
     assert_eq!(live.ctx().n_users(), new_user + 1);
     let resp = client.recommend(&request(new_user, 5, Some(10_000))).expect("serves");
     assert_eq!(resp.served_by, ServedBy::Exact);
