@@ -13,13 +13,16 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin fig3`
 
-use logirec_bench::harness::RunArgs;
+use logirec_bench::harness::{self, Results, RunArgs};
 use logirec_bench::table::{self, Row};
 use logirec_hyperbolic::poincare;
 use logirec_linalg::ops;
 
-fn main() {
-    let (_args, tel) = RunArgs::init("fig3");
+fn main() -> std::process::ExitCode {
+    harness::main("fig3", &[], run)
+}
+
+fn run(_args: &RunArgs, out: &Results) -> Result<(), String> {
     // (1) Sibling separation: place B and C at hyperbolic distance `edge`
     // from A (origin) with a 90° angle between them.
     let mut rows = Vec::new();
@@ -39,13 +42,11 @@ fn main() {
             ],
         });
     }
-    let rendered = table::render(
+    out.save(&table::render(
         "Fig. 3a: sibling separation ratio BC/BA at 90 degrees",
         &["hyperbolic", "euclidean"],
         &rows,
-    );
-    tel.info(&rendered);
-    table::save("fig3", &rendered);
+    ))?;
 
     // (2) Packing: children on a circle of (geodesic) radius r around the
     // parent, requiring pairwise distance ≥ r. In Euclidean space exactly 6
@@ -59,14 +60,11 @@ fn main() {
             cells: vec![hyp.to_string(), euc.to_string()],
         });
     }
-    let rendered = table::render(
+    out.save(&table::render(
         "Fig. 3b: children placeable at radius r with pairwise distance >= r",
         &["hyperbolic", "euclidean"],
         &rows,
-    );
-    tel.info(&rendered);
-    table::save("fig3", &rendered);
-    tel.finish();
+    ))
 }
 
 /// Largest `n` such that `n` points equally spaced on the radius-`r`

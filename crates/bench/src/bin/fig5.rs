@@ -9,18 +9,18 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin fig5 -- --scale small --datasets cd`
 
-use logirec_bench::harness::{logirec_config, RunArgs};
+use logirec_bench::harness::{self, logirec_config, Results, RunArgs};
 use logirec_bench::table::{self, Row};
 use logirec_core::train;
 
-fn main() {
-    let (mut args, tel) = RunArgs::init("fig5");
-    if args.datasets.len() == 4 {
-        args.datasets = vec!["cd".into()];
-    }
-    for spec in args.specs() {
-        let ds = spec.generate_traced(100, &tel);
-        let cfg = logirec_config(&args, spec.name, true, 1);
+fn main() -> std::process::ExitCode {
+    harness::main("fig5", &["cd"], run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    for spec in &args.specs {
+        let ds = spec.generate_traced(100, &args.telemetry);
+        let cfg = logirec_config(args, spec.name, true, 1);
         let (model, _) = train(cfg, &ds);
 
         let counts: Vec<usize> =
@@ -44,16 +44,14 @@ fn main() {
                 cells: vec![n.to_string(), format!("{:.1}%", 100.0 * n as f64 / counts.len() as f64)],
             });
         }
-        let rendered = table::render(
+        out.save(&table::render(
             &format!(
                 "Fig. 5a: users per #tag-types bucket ({}, max = {max_types})",
                 spec.name
             ),
             &["#users", "share"],
             &rows,
-        );
-        tel.info(&rendered);
-        table::save("fig5", &rendered);
+        ))?;
 
         // (b) Mean distance-to-origin per bucket.
         let mut sums = [0.0; 10];
@@ -71,13 +69,11 @@ fn main() {
             let label = if b == 9 { format!("{lo}+") } else { format!("{lo}-{}", lo + 3) };
             rows.push(Row { label, cells: vec![format!("{:.4}", sums[b] / ns[b] as f64)] });
         }
-        let rendered = table::render(
+        out.save(&table::render(
             &format!("Fig. 5b: mean distance to origin per #tag-types bucket ({})", spec.name),
             &["d(o, u)"],
             &rows,
-        );
-        tel.info(&rendered);
-        table::save("fig5", &rendered);
+        ))?;
     }
-    tel.finish();
+    Ok(())
 }

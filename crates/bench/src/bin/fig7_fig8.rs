@@ -15,57 +15,56 @@
 
 use logirec_baselines::graphs::train_agcn;
 use logirec_baselines::hyper::train_hgcf;
-use logirec_bench::harness::{baseline_config, logirec_config, RunArgs};
+use logirec_bench::harness::{self, baseline_config, logirec_config, Results, RunArgs};
 use logirec_bench::table::{self, Row};
 use logirec_core::train;
 use logirec_data::Dataset;
 use logirec_hyperbolic::{maps, poincare};
 use logirec_linalg::{ops, SplitMix64};
 
-fn main() {
-    let (mut args, tel) = RunArgs::init("fig7_fig8");
-    if args.datasets.len() == 4 {
-        args.datasets = vec!["cd".into(), "book".into()];
-    }
-    for spec in args.specs() {
+fn main() -> std::process::ExitCode {
+    harness::main("fig7_fig8", &["cd", "book"], run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    let tel = &args.telemetry;
+    for spec in &args.specs {
         tel.progress(format!("== dataset {} ==", spec.name));
-        let ds = spec.generate_traced(100, &tel);
+        let ds = spec.generate_traced(100, tel);
         let labels = item_labels(&ds);
 
         let mut rows = Vec::new();
 
         // AGCN (Euclidean).
-        let agcn = train_agcn(&logirec_baselines::Method::Agcn.tuned(&baseline_config(&args, 1)), &ds);
+        let agcn = train_agcn(&logirec_baselines::Method::Agcn.tuned(&baseline_config(args, 1)), &ds);
         let agcn_items: Vec<Vec<f64>> =
             (0..ds.n_items()).map(|v| agcn.items.row(v).to_vec()).collect();
-        rows.push(score_row("AGCN", &agcn_items, &labels, false, spec.name, &tel));
+        rows.push(score_row("AGCN", &agcn_items, &labels, false, spec.name, tel, out)?);
 
         // HRCF (Lorentz → Poincaré).
-        let hrcf = train_hgcf(&logirec_baselines::Method::Hrcf.tuned(&baseline_config(&args, 1)), &ds, true);
+        let hrcf = train_hgcf(&logirec_baselines::Method::Hrcf.tuned(&baseline_config(args, 1)), &ds, true);
         let hrcf_items: Vec<Vec<f64>> = (0..ds.n_items())
             .map(|v| maps::lorentz_to_poincare(hrcf.items.row(v)))
             .collect();
-        rows.push(score_row("HRCF", &hrcf_items, &labels, true, spec.name, &tel));
+        rows.push(score_row("HRCF", &hrcf_items, &labels, true, spec.name, tel, out)?);
 
         // LogiRec and LogiRec++.
         for mining in [false, true] {
             let name = if mining { "LogiRec++" } else { "LogiRec" };
-            let cfg = logirec_config(&args, spec.name, mining, 1);
+            let cfg = logirec_config(args, spec.name, mining, 1);
             let (model, _) = train(cfg, &ds);
             let items: Vec<Vec<f64>> =
                 (0..ds.n_items()).map(|v| model.item_poincare(v)).collect();
-            rows.push(score_row(name, &items, &labels, true, spec.name, &tel));
+            rows.push(score_row(name, &items, &labels, true, spec.name, tel, out)?);
         }
 
         let title = format!(
             "Fig. 7/8 ({}, scale = {:?}): tag-cluster silhouette (higher = better separated)",
             spec.name, args.scale
         );
-        let rendered = table::render(&title, &["silhouette"], &rows);
-        tel.info(&rendered);
-        table::save("fig7_fig8", &rendered);
+        out.save(&table::render(&title, &["silhouette"], &rows))?;
     }
-    tel.finish();
+    Ok(())
 }
 
 /// Level-1 ancestor tag of each item's first tag — the "color" groups of
@@ -86,11 +85,13 @@ fn score_row(
     hyperbolic: bool,
     dataset: &str,
     tel: &logirec_obs::Telemetry,
-) -> Row {
+    out: &Results,
+) -> Result<Row, String> {
     let s = silhouette(items, labels, hyperbolic, 400);
     tel.progress(format!("  {name:>10}: silhouette {s:.4}"));
-    dump_projection(name, items, labels, dataset);
-    Row { label: name.to_string(), cells: vec![format!("{s:.4}")] }
+    let file = format!("fig78_{dataset}_{}.tsv", name.replace("+", "p"));
+    out.write(&file, &projection(items, labels))?;
+    Ok(Row { label: name.to_string(), cells: vec![format!("{s:.4}")] })
 }
 
 /// Mean silhouette coefficient over a deterministic sample of items, using
@@ -150,9 +151,9 @@ fn silhouette(items: &[Vec<f64>], labels: &[usize], hyperbolic: bool, cap: usize
     }
 }
 
-/// Writes a 2-D PCA projection (x, y, label) per item to
+/// A 2-D PCA projection (x, y, label) per item, written to
 /// `results/fig78_<dataset>_<method>.tsv` for external plotting.
-fn dump_projection(name: &str, items: &[Vec<f64>], labels: &[usize], dataset: &str) {
+fn projection(items: &[Vec<f64>], labels: &[usize]) -> String {
     let (p1, p2) = pca2(items);
     let mut tsv = String::from("x\ty\tlabel\n");
     for (v, item) in items.iter().enumerate() {
@@ -163,11 +164,7 @@ fn dump_projection(name: &str, items: &[Vec<f64>], labels: &[usize], dataset: &s
             labels[v]
         ));
     }
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("fig78_{dataset}_{}.tsv", name.replace("+", "p")));
-        let _ = std::fs::write(path, tsv);
-    }
+    tsv
 }
 
 /// First two principal directions via power iteration with deflation.

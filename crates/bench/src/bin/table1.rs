@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin table1 -- --scale small`
 
-use logirec_bench::harness::RunArgs;
+use logirec_bench::harness::{self, Results, RunArgs, ALL_DATASETS};
 use logirec_bench::table::{self, Row};
 
 /// The paper's Table I, row-major:
@@ -18,13 +18,16 @@ const PAPER: [(&str, [f64; 8]); 4] = [
     ("book", [79368.0, 62385.0, 4657501.0, 0.0941, 510.0, 124394.0, 636.0, 5392.0]),
 ];
 
-fn main() {
-    let (args, tel) = RunArgs::init("table1");
+fn main() -> std::process::ExitCode {
+    harness::main("table1", ALL_DATASETS, run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
     let headers =
         ["#User", "#Item", "#Inter", "Density%", "#Tag", "#Member", "#Hier", "#Excl"];
     let mut rows = Vec::new();
-    for spec in args.specs() {
-        let ds = spec.generate_traced(42, &tel);
+    for spec in &args.specs {
+        let ds = spec.generate_traced(42, &args.telemetry);
         let total = ds.n_interactions();
         let density = 100.0 * total as f64 / (ds.n_users() as f64 * ds.n_items() as f64);
         let (m, h, e) = ds.relations.counts();
@@ -58,8 +61,5 @@ fn main() {
         }
     }
     let title = format!("Table I: dataset statistics (scale = {:?})", args.scale);
-    let rendered = table::render(&title, &headers, &rows);
-    tel.info(&rendered);
-    table::save("table1", &rendered);
-    tel.finish();
+    out.save(&table::render(&title, &headers, &rows))
 }

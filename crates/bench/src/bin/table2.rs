@@ -13,82 +13,63 @@
 //! Run: `cargo run --release -p logirec-bench --bin table2 -- --scale small --seeds 2`
 
 use logirec_baselines::{train_method, Method};
-use logirec_bench::harness::{baseline_config, logirec_config, ExpMetrics, RunArgs};
+use logirec_bench::harness::{
+    self, baseline_config, logirec_config, over_seeds, Results, RunArgs, SeedMetrics, ALL_DATASETS,
+};
 use logirec_bench::table::{self, Row};
 use logirec_core::train;
-use logirec_eval::{mean_std, wilcoxon_signed_rank, MeanStd};
+use logirec_eval::wilcoxon_signed_rank;
 
-fn main() {
-    let (args, tel) = RunArgs::init("table2");
+fn main() -> std::process::ExitCode {
+    harness::main("table2", ALL_DATASETS, run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    let tel = &args.telemetry;
     let headers = ["Recall@10", "Recall@20", "NDCG@10", "NDCG@20"];
 
-    for spec in args.specs() {
+    for spec in &args.specs {
         tel.progress(format!("== dataset {} ==", spec.name));
-        // Per-method, per-seed quadruples and the last seed's per-user
+        // Per-method metrics over the seeds, with the last seed's per-user
         // recall vector (for significance pairing).
-        let mut quads: Vec<(String, Vec<[f64; 4]>, Vec<f64>)> = Vec::new();
+        let mut methods: Vec<(&str, SeedMetrics)> = Vec::new();
 
         for method in Method::all() {
-            let mut per_seed = Vec::new();
-            let mut per_user = Vec::new();
-            for seed in 0..args.seeds {
-                let ds = spec.generate(100 + seed);
-                let cfg = method.tuned(&baseline_config(&args, 7 * seed + 1));
-                let model = train_method(method, &cfg, &ds);
-                let m = ExpMetrics::collect(&model, &ds, args.threads);
-                per_seed.push(m.quad());
-                per_user = m.per_user;
-            }
-            tel.progress(format!("  {:>9}: R@10 {:.4}", method.label(), mean_of(&per_seed, 0)));
-            quads.push((method.label().to_string(), per_seed, per_user));
+            let m = over_seeds(args, spec, |ds, seed| {
+                train_method(method, &method.tuned(&baseline_config(args, seed)), ds)
+            });
+            tel.progress(format!("  {:>9}: R@10 {:.4}", method.label(), m.agg[0].mean));
+            methods.push((method.label(), m));
         }
 
         for mining in [false, true] {
             let label = if mining { "LogiRec++" } else { "LogiRec" };
-            let mut per_seed = Vec::new();
-            let mut per_user = Vec::new();
-            for seed in 0..args.seeds {
-                let ds = spec.generate(100 + seed);
-                let cfg = logirec_config(&args, spec.name, mining, 7 * seed + 1);
-                let (model, _) = train(cfg, &ds);
-                let m = ExpMetrics::collect(&model, &ds, args.threads);
-                per_seed.push(m.quad());
-                per_user = m.per_user;
-            }
-            tel.progress(format!("  {label:>9}: R@10 {:.4}", mean_of(&per_seed, 0)));
-            quads.push((label.to_string(), per_seed, per_user));
+            let m = over_seeds(args, spec, |ds, seed| {
+                train(logirec_config(args, spec.name, mining, seed), ds).0
+            });
+            tel.progress(format!("  {label:>9}: R@10 {:.4}", m.agg[0].mean));
+            methods.push((label, m));
         }
 
         // Best baseline by mean Recall@10 (excludes the two LogiRec rows).
-        let best_baseline = quads[..13]
+        let (best_label, best) = methods[..13]
             .iter()
-            .max_by(|a, b| {
-                mean_of(&a.1, 0).partial_cmp(&mean_of(&b.1, 0)).expect("finite")
-            })
-            .expect("baselines exist")
-            .clone();
+            .max_by(|a, b| a.1.agg[0].mean.partial_cmp(&b.1.agg[0].mean).expect("finite"))
+            .expect("baselines exist");
 
         let mut rows = Vec::new();
-        for (label, per_seed, per_user) in &quads {
-            let agg: Vec<MeanStd> =
-                (0..4).map(|i| mean_std(&per_seed.iter().map(|q| q[i]).collect::<Vec<_>>())).collect();
-            let star = label == "LogiRec++"
-                && per_user.len() == best_baseline.2.len()
-                && wilcoxon_signed_rank(per_user, &best_baseline.2)
+        for (label, m) in &methods {
+            let star = *label == "LogiRec++"
+                && m.per_user.len() == best.per_user.len()
+                && wilcoxon_signed_rank(&m.per_user, &best.per_user)
                     .is_some_and(|w| w.significant(0.05) && w.z > 0.0);
-            rows.push(Row::from_metrics(label.clone(), &agg, star));
+            rows.push(Row::from_metrics(*label, &m.agg, star));
         }
         let title = format!(
-            "Table II ({}, scale = {:?}, seeds = {}; best baseline: {})",
-            spec.name, args.scale, args.seeds, best_baseline.0
+            "Table II ({}, scale = {:?}, seeds = {}; best baseline: {best_label})",
+            spec.name, args.scale, args.seeds
         );
-        let rendered = table::render(&title, &headers, &rows);
-        tel.info(&rendered);
-        table::save("table2", &rendered);
+        out.save(&table::render(&title, &headers, &rows))?;
     }
-    tel.finish();
-}
-
-fn mean_of(per_seed: &[[f64; 4]], idx: usize) -> f64 {
-    per_seed.iter().map(|q| q[idx]).sum::<f64>() / per_seed.len().max(1) as f64
+    Ok(())
 }

@@ -10,38 +10,31 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin table3 -- --scale small`
 
-use logirec_bench::harness::{logirec_config, ExpMetrics, RunArgs};
+use logirec_bench::harness::{self, logirec_config, over_seeds, Results, RunArgs, ALL_DATASETS};
 use logirec_bench::table::{self, Row};
 use logirec_core::{train, Variant};
-use logirec_eval::{mean_std, MeanStd};
 
-fn main() {
-    let (args, tel) = RunArgs::init("table3");
+fn main() -> std::process::ExitCode {
+    harness::main("table3", ALL_DATASETS, run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    let tel = &args.telemetry;
     let headers = ["Recall@10", "Recall@20", "NDCG@10", "NDCG@20"];
 
-    for spec in args.specs() {
+    for spec in &args.specs {
         tel.progress(format!("== dataset {} ==", spec.name));
         let mut rows = Vec::new();
         for variant in Variant::table3() {
-            let mut per_seed = Vec::new();
-            for seed in 0..args.seeds {
-                let ds = spec.generate(100 + seed);
-                let base = logirec_config(&args, spec.name, true, 7 * seed + 1);
-                let cfg = variant.apply(base);
-                let (model, _) = train(cfg, &ds);
-                per_seed.push(ExpMetrics::collect(&model, &ds, args.threads).quad());
-            }
-            let agg: Vec<MeanStd> = (0..4)
-                .map(|i| mean_std(&per_seed.iter().map(|q| q[i]).collect::<Vec<_>>()))
-                .collect();
-            tel.progress(format!("  {:>14}: R@10 {}", variant.label(), agg[0].format_percent()));
-            rows.push(Row::from_metrics(variant.label(), &agg, false));
+            let m = over_seeds(args, spec, |ds, seed| {
+                train(variant.apply(logirec_config(args, spec.name, true, seed)), ds).0
+            });
+            tel.progress(format!("  {:>14}: R@10 {}", variant.label(), m.agg[0].format_percent()));
+            rows.push(Row::from_metrics(variant.label(), &m.agg, false));
         }
         let title =
             format!("Table III ({}, scale = {:?}, seeds = {})", spec.name, args.scale, args.seeds);
-        let rendered = table::render(&title, &headers, &rows);
-        tel.info(&rendered);
-        table::save("table3", &rendered);
+        out.save(&table::render(&title, &headers, &rows))?;
     }
-    tel.finish();
+    Ok(())
 }

@@ -11,47 +11,37 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin table4 -- --scale small --datasets cd,clothing`
 
-use logirec_bench::harness::{logirec_config, ExpMetrics, RunArgs};
+use logirec_bench::harness::{self, logirec_config, over_seeds, Results, RunArgs};
 use logirec_bench::table::{self, Row};
 use logirec_core::train;
-use logirec_eval::{mean_std, MeanStd};
 
-fn main() {
-    let (mut args, tel) = RunArgs::init("table4");
-    // Table IV only covers CD and Clothing in the paper; honor an explicit
-    // --datasets override but default to those two.
-    if args.datasets.len() == 4 {
-        args.datasets = vec!["cd".into(), "clothing".into()];
-    }
+fn main() -> std::process::ExitCode {
+    // Table IV only covers CD and Clothing in the paper.
+    harness::main("table4", &["cd", "clothing"], run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    let tel = &args.telemetry;
     let headers = ["Recall@10", "NDCG@10"];
 
-    for spec in args.specs() {
+    for spec in &args.specs {
         tel.progress(format!("== dataset {} ==", spec.name));
         let mut rows: Vec<Row> = Vec::new();
-        let sweeps: Vec<(String, Mutator)> = sweep_list();
-        for (label, mutator) in &sweeps {
-            let mut per_seed = Vec::new();
-            for seed in 0..args.seeds {
-                let ds = spec.generate(100 + seed);
-                let mut cfg = logirec_config(&args, spec.name, true, 7 * seed + 1);
+        for (label, mutator) in sweep_list() {
+            let m = over_seeds(args, spec, |ds, seed| {
+                let mut cfg = logirec_config(args, spec.name, true, seed);
                 mutator(&mut cfg);
-                let (model, _) = train(cfg, &ds);
-                let m = ExpMetrics::collect(&model, &ds, args.threads);
-                per_seed.push([m.r10, m.n10]);
-            }
-            let agg: Vec<MeanStd> = (0..2)
-                .map(|i| mean_std(&per_seed.iter().map(|q| q[i]).collect::<Vec<_>>()))
-                .collect();
-            tel.progress(format!("  {label:>10}: R@10 {}", agg[0].format_percent()));
-            rows.push(Row::from_metrics(label.clone(), &agg, false));
+                train(cfg, ds).0
+            });
+            let [r10, _, n10, _] = m.agg;
+            tel.progress(format!("  {label:>10}: R@10 {}", r10.format_percent()));
+            rows.push(Row::from_metrics(label, &[r10, n10], false));
         }
         let title =
             format!("Table IV ({}, scale = {:?}, seeds = {})", spec.name, args.scale, args.seeds);
-        let rendered = table::render(&title, &headers, &rows);
-        tel.info(&rendered);
-        table::save("table4", &rendered);
+        out.save(&table::render(&title, &headers, &rows))?;
     }
-    tel.finish();
+    Ok(())
 }
 
 type Mutator = Box<dyn Fn(&mut logirec_core::LogiRecConfig)>;

@@ -8,8 +8,7 @@
 //!
 //! Run: `cargo run --release -p logirec-bench --bin table5 -- --scale small --datasets cd,book`
 
-use logirec_bench::harness::{logirec_config, RunArgs};
-use logirec_bench::table;
+use logirec_bench::harness::{self, logirec_config, Results, RunArgs};
 use logirec_core::mining::{
     combine_weights, consistency_weights, granularity_weights, user_profiles,
 };
@@ -17,16 +16,17 @@ use logirec_core::train;
 use logirec_data::Split;
 use logirec_eval::{evaluate, Ranker};
 
-fn main() {
-    let (mut args, tel) = RunArgs::init("table5");
-    if args.datasets.len() == 4 {
-        args.datasets = vec!["cd".into(), "book".into()];
-    }
+fn main() -> std::process::ExitCode {
+    harness::main("table5", &["cd", "book"], run)
+}
+
+fn run(args: &RunArgs, results: &Results) -> Result<(), String> {
+    let tel = &args.telemetry;
     let mut out = String::new();
-    for spec in args.specs() {
+    for spec in &args.specs {
         tel.progress(format!("== dataset {} ==", spec.name));
-        let ds = spec.generate_traced(100, &tel);
-        let cfg = logirec_config(&args, spec.name, true, 1);
+        let ds = spec.generate_traced(100, tel);
+        let cfg = logirec_config(args, spec.name, true, 1);
         let alpha_floor = cfg.alpha_floor;
         let (model, _) = train(cfg, &ds);
 
@@ -87,7 +87,5 @@ fn main() {
         }
         out.push('\n');
     }
-    tel.info(&out);
-    table::save("table5", &out);
-    tel.finish();
+    results.save(&out)
 }

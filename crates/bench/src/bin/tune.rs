@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p logirec-bench --bin tune -- --scale small --datasets ciao`
 
 use logirec_baselines::{train_method, Method};
-use logirec_bench::harness::{baseline_config, logirec_config, RunArgs};
+use logirec_bench::harness::{self, baseline_config, logirec_config, Results, RunArgs, ALL_DATASETS};
 use logirec_core::train;
 use logirec_data::Split;
 use logirec_eval::evaluate;
@@ -23,13 +23,16 @@ fn grid() -> Vec<Point> {
     ]
 }
 
-fn main() {
-    let (args, tel) = RunArgs::init("tune");
-    for spec in args.specs() {
-        let ds = spec.generate_traced(100, &tel);
-        tel.info(format!("== {} ==", spec.name));
+fn main() -> std::process::ExitCode {
+    harness::main("tune", ALL_DATASETS, run)
+}
+
+fn run(args: &RunArgs, out: &Results) -> Result<(), String> {
+    for spec in &args.specs {
+        let ds = spec.generate_traced(100, &args.telemetry);
+        out.save(&format!("== {} ==", spec.name))?;
         for (mining, lr, margin, lambda, epochs, negatives, batch) in grid() {
-            let mut cfg = logirec_config(&args, spec.name, mining, 1);
+            let mut cfg = logirec_config(args, spec.name, mining, 1);
             cfg.lr = lr;
             cfg.margin = margin;
             cfg.lambda = lambda;
@@ -49,17 +52,17 @@ fn main() {
             let rf =
                 evaluate(&ranker, &ds, Split::Validation, &[10], args.threads).recall_at(10);
             let skip = filter.skip_fraction(&ds.item_tags);
-            tel.info(format!(
+            out.save(&format!(
                 "  LogiRec(mining={mining}) lr={lr} m={margin} lam={lambda} ep={epochs} neg={negatives} bs={batch}: val R@10 {r:.4} filtered {rf:.4} (skip {:.1}%)",
                 100.0 * skip
-            ));
+            ))?;
         }
         for method in [Method::Agcn, Method::LightGcn] {
-            let cfg = method.tuned(&baseline_config(&args, 1));
+            let cfg = method.tuned(&baseline_config(args, 1));
             let m = train_method(method, &cfg, &ds);
             let r = evaluate(&m, &ds, Split::Validation, &[10], args.threads).recall_at(10);
-            tel.info(format!("  {} lr={}: val R@10 {r:.4}", method.label(), cfg.lr));
+            out.save(&format!("  {} lr={}: val R@10 {r:.4}", method.label(), cfg.lr))?;
         }
     }
-    tel.finish();
+    Ok(())
 }

@@ -1,116 +1,97 @@
-//! CLI parsing, default configurations, and metric collection.
+//! The one prologue and epilogue of every experiment binary (flag
+//! validation, the results file, the trace), the default configurations,
+//! and the seed loop the tables share.
+
+use std::fs::File;
+use std::io::Write;
+use std::process::ExitCode;
 
 use logirec_baselines::BaselineConfig;
 use logirec_core::LogiRecConfig;
 use logirec_data::{Dataset, DatasetSpec, Scale, Split};
-use logirec_eval::{evaluate, EvalResult, Ranker};
+use logirec_eval::{evaluate, mean_std, EvalResult, MeanStd, Ranker};
 use logirec_obs::Telemetry;
+use logirec_suite::Flags;
 
-/// Command-line arguments shared by every experiment binary.
+/// The four synthetic benchmarks: the default `--datasets` of the
+/// binaries that cover every dataset.
+pub const ALL_DATASETS: &[&str] = &["ciao", "cd", "clothing", "book"];
+
+/// The flags of every experiment binary, with their defaults.
+const USAGE: &str = "usage: <experiment> [--scale tiny|small|paper] [--seeds N] [--epochs N]
+                    [--datasets NAME,...] [--threads N] [--train-threads N]
+                    [--no-trace]
+defaults: --scale small, --seeds 2, --epochs 0 (the scale's budget),
+the experiment's own --datasets (from ciao, cd, clothing, book), and
+every core for --threads and --train-threads";
+
+const VALUE_FLAGS: [&str; 6] = ["scale", "seeds", "epochs", "datasets", "threads", "train-threads"];
+
+/// The validated command line of an experiment binary.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Dataset scale (`--scale tiny|small|paper`, default `small`).
     pub scale: Scale,
-    /// Number of random seeds (`--seeds N`, default 2).
+    /// Number of random seeds, at least 1 (`--seeds N`, default 2).
     pub seeds: u64,
     /// Override training epochs (`--epochs N`; 0 = per-scale default).
     pub epochs: usize,
-    /// Datasets to run (`--datasets ciao,cd`, default all four).
-    pub datasets: Vec<String>,
+    /// The datasets named by `--datasets ciao,cd`, or the binary's default
+    /// when the flag is absent.
+    pub specs: Vec<DatasetSpec>,
     /// Evaluation threads (`--threads N`, default = available cores).
     pub threads: usize,
     /// Training threads (`--train-threads N`, default = available cores).
     /// Training is bit-identical for every value (see DESIGN.md).
     pub train_threads: usize,
-    /// Whether [`RunArgs::enable_bin_trace`] may attach a JSONL sink
-    /// (`--no-trace` turns it off, default on).
+    /// Whether the run writes `results/<bin>.trace.jsonl` (`--no-trace`
+    /// turns it off, default on).
     pub trace: bool,
-    /// Telemetry handle threaded into every training config
-    /// ([`bin_telemetry`] wires it to `results/<bin>.trace.jsonl`;
-    /// `--no-trace` keeps it disabled).
+    /// Telemetry handle threaded into every training config: the run's
+    /// trace sink, or disabled under `--no-trace`.
     pub telemetry: Telemetry,
 }
 
-impl Default for RunArgs {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Small,
-            seeds: 2,
-            epochs: 0,
-            datasets: vec!["ciao".into(), "cd".into(), "clothing".into(), "book".into()],
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            train_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            trace: true,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-}
-
-/// Builds the telemetry handle for an experiment binary: a JSONL sink at
-/// `results/<name>.trace.jsonl` next to the table/figure text output, so a
-/// regeneration run leaves a structured per-phase trace behind. Falls back
-/// to a disabled handle (and warns) when the file cannot be created, so a
-/// read-only checkout still runs the experiment.
-pub fn bin_telemetry(name: &str) -> Telemetry {
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/{name}.trace.jsonl");
-    match Telemetry::builder().jsonl(&path).build() {
-        Ok(tel) => tel,
-        Err(e) => {
-            eprintln!("warning: cannot open {path} ({e}); running without trace");
-            Telemetry::disabled()
-        }
-    }
-}
-
 impl RunArgs {
-    /// Parses `std::env::args`, panicking with a usage message on errors.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// The standard experiment-binary prologue: parse `std::env::args`,
-    /// attach the per-binary JSONL sink at `results/<name>.trace.jsonl`
-    /// (unless `--no-trace`), and hand back a clone of the telemetry
-    /// handle — one call instead of the three lines every bin repeated.
-    pub fn init(name: &str) -> (Self, Telemetry) {
-        let mut args = Self::from_env();
-        args.enable_bin_trace(name);
-        let tel = args.telemetry.clone();
-        (args, tel)
-    }
-
-    /// Parses an explicit argument iterator (used by tests).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next().unwrap_or_else(|| panic!("flag {flag} requires a value"))
-            };
-            match flag.as_str() {
-                "--scale" => {
-                    let v = value();
-                    out.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale {v}; use tiny|small|paper"));
-                }
-                "--seeds" => out.seeds = value().parse().expect("--seeds N"),
-                "--epochs" => out.epochs = value().parse().expect("--epochs N"),
-                "--threads" => out.threads = value().parse().expect("--threads N"),
-                "--train-threads" => {
-                    out.train_threads = value().parse().expect("--train-threads N");
-                }
-                "--datasets" => {
-                    out.datasets = value().split(',').map(|s| s.trim().to_string()).collect();
-                }
-                "--no-trace" => out.trace = false,
-                other => panic!(
-                    "unknown flag {other}; known: --scale --seeds --epochs --datasets \
-                     --threads --train-threads --no-trace"
-                ),
-            }
+    /// Validates the experiment flags. `default_datasets` applies only when
+    /// `--datasets` is absent. An error names the bad flag, scale or
+    /// dataset.
+    fn from_flags(flags: &Flags, default_datasets: &[&str]) -> Result<Self, String> {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let scale = match flags.get("scale") {
+            None => Scale::Small,
+            Some(v) => Scale::parse(v)
+                .ok_or_else(|| format!("bad value for --scale: {v:?} (use tiny|small|paper)"))?,
+        };
+        let seeds = flags.parse_or("seeds", 2u64)?;
+        if seeds == 0 {
+            return Err("bad value for --seeds: 0 (at least 1)".into());
         }
-        out
+        let names: Vec<&str> = match flags.get("datasets") {
+            Some(list) => list.split(',').map(str::trim).collect(),
+            None => default_datasets.to_vec(),
+        };
+        let specs = names
+            .iter()
+            .map(|name| {
+                DatasetSpec::by_name(name, scale).ok_or_else(|| {
+                    format!(
+                        "unknown dataset {name:?} in --datasets (use {})",
+                        ALL_DATASETS.join(",")
+                    )
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            scale,
+            seeds,
+            epochs: flags.parse_or("epochs", 0)?,
+            specs,
+            threads: flags.parse_or("threads", cores)?,
+            train_threads: flags.parse_or("train-threads", cores)?,
+            trace: !flags.has("no-trace"),
+            telemetry: Telemetry::disabled(),
+        })
     }
 
     /// Epochs to train, honoring the override.
@@ -130,25 +111,90 @@ impl RunArgs {
             Scale::Paper => 15,
         }
     }
+}
 
-    /// Attaches the standard per-binary JSONL sink (see [`bin_telemetry`])
-    /// unless the user passed `--no-trace`. Call once at the top of an
-    /// experiment binary, before cloning configs off these args.
-    pub fn enable_bin_trace(&mut self, name: &str) {
-        if self.trace {
-            self.telemetry = bin_telemetry(name);
-        }
+/// Parses `argv` into [`RunArgs`]; every error carries the usage.
+fn parse(argv: &[String], default_datasets: &[&str]) -> Result<RunArgs, String> {
+    let flags = Flags::parse(argv, &VALUE_FLAGS, &["no-trace"], USAGE)?;
+    RunArgs::from_flags(&flags, default_datasets).map_err(|e| format!("{e}\n{USAGE}"))
+}
+
+/// A run's output: `results/<bin>.txt`, truncated once per run, whose
+/// first line is the command that regenerates it.
+pub struct Results {
+    path: String,
+    file: File,
+    tel: Telemetry,
+}
+
+impl Results {
+    /// Prints `block` and appends it, plus a newline, to the results file.
+    pub fn save(&self, block: &str) -> Result<(), String> {
+        self.tel.info(block);
+        writeln!(&self.file, "{block}").map_err(|e| format!("{}: {e}", self.path))
     }
 
-    /// The dataset specs selected by `--datasets`.
-    pub fn specs(&self) -> Vec<DatasetSpec> {
-        self.datasets
-            .iter()
-            .map(|name| {
-                DatasetSpec::by_name(name, self.scale)
-                    .unwrap_or_else(|| panic!("unknown dataset {name}"))
-            })
-            .collect()
+    /// Writes the whole file `results/<file>` beside the results file
+    /// (the figure binaries' plot data).
+    pub fn write(&self, file: &str, contents: &str) -> Result<(), String> {
+        let path = format!("results/{file}");
+        std::fs::write(&path, contents).map_err(|e| format!("{path}: {e}"))
+    }
+}
+
+/// The command that reruns binary `name` with `argv`, quoted for a shell.
+fn command(name: &str, argv: &[String]) -> String {
+    let mut cmd = format!("cargo run --release -p logirec-bench --bin {name}");
+    if !argv.is_empty() {
+        cmd.push_str(" --");
+    }
+    for arg in argv {
+        let plain = !arg.is_empty()
+            && arg.chars().all(|c| c.is_ascii_alphanumeric() || "-_.,=/:+".contains(c));
+        cmd.push(' ');
+        if plain {
+            cmd.push_str(arg);
+        } else {
+            cmd.push_str(&format!("'{}'", arg.replace('\'', r"'\''")));
+        }
+    }
+    cmd
+}
+
+/// Runs experiment binary `name`: validates the command line, truncates
+/// `results/<name>.txt` and writes the rerun command as its first line,
+/// attaches the trace `results/<name>.trace.jsonl` unless `--no-trace`,
+/// and runs `body`. A bad flag, scale or dataset creates no file. Any
+/// error (the flags, a failed write, the body's) prints `<name>: <error>`
+/// and exits 1.
+pub fn main(
+    name: &str,
+    default_datasets: &[&str],
+    body: impl FnOnce(&RunArgs, &Results) -> Result<(), String>,
+) -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let run = || -> Result<(), String> {
+        let mut args = parse(&argv, default_datasets)?;
+        std::fs::create_dir_all("results").map_err(|e| format!("results: {e}"))?;
+        let path = format!("results/{name}.txt");
+        let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+        writeln!(&file, "{}", command(name, &argv)).map_err(|e| format!("{path}: {e}"))?;
+        if args.trace {
+            let trace = format!("results/{name}.trace.jsonl");
+            args.telemetry =
+                Telemetry::builder().jsonl(&trace).build().map_err(|e| format!("{trace}: {e}"))?;
+        }
+        let out = Results { path, file, tel: args.telemetry.clone() };
+        let result = body(&args, &out);
+        args.telemetry.finish();
+        result
+    };
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -235,10 +281,36 @@ impl ExpMetrics {
             per_user: res.per_user_recall,
         }
     }
+}
 
-    /// The quadruple as an array (Recall@10, Recall@20, NDCG@10, NDCG@20).
-    pub fn quad(&self) -> [f64; 4] {
-        [self.r10, self.r20, self.n10, self.n20]
+/// One method's metrics over the seeds of [`over_seeds`].
+#[derive(Debug, Clone)]
+pub struct SeedMetrics {
+    /// Recall@10, Recall@20, NDCG@10, NDCG@20 as mean ± std over the seeds.
+    pub agg: [MeanStd; 4],
+    /// The last seed's per-user Recall@20 (Wilcoxon pairing).
+    pub per_user: Vec<f64>,
+}
+
+/// Trains and tests one method once per seed `s` in `0..--seeds`, in
+/// order: on `spec.generate(100 + s)`, with `train` handed the config
+/// seed `7·s + 1`.
+pub fn over_seeds<R: Ranker>(
+    args: &RunArgs,
+    spec: &DatasetSpec,
+    mut train: impl FnMut(&Dataset, u64) -> R,
+) -> SeedMetrics {
+    let mut quads = Vec::new();
+    let mut per_user = Vec::new();
+    for seed in 0..args.seeds {
+        let ds = spec.generate(100 + seed);
+        let m = ExpMetrics::collect(&train(&ds, 7 * seed + 1), &ds, args.threads);
+        quads.push([m.r10, m.r20, m.n10, m.n20]);
+        per_user = m.per_user;
+    }
+    SeedMetrics {
+        agg: std::array::from_fn(|i| mean_std(&quads.iter().map(|q| q[i]).collect::<Vec<_>>())),
+        per_user,
     }
 }
 
@@ -246,36 +318,79 @@ impl ExpMetrics {
 mod tests {
     use super::*;
 
+    fn args_with(s: &[&str], default_datasets: &[&str]) -> Result<RunArgs, String> {
+        parse(&s.iter().map(|a| a.to_string()).collect::<Vec<_>>(), default_datasets)
+    }
+
     fn args(s: &[&str]) -> RunArgs {
-        RunArgs::parse(s.iter().map(|s| s.to_string()))
+        args_with(s, ALL_DATASETS).expect("valid flags")
+    }
+
+    fn names(a: &RunArgs) -> Vec<&str> {
+        a.specs.iter().map(|s| s.name).collect()
     }
 
     #[test]
     fn defaults_cover_all_datasets() {
-        let a = RunArgs::default();
-        assert_eq!(a.datasets.len(), 4);
+        let a = args(&[]);
+        assert_eq!(names(&a), ALL_DATASETS);
         assert_eq!(a.scale, Scale::Small);
+        assert_eq!(a.seeds, 2);
+        assert_eq!(a.epochs, 0);
     }
 
     #[test]
     fn parse_handles_every_flag() {
         let a = args(&[
-            "--scale", "tiny", "--seeds", "5", "--epochs", "12", "--datasets", "cd,book",
-            "--threads", "3", "--train-threads", "7",
+            "--scale", "tiny", "--seeds", "5", "--epochs", "12", "--datasets", "cd, book",
+            "--threads", "3", "--train-threads", "7", "--no-trace",
         ]);
         assert_eq!(a.scale, Scale::Tiny);
         assert_eq!(a.seeds, 5);
         assert_eq!(a.epochs, 12);
-        assert_eq!(a.datasets, vec!["cd", "book"]);
+        assert_eq!(names(&a), ["cd", "book"]);
         assert_eq!(a.threads, 3);
         assert_eq!(a.train_threads, 7);
-        assert_eq!(a.specs().len(), 2);
+        assert!(!a.trace);
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn parse_rejects_unknown_flags() {
-        args(&["--bogus"]);
+    fn default_datasets_apply_only_when_datasets_is_absent() {
+        let two = ["cd", "clothing"];
+        assert_eq!(names(&args_with(&[], &two).unwrap()), two);
+        let all = args_with(&["--datasets", "ciao,cd,clothing,book"], &two).unwrap();
+        assert_eq!(names(&all), ALL_DATASETS);
+        assert_eq!(names(&args_with(&["--datasets", "book"], &two).unwrap()), ["book"]);
+    }
+
+    #[test]
+    fn bad_flags_scales_and_datasets_are_named_with_the_usage() {
+        for (argv, named) in [
+            (&["--seeds", "x"][..], "--seeds"),
+            (&["--seeds", "0"], "--seeds"),
+            (&["--bogus"], "--bogus"),
+            (&["--epochs"], "--epochs"),
+            (&["--scale", "huge"], "huge"),
+            (&["--datasets", "ciao,nope"], "nope"),
+        ] {
+            let err = args_with(argv, ALL_DATASETS).expect_err("rejected");
+            assert!(err.contains(named), "{argv:?}: {err}");
+            assert!(err.contains("usage:"), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_command_reruns_the_arguments_as_given() {
+        let argv = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(command("fig3", &[]), "cargo run --release -p logirec-bench --bin fig3");
+        assert_eq!(
+            command("table1", &argv(&["--scale", "small", "--no-trace"])),
+            "cargo run --release -p logirec-bench --bin table1 -- --scale small --no-trace"
+        );
+        assert_eq!(
+            command("table2", &argv(&["--datasets", "ciao, cd"])),
+            "cargo run --release -p logirec-bench --bin table2 -- --datasets 'ciao, cd'"
+        );
     }
 
     #[test]

@@ -69,27 +69,6 @@ pub fn render(title: &str, headers: &[&str], rows: &[Row]) -> String {
     out
 }
 
-/// Renders and prints to stdout.
-pub fn print(title: &str, headers: &[&str], rows: &[Row]) {
-    println!("{}", render(title, headers, rows));
-}
-
-/// Appends experiment output to `results/<name>.txt` (creating the
-/// directory as needed) so table binaries leave a reproducible record.
-pub fn save(name: &str, content: &str) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(format!("{name}.txt")))
-        {
-            let _ = writeln!(f, "{content}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

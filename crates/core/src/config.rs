@@ -72,8 +72,6 @@ pub struct LogiRecConfig {
     pub margin: f64,
     /// Riemannian SGD learning rate.
     pub lr: f64,
-    /// Per-epoch multiplicative learning-rate decay (1.0 = constant).
-    pub lr_decay: f64,
     /// Training epochs.
     pub epochs: usize,
     /// Positive pairs per SGD step.
@@ -138,11 +136,6 @@ pub struct LogiRecConfig {
     /// recoveries are attempted before training stops at the last healthy
     /// state.
     pub max_recoveries: usize,
-    /// Loss-explosion threshold: an epoch whose mean rank loss exceeds
-    /// `explosion_factor ×` the best epoch loss so far is treated as
-    /// divergence (0.0 disables the explosion check; non-finite losses and
-    /// manifold violations are always checked).
-    pub explosion_factor: f64,
     /// Telemetry sink for spans, metrics, and structured events (see
     /// `logirec_obs`). The default is [`logirec_obs::Telemetry::disabled`],
     /// which makes every instrumentation point in the trainer, data path,
@@ -162,7 +155,6 @@ impl Default for LogiRecConfig {
             lambda: 0.1,
             margin: 1.0,
             lr: 0.02,
-            lr_decay: 1.0,
             epochs: 40,
             batch_size: 256,
             negatives: 8,
@@ -185,7 +177,6 @@ impl Default for LogiRecConfig {
             checkpoint_path: None,
             resume_from: None,
             max_recoveries: 4,
-            explosion_factor: 100.0,
             telemetry: logirec_obs::Telemetry::disabled(),
             #[cfg(feature = "fault-injection")]
             faults: None,

@@ -130,6 +130,13 @@ impl SeenFilter {
         Ok(&self.items[self.offsets[u]..self.offsets[u + 1]])
     }
 
+    /// Makes room for `users` more [`Self::push_user`]s seeing `items`
+    /// items between them, appended in place (see [`CowVec::reserve`]).
+    pub fn reserve_users(&mut self, users: usize, items: usize) {
+        self.offsets.reserve(users);
+        self.items.reserve(items);
+    }
+
     /// Appends one user with the given seen-item list (sorted and deduped
     /// here, so callers may pass events in arrival order). The streaming
     /// fold-in path uses this to grow the filter in lockstep with the

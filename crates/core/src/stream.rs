@@ -449,7 +449,7 @@ fn optimize_new_row<S: Scalar>(
 
 /// How far outside the frozen table's origin-span an optimized fold-in row
 /// may land before it is rejected as divergent (mirrors the trainer's
-/// `explosion_factor` health check).
+/// `EXPLOSION_FACTOR` health check).
 const FOLD_IN_EXPLOSION_FACTOR: f64 = 100.0;
 
 fn scale_in_place<S: Scalar>(v: &mut [S], factor: f64) {

@@ -107,6 +107,12 @@ impl InteractionSet {
         self.items_of(u).binary_search(&v).is_ok()
     }
 
+    /// Makes room for `users` more [`Self::push_user`]s that append in
+    /// place (see [`CowVec::reserve`]).
+    pub fn reserve_users(&mut self, users: usize) {
+        self.user_off.reserve(users);
+    }
+
     /// Appends a user with no interactions (id `n_users()` before the call).
     pub fn push_user(&mut self) {
         self.user_off.push(self.user_items.len());

@@ -19,7 +19,8 @@
 //! not at that end (a sibling appended first), or finds no spare capacity,
 //! copies its elements once into a buffer with room to double. A chain of
 //! clones, each appending to the last, therefore copies only when the
-//! capacity runs out.
+//! capacity runs out. [`CowVec::reserve`] makes that room up front, so a
+//! chain started from a reserved buffer copies nothing until it fills it.
 //!
 //! This is the one storage primitive behind the serving state that
 //! fold-ins grow: the rows of an [`crate::Embedding`], and the flat CSR
@@ -165,6 +166,20 @@ impl<T: Copy + Send + Sync> CowVec<T> {
         }
     }
 
+    /// Makes room for `additional` more elements past this handle's end,
+    /// copying once into a buffer of exactly that size when the buffer
+    /// lacks the room or is not this handle's to append to (a sibling
+    /// appended past it). Appends then claim the room in place.
+    pub fn reserve(&mut self, additional: usize) {
+        let n = self.len;
+        let at_end = self.owns_buffer() || self.buf.written.load(Ordering::Relaxed) == n;
+        if !at_end || self.buf.cap - n < additional {
+            let mut data = Vec::with_capacity(n + additional);
+            data.extend_from_slice(self.as_slice());
+            self.buf = Arc::new(Buffer::from_vec(data));
+        }
+    }
+
     /// Appends one element (see [`CowVec::extend_from_slice`]).
     pub fn push(&mut self, value: T) {
         self.extend_from_slice(std::slice::from_ref(&value));
@@ -254,6 +269,32 @@ mod tests {
         assert!(!d.shares_storage_with(&a) && !c.shares_storage_with(&a));
         assert_eq!((&a[..], &d[..]), (&[1, 2, 3, 4][..], &[1, 2, 3, 4, 9][..]));
         assert_eq!(&c[..], &[1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_reserved_buffer_takes_a_chain_of_appends_in_place() {
+        let base: CowVec<usize> = vec![1, 2, 3].into();
+        let mut a = base.clone();
+        a.reserve(100);
+        assert!(!a.shares_storage_with(&base), "a full buffer has no room to reserve");
+        let mut tip = a.clone();
+        for v in 0..100 {
+            let mut next = tip.clone();
+            next.push(v);
+            tip = next;
+        }
+        assert!(tip.shares_storage_with(&a), "an append inside the reserved room copied");
+        assert_eq!((&base[..], &a[..]), (&[1, 2, 3][..], &[1, 2, 3][..]));
+        assert_eq!((tip.len(), tip[3], tip[102]), (103, 0, 99));
+        // Room that is there is not reserved again; room behind a sibling
+        // that appended is not this handle's.
+        let mut same = tip.clone();
+        same.reserve(0);
+        assert!(same.shares_storage_with(&tip));
+        let mut behind = a.clone();
+        behind.reserve(1);
+        assert!(!behind.shares_storage_with(&a));
+        assert_eq!(&behind[..], &[1, 2, 3]);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! capacity (see [`crate::cow`]). So a serving fold-in that clones a
 //! snapshot's tables pays only for the row it appends: a chain of fold-ins,
 //! each appending one row to a clone of the last, copies a table only when
-//! its capacity runs out, and never allocates per signup.
+//! its capacity runs out ([`Embedding::reserve_rows`] makes room up front),
+//! and never allocates per signup.
 //!
 //! The element type is generic over [`Scalar`] with an `f64` default, so the
 //! plain `Embedding` spelling every existing caller uses still means the
@@ -165,6 +166,13 @@ impl<S: Scalar> Embedding<S> {
         assert_eq!(row.len(), self.dim, "push_row requires a {}-dim row", self.dim);
         self.data.extend_from_slice(row);
         self.rows += 1;
+    }
+
+    /// Makes room for `rows` more rows, so that many [`Self::push_row`]s on
+    /// this handle or on a chain of its clones append in place (see
+    /// [`CowVec::reserve`]).
+    pub fn reserve_rows(&mut self, rows: usize) {
+        self.data.reserve(rows * self.dim);
     }
 
     /// Converts every entry through `f64` into precision `T` (exact when

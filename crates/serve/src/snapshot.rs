@@ -51,10 +51,31 @@ pub struct ServeContext {
 /// How many canary users a candidate snapshot is probed against.
 const N_CANARIES: usize = 8;
 
+/// The room, in bytes, that each table a user fold-in appends to (the
+/// user finals, the seen filter's two arrays and the training offsets)
+/// reserves when a context or snapshot is built: about 129,000 signups'
+/// finals at d = 64 in `f64`. Room is address space, not memory: the
+/// system allocator maps a request this large on its own (glibc maps any
+/// request of 32 MiB or more), and the OS backs a page only when a fold-in
+/// first writes it. A chain of fold-ins then appends in place from the
+/// first signup on, copying no table and freeing no buffer while the live
+/// snapshot serves. Without the room, the first fold-in copies the exactly
+/// sized tables a build makes and each doubling copies the user finals
+/// again; whether the heap then reuses or returns the freed copies depends
+/// on timing, so a server's peak memory would differ from run to run by
+/// whole tables.
+const FOLD_IN_ROOM_BYTES: usize = 64 << 20;
+
+/// [`FOLD_IN_ROOM_BYTES`] in elements of `T`.
+fn fold_in_room<T>() -> usize {
+    FOLD_IN_ROOM_BYTES / std::mem::size_of::<T>()
+}
+
 impl ServeContext {
     /// Builds the context from a dataset. The seen mask is Train ∪
     /// Validation — the mask offline test-split evaluation applies — so the
-    /// exact path reproduces `evaluate` responses byte for byte.
+    /// exact path reproduces `evaluate` responses byte for byte. The tables
+    /// a user fold-in appends to get `FOLD_IN_ROOM_BYTES` of room.
     pub fn from_dataset(ds: &Dataset) -> Self {
         let n_items = ds.n_items();
         let mut item_degree = vec![0usize; n_items];
@@ -67,9 +88,13 @@ impl ServeContext {
         let n_users = ds.n_users();
         let step = (n_users / N_CANARIES).max(1);
         let canaries: Vec<usize> = (0..n_users).step_by(step).take(N_CANARIES).collect();
+        let mut train = ds.train.clone();
+        train.reserve_users(fold_in_room::<usize>());
+        let mut seen = SeenFilter::eval_mask(ds);
+        seen.reserve_users(fold_in_room::<usize>(), fold_in_room::<usize>());
         Self {
-            train: ds.train.clone(),
-            seen: SeenFilter::eval_mask(ds),
+            train,
+            seen,
             popularity: popularity.into(),
             pop_scores: pop_scores.into(),
             canaries: canaries.into(),
@@ -347,7 +372,10 @@ fn finals_of<S: Scalar>(
     }
     model.clear_state();
     model.propagate(ctx.train());
-    Ok(Box::new(model.into_state()))
+    let mut state = model.into_state();
+    let row_bytes = state.user_final.dim() * std::mem::size_of::<S>();
+    state.user_final.reserve_rows(FOLD_IN_ROOM_BYTES / row_bytes);
+    Ok(Box::new(state))
 }
 
 impl ModelSnapshot {
@@ -481,8 +509,8 @@ impl ModelSnapshot {
     /// Whether each of this snapshot's tables shares its storage with
     /// `other`'s: `[user finals, item finals, scan table]`. A user
     /// fold-in's candidate shares all three with its parent, except that
-    /// the user finals are copied, with room to double, when their buffer
-    /// is full.
+    /// the user finals are copied, with room to double, when the room
+    /// reserved at build (`FOLD_IN_ROOM_BYTES`) is full.
     pub fn shares_tables_with(&self, other: &ModelSnapshot) -> [bool; 3] {
         let (mine, theirs) = (self.finals.table_addresses(), other.finals.table_addresses());
         [0, 1, 2].map(|t| mine[t] == theirs[t])
@@ -496,9 +524,10 @@ impl ModelSnapshot {
     ///
     /// The publish costs only what the fold-in adds. The clone shares
     /// every table with this snapshot, and the new final is appended past
-    /// the rows this snapshot sees, into spare capacity when the table has
-    /// it (a table is copied, with room to double, only when it has not);
-    /// the context grows the same way ([`ServeContext::with_new_user`]).
+    /// the rows this snapshot sees, into the room a build reserves
+    /// (`FOLD_IN_ROOM_BYTES`; a table is copied, with room to double,
+    /// only once that is full); the context grows the same way
+    /// ([`ServeContext::with_new_user`]).
     /// The candidate serves the forward state that appending extended,
     /// without re-propagating: the new entity has no edges, so propagation
     /// would reproduce that state bit for bit.
@@ -819,6 +848,22 @@ mod tests {
         for (a, b) in old_scores.iter().zip(&new_scores) {
             assert_eq!(a.to_bits(), b.to_bits(), "old user scores must be bit-identical");
         }
+    }
+
+    #[test]
+    fn a_built_snapshot_takes_its_first_fold_ins_in_place() {
+        // Build-time room: from the first signup on, a chain of user
+        // fold-ins copies none of the tables it appends to.
+        let (ds, _ctx, snap) = fixture();
+        let mut tip = snap.fold_in(false, &[1, 4, 9], None, None).expect("fold in").0;
+        for u in 0..20 {
+            tip = tip.fold_in(false, ds.train.items_of(u), None, None).expect("fold in").0;
+        }
+        assert_eq!(tip.shares_tables_with(&snap), [true; 3]);
+        let (grown, base) = (tip.ctx(), snap.ctx());
+        assert!(grown.seen().shares_storage_with(base.seen()));
+        assert!(grown.train().shares_storage_with(base.train()));
+        assert_eq!(grown.n_users(), ds.n_users() + 21);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 # telemetry smoke run — generate and train with --trace-json and validate
 # both traces with trace_check (every line parses, spans well-nested, all
 # instrumented phases present, and the training spans cover at least 90%
-# of the run's wall time).
+# of the run's wall time). The quick committed results must reproduce
+# byte for byte from the command on their first line
+# (scripts/reproduce.sh --quick).
 # The hard slowdown check is the end-to-end benchmark's comparator test,
 # compare::tests::a_thirty_percent_tail_slowdown_is_flagged (`compare` must
 # flag a 1.3x tail slowdown), and the approx recall gate is
@@ -29,6 +31,11 @@ for example in examples/*.rs; do
   ./target/release/examples/"$name" > /dev/null \
     || { echo "tier1: example $name FAILED"; exit 1; }
 done
+
+# Committed results reproduce: a generator change fails here until its
+# table is regenerated.
+cargo build --release -p logirec-bench --bin table1 --bin fig3
+scripts/reproduce.sh --quick
 
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
