@@ -1,9 +1,10 @@
 //! The exact top-K primitive (`logirec_core::scan`) at paper width:
 //! 8,836 items × 65 ambient coordinates (d = 64), k = 10, in f64 and f32,
 //! beside the per-item `lorentz::distance` loop it replaced (labelled
-//! `reference_loop`), plus the one-off cost of building the f64 blocked
+//! `reference_loop`), plus the one-off cost of building the coarse `f32`
 //! table. Before timing, it checks the two paths agree bit for bit on every
-//! query and prints the tie-band size. Numbers from this bin are committed
+//! query and prints the tie-band size and the number of candidates the
+//! coarse pass leaves to key exactly. Numbers from this bin are committed
 //! to `results/scan.txt`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -39,12 +40,14 @@ fn reference_loop<S: Scalar>(q: &[S], items: &Embedding<S>, scores: &mut [f64]) 
 }
 
 /// Checks scan vs reference on every query and prints the mean and max
-/// number of items in the tie band (the `acosh` calls a query makes).
+/// number of items in the tie band (the `acosh` calls a query makes) and
+/// of candidates (the rows a query keys exactly).
 fn check_and_report_band<S: Scalar>(label: &str, items: &Embedding<S>, users: &Embedding<S>) {
     let scan = ScanTable::new(Geometry::Hyperbolic, items);
     let mut keys = vec![0.0; items.rows()];
     let mut scores = vec![0.0; items.rows()];
     let (mut total, mut max) = (0usize, 0usize);
+    let (mut rekeyed, mut most) = (0usize, 0usize);
     for q in users.iter_rows() {
         let (got, _) = scan.top_k(q, &[], K, &mut keys);
         assert_eq!(
@@ -61,10 +64,15 @@ fn check_and_report_band<S: Scalar>(label: &str, items: &Embedding<S>, users: &E
         let band = keys.iter().filter(|&&key| key <= end).count();
         total += band;
         max = max.max(band);
+        let candidates = scan.candidates(q, K, &mut keys);
+        rekeyed += candidates;
+        most = most.max(candidates);
     }
+    let queries = users.rows() as f64;
     println!(
-        "band {label}: k={K}, mean {:.2} items, max {max} over {} queries",
-        total as f64 / users.rows() as f64,
+        "band {label}: k={K}, mean {:.2} items, max {max}; candidates mean {:.2}, max {most}; over {} queries",
+        total as f64 / queries,
+        rekeyed as f64 / queries,
         users.rows()
     );
 }

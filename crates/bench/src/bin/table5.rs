@@ -13,8 +13,7 @@ use logirec_core::mining::{
     combine_weights, consistency_weights, granularity_weights, user_profiles,
 };
 use logirec_core::train;
-use logirec_data::Split;
-use logirec_eval::{evaluate, Ranker};
+use logirec_eval::Ranker;
 
 fn main() -> std::process::ExitCode {
     harness::main("table5", &["cd", "book"], run)
@@ -47,9 +46,6 @@ fn run(args: &RunArgs, results: &Results) -> Result<(), String> {
             .min_by(|&&a, &&b| alpha[a].partial_cmp(&alpha[b]).expect("finite"))
             .expect("users exist");
 
-        let res = evaluate(&model, &ds, Split::Test, &[10], args.threads);
-        let _ = res; // full-eval warms nothing here; recommendations below are per-user
-
         out.push_str(&format!(
             "Table V case studies — {} (scale = {:?})\n{}\n",
             spec.name,
@@ -68,13 +64,10 @@ fn run(args: &RunArgs, results: &Results) -> Result<(), String> {
                 .map(|&(t, c)| format!("<{}> x{}", ds.taxonomy.name(t), c))
                 .collect();
             out.push_str(&format!("  tags: {}\n", tags.join("; ")));
-            // Top recommendations with their tags.
-            let mut scores = vec![0.0; ds.n_items()];
-            model.score_user(u, &mut scores);
-            for &v in ds.train.items_of(u) {
-                scores[v] = f64::NEG_INFINITY;
-            }
-            let top = logirec_eval::ranking::top_k_indices(&scores, 6);
+            // Top recommendations with their tags: the exact top-K with the
+            // user's training items masked.
+            let mut scratch = vec![0.0; ds.n_items()];
+            let (top, _) = model.top_k(u, &[ds.train.items_of(u)], 6, &mut scratch);
             let recs: Vec<String> = top
                 .iter()
                 .map(|&v| {

@@ -4,32 +4,134 @@
 //! (Eq. 9): `d(u, v) = acosh(−⟨u, v⟩_L)` on the hyperboloid, `‖u − v‖` in
 //! the Euclidean ablation. Both distances are monotone in a cheaper
 //! **key** — the flipped inner product `−⟨u, v⟩_L`, or the squared
-//! distance — so the scan computes every item's key in one pass, selects
-//! the `k` smallest unmasked keys, and computes the distance only for the
-//! **tie band** at the k-th key. The answer is bit-identical to scoring
-//! every item, masking, and selecting with `top_k_indices`, and a k = 10
-//! query computes about ten `acosh` instead of one per item.
+//! distance — so the scan selects the `k` smallest unmasked keys and
+//! computes the distance only for the **tie band** at the k-th key. The
+//! answer is bit-identical to scoring every item, masking, and selecting
+//! with `top_k_indices`, and a k = 10 query computes about ten `acosh`
+//! instead of one per item.
+//!
+//! # Two passes: a coarse bound, then exact keys for the candidates
+//!
+//! Streaming every item row at the model's precision is what a query costs
+//! (the pass is bound by bytes, not arithmetic), so the scan keys in two
+//! passes over the item table:
+//!
+//! 1. The **coarse pass** streams an `f32` blocked copy of the item finals
+//!    ([`RowBlocks`], half the bytes of `f64` rows) and gives every unmasked
+//!    item a coarse key `K̃` and a proven bound `E` (below): the exact key
+//!    lies in `[K̃ − E, K̃ + E]`.
+//! 2. `T_U` is the band end of the k-th smallest upper bound `K̃ + E`. Only
+//!    the **candidates**, the items whose lower bound `K̃ − E` is at most
+//!    `T_U`, are re-keyed exactly, from the item finals at the model's
+//!    precision, and only their exact keys are offered to [`KeyTopK`]; the
+//!    tie band is ranked over them. On the served model a k = 10 query
+//!    re-keys about ten items.
+//!
+//! The coarse keys only select. Every key that decides an answer is exact,
+//! so the answers are the exact scan's, bit for bit.
 //!
 //! # Order contract
 //!
-//! Every key is computed in the order [`Scalar::dot`] / [`Scalar::dist_sq`]
-//! use, so it equals `-lorentz::inner(u, v)` / `ops::dist_sq(u, v)` bit for
-//! bit and the band's distances equal `lorentz::distance` / `ops::dist`.
-//! At `f64` the keys come from a blocked copy of the item table
-//! ([`RowBlocks`]: one sequential accumulator per row, eight rows per
-//! vector); at `f32` from row-major rows through the 8-lane
-//! [`Scalar::dot`], which is already SIMD within a row, so an item-order
-//! `f32` table holds no extra copy. Keys are widened to `f64` (exact), so
-//! one `f64` scratch buffer serves both precisions.
+//! Every exact key is [`row_key`] of its item's row of the finals: the
+//! order of [`Scalar::dot`] / [`Scalar::dist_sq`], so it equals
+//! `-lorentz::inner(u, v)` / `ops::dist_sq(u, v)` bit for bit, and the
+//! band's distances equal `lorentz::distance` / `ops::dist`. Keys are
+//! widened to `f64` (exact), so one `f64` buffer serves both precisions.
 //!
-//! The rows may sit in any order of **positions** ([`ScanTable::in_order`]:
-//! a serving index lays them out cluster by cluster, each cluster one
-//! contiguous run), and a query may walk all runs or some
-//! ([`ScanTable::top_k_runs`]). Order never changes an answer: a key
-//! depends only on its row, the selection keeps the k smallest keys as a
-//! multiset, and the band is ranked by score, then item id — never by
-//! position. So a walk over every run is bit-identical to the item-order
-//! scan, and a walk over some runs to the exact scan of just their items.
+//! The coarse rows may sit in any order of **positions**
+//! ([`ScanTable::in_order`]: a serving index lays them out cluster by
+//! cluster, each cluster one contiguous run), and a query may walk all runs
+//! or some ([`ScanTable::top_k_runs`]). Order never changes an answer: a key
+//! and its bound depend only on the row, the selections keep the k
+//! smallest keys and bounds as multisets, and the band is ranked by score,
+//! then item id — never by position. So a walk over every run is
+//! bit-identical to the item-order scan, and a walk over some runs to the
+//! exact scan of just their items. The finals stay in item order; the
+//! table holds a shared handle on them.
+//!
+//! # The walk
+//!
+//! A walk keys each run it visits in pieces of at most `keys.len()`
+//! positions (a key buffer as long as the run keys it in one piece). For
+//! each piece it
+//!
+//! 1. runs the coarse pass, writes every unmasked position's lower bound
+//!    into `keys` (a masked position's reads `+∞`), and offers its upper
+//!    bound to a second [`KeyTopK`], which holds the k smallest;
+//! 2. takes `T_U`, the band end of the k-th smallest upper bound held
+//!    (while fewer than k are held, every unmasked position is a
+//!    candidate);
+//! 3. re-keys each position whose lower bound is at most `T_U`, and offers
+//!    the exact key.
+//!
+//! Only the current piece's bounds are kept, so a walk over short runs
+//! needs no buffer the size of the catalog.
+//!
+//! *Why the candidates are enough.* Let `κ` be the k-th smallest exact key
+//! over the positions walked so far. The k positions that hold the k
+//! smallest upper bounds have exact keys at most `U₍ₖ₎`, so `κ ≤ U₍ₖ₎`, and
+//! `κ` only falls as the walk goes on. [`KeyTopK::band_end`] is monotone in
+//! its key, so a position whose exact key is at most `band_end(κ)` — one of
+//! the k smallest, or a tie-band member — has a lower bound at most
+//! `band_end(κ) ≤ band_end(U₍ₖ₎) = T_U` at the piece that keyed it: it was a
+//! candidate. So after every run the exact [`KeyTopK`] holds the k smallest
+//! keys a walk keying every position exactly would hold (its
+//! [`KeyTopK::kth_score`], and the pruning a serving index drives with it,
+//! are unchanged), and the band ranked over the candidates is that walk's
+//! band.
+//!
+//! # The coarse bound
+//!
+//! Write `u = 2⁻²⁴` for the unit roundoff of `f32`, `η = 2⁻¹⁴⁹` for its
+//! smallest subnormal, `u_S` for the unit roundoff of the model's precision
+//! `S`, `γ_m(x) = m·x/(1 − m·x)`, and `n` for the row width. The coarse pass
+//! rounds the query and each row to `f32` (`q'`, `v'`): per coordinate
+//! `|x − x'| ≤ u·|x'| + η/2`, and a coordinate beyond the `f32` range goes
+//! to `±∞`. `N_q ≥ ‖q'‖₂` and `N_v ≥ ‖v'‖₂` are [`norm_bound`]s; the table
+//! stores `N_v` beside each row.
+//!
+//! *Lorentz.* The key is a signed dot product `Σ_j s_j·q_j·v_j` (`s₀ = 1`,
+//! else `−1`); the coarse pass negates the spatial query coordinates, so
+//! `K̃` is a plain `f32` dot product. Three errors separate `K̃` from the
+//! exact key `K`:
+//!
+//! - the `f32` sum, in any order: within `γ_n(u)·Σ|q'_j·v'_j|` of the real
+//!   sum of the rounded products, plus `n·η/2` for products that underflow;
+//! - the rounding of the inputs: `|q'_j·v'_j − q_j·v_j| ≤ (2u + u²)·|q'_j·v'_j|
+//!   + (1 + u)·(η/2)·(|q'_j| + |v'_j|) + η²/4`;
+//! - the exact path's own sum: within `γ_n(u_S)·Σ|q_j·v_j|` of the real key,
+//!   plus `n·η/2` (its subnormals are no coarser than `f32`'s).
+//!
+//! Cauchy–Schwarz bounds `Σ|q'_j·v'_j| ≤ N_q·N_v`, and `‖x‖₁ ≤ √n·‖x‖₂`, so
+//! the three add up to at most half of
+//!
+//! ```text
+//! E = A·N_q·N_v + B·(N_q + N_v) + C,
+//! A = 2·[γ_n(u) + 2u + u² + γ_n(u_S)·(1 + u)²],  B = 6·√n·η,  C = 6·n·η.
+//! ```
+//!
+//! *Euclidean.* The key `Σ_j (q_j − v_j)²` sums nonnegative terms, so each
+//! sum is within `γ_{n+2}` of its own value (plus `n·η/2`). By the triangle
+//! inequality `‖(q − v) − (q' − v')‖₂ ≤ r = u·M + √n·η/2` with
+//! `M = N_q + N_v`, so the real keys before and after rounding differ by at
+//! most `r·(2M + r)`. All told the error is at most half of
+//! `E = A·M² + B·M + C`, with `A` taken at `n + 2` in place of `n`.
+//!
+//! The factor 2 also absorbs the `f64` rounding of `E` and of `K̃ ± E`: each
+//! is relative `2⁻⁵³`, and `E ≥ A·N_q·N_v` (`A·M²`) is more than `2⁻²²·|K̃|`.
+//! At `f32` the coarse rows equal the finals (`q' = q`, `v' = v`) and the
+//! bound covers the two summation orders, the kernel's and
+//! [`Scalar::dot`]'s.
+//!
+//! *Rows the bound cannot decide.* The derivation assumes that no sum
+//! overflows. A row whose coarse key is not finite (a NaN or infinite
+//! coordinate, or one beyond the `f32` range, on either side), or whose `E`
+//! is not below `A·MAX_S/8`, gets the bounds `(−∞, +∞)`: it is always
+//! re-keyed and never sets `T_U`. Below that limit `N_q·N_v` (`M²`) is below
+//! `MAX_S/8`, so no partial sum of the exact key overflows and the key is
+//! finite and below `MAX_S/7`, where `acosh` and `√` are finite: a row the
+//! bound decides scores finite, which is what [`ScanTable::first_non_finite`]
+//! reads. A masked row is never re-keyed.
 //!
 //! # Why the tie band is enough
 //!
@@ -62,19 +164,28 @@
 //! `√̂x ≤ √x(1+u)`, and `√y/√x ≥ √(1+τ)`: any `τ > 4u` orders them
 //! strictly, far below the Lorentz `τ`. Only when `κ·τ` underflows
 //! (`f64` keys below ~2⁻⁹⁸⁵) does the band fall back to `4κ`, exact there
-//! and with `√(4κ) = 2√κ` clear of every tie.
+//! and with `√(4κ) = 2√κ` clear of every tie; past that point the band
+//! keeps at least `4·min(κ, 2·MIN_POSITIVE/τ)`, so its end never falls as
+//! `κ` grows.
 
 use std::marker::PhantomData;
 use std::ops::Range;
 
 use logirec_eval::ranking::TopK;
 use logirec_hyperbolic::lorentz;
-use logirec_linalg::{ops, Embedding, RowBlocks, Scalar};
+use logirec_linalg::{norm_bound, ops, Embedding, RowBlocks, Scalar};
 
 use crate::config::Geometry;
 
 /// How many times the derived rounding bound the tie band is wide.
 const TIE_MARGIN: f64 = 8.0;
+
+/// Positions keyed per piece by a walk whose caller keeps no key buffer of
+/// its own ([`ScanTable::first_non_finite`], the approx tier): 4 KiB of
+/// `f64` on the stack. The largest of the 94 clusters of the benchmark's
+/// paper-scale index holds 264 items, so each of its runs is keyed in one
+/// piece.
+pub const PIECE: usize = 512;
 
 /// The relative tie-band width `τ_S = TIE_MARGIN · ε(5 + 2·ln MAX)` for
 /// precision `S` (≈ 2.5e-12 at `f64`, ≈ 1.7e-4 at `f32`; see the module
@@ -86,7 +197,7 @@ fn tie_tau<S: Scalar>() -> f64 {
 
 /// The key of one item row for query `q`: `−⟨q, row⟩_L` (Lorentz) or
 /// `‖q − row‖²` (Euclidean), in the order of [`Scalar::dot`] /
-/// [`Scalar::dist_sq`]. At `f64` it equals the blocked kernel bit for bit.
+/// [`Scalar::dist_sq`]: every exact key the scan computes.
 #[inline]
 pub fn row_key<S: Scalar>(geometry: Geometry, q: &[S], row: &[S]) -> S {
     match geometry {
@@ -109,25 +220,20 @@ pub(crate) fn key_score<S: Scalar>(geometry: Geometry, key: f64) -> f64 {
 }
 
 /// The item side of the exact scan for one propagated item table: its
-/// geometry, the rows the key kernel streams (at `f64` a blocked copy,
-/// `items.rows() × items.dim() × 8` bytes; at `f32` row-major, in item
-/// order a shared handle on the caller's table), and, when the rows are not
-/// in item order, the map between positions and items. Positions never
-/// reach the caller: answers carry item ids, and [`ScanTable::keys`] writes
-/// item-indexed keys, whatever the order.
+/// geometry, the finals themselves (a shared handle, in item order: the
+/// source of every exact key), the coarse `f32` copy the first pass streams
+/// (`items.rows() × items.dim() × 4` bytes, in position order, and an `f64`
+/// norm per row), and, when the positions are not in item order, the map
+/// between positions and items. Positions never reach the caller: answers
+/// carry item ids, and [`ScanTable::keys`] writes item-indexed keys,
+/// whatever the order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanTable<S: Scalar = f64> {
     geometry: Geometry,
-    rows: Rows<S>,
+    items: Embedding<S>,
+    coarse: RowBlocks,
     /// `None` in item order (position `p` holds item `p`).
     order: Option<Order>,
-}
-
-/// The rows the key kernel streams, in position order.
-#[derive(Debug, Clone, PartialEq)]
-enum Rows<S: Scalar> {
-    Blocked(RowBlocks<S>),
-    RowMajor(Embedding<S>),
 }
 
 /// A table's position order: the item at each position and each item's
@@ -138,21 +244,25 @@ struct Order {
     position_of: Vec<u32>,
 }
 
+/// What one walk returns: the answer, the unmasked positions it walked, and
+/// how many of them it re-keyed exactly.
+struct Walk {
+    items: Vec<usize>,
+    scores: Vec<f64>,
+    unmasked: usize,
+    rekeyed: usize,
+}
+
 impl<S: Scalar> ScanTable<S> {
-    /// Prepares the scan over `items` in item order (blocks a copy at
-    /// `f64`).
+    /// Prepares the scan over `items` in item order: a coarse copy of the
+    /// rows, and a handle on `items` itself.
     pub fn new(geometry: Geometry, items: &Embedding<S>) -> Self {
-        let rows = if S::SEQUENTIAL_REDUCTIONS {
-            Rows::Blocked(RowBlocks::new(items))
-        } else {
-            Rows::RowMajor(items.clone())
-        };
-        Self { geometry, rows, order: None }
+        Self { geometry, items: items.clone(), coarse: RowBlocks::new(items), order: None }
     }
 
     /// Prepares the scan over `items` with item `order[p]` at position `p`
-    /// (`order` is a permutation of `0..items.rows()`), copying the rows
-    /// straight from `items` into position order.
+    /// (`order` is a permutation of `0..items.rows()`), copying the coarse
+    /// rows straight from `items` into position order.
     pub fn in_order(geometry: Geometry, items: &Embedding<S>, order: Vec<u32>) -> Self {
         let n = items.rows();
         assert_eq!(order.len(), n, "order length");
@@ -162,37 +272,27 @@ impl<S: Scalar> ScanTable<S> {
             assert_eq!(*slot, u32::MAX, "item {v} placed twice");
             *slot = p as u32;
         }
-        let sources = order.iter().map(|&v| v as usize);
-        let rows = if S::SEQUENTIAL_REDUCTIONS {
-            Rows::Blocked(RowBlocks::gather(items, sources))
-        } else {
-            let mut copy = Embedding::zeros(n, items.dim());
-            for (p, v) in sources.enumerate() {
-                copy.row_mut(p).copy_from_slice(items.row(v));
-            }
-            Rows::RowMajor(copy)
-        };
-        Self { geometry, rows, order: Some(Order { item_at: order, position_of }) }
+        let coarse = RowBlocks::gather(items, order.iter().map(|&v| v as usize));
+        Self {
+            geometry,
+            items: items.clone(),
+            coarse,
+            order: Some(Order { item_at: order, position_of }),
+        }
     }
 
     /// Number of positions (= items) in the table.
     pub(crate) fn len(&self) -> usize {
-        match &self.rows {
-            Rows::Blocked(blocks) => blocks.rows(),
-            Rows::RowMajor(table) => table.rows(),
-        }
+        self.items.rows()
     }
 
-    /// Writes every item's key for query `q` into `keys`, widened to `f64`
-    /// and indexed by item; `keys` holds one entry per item.
+    /// Writes every item's exact key for query `q` into `keys`, widened to
+    /// `f64` and indexed by item, row by row from the finals; `keys` holds
+    /// one entry per item.
     pub fn keys(&self, q: &[S], keys: &mut [f64]) {
         assert_eq!(keys.len(), self.len(), "key buffer length");
-        self.run_keys(q, 0..self.len(), keys);
-        if let Some(order) = &self.order {
-            let by_position = keys.to_vec();
-            for (&v, key) in order.item_at.iter().zip(by_position) {
-                keys[v as usize] = key;
-            }
+        for (key, row) in keys.iter_mut().zip(self.items.iter_rows()) {
+            *key = row_key(self.geometry, q, row).to_f64();
         }
     }
 
@@ -200,7 +300,7 @@ impl<S: Scalar> ScanTable<S> {
     /// `masked` holds, with their scores, best first — bit-identical to
     /// scoring every item, writing `NEG_INFINITY` over the masked ones and
     /// selecting with `top_k_indices`. `keys` is scratch of one entry per
-    /// item.
+    /// item, so the table is keyed in one piece.
     ///
     /// This is the walk over every run: one run covering every position.
     pub fn top_k(
@@ -213,16 +313,17 @@ impl<S: Scalar> ScanTable<S> {
         if k == 0 {
             return (Vec::new(), Vec::new());
         }
-        let mut all = Some(0..self.len());
-        // One run over every position, so its keys are indexed by position.
-        let mask = |_: &Range<usize>, keys: &mut [f64]| {
-            for &list in masked {
-                for &v in list {
-                    keys[self.position(v)] = f64::INFINITY;
-                }
-            }
-        };
-        self.walk(q, k, keys, |_| all.take(), mask)
+        assert_eq!(keys.len(), self.len(), "key buffer length");
+        let walk = self.walk_all(q, masked, k, keys);
+        (walk.items, walk.scores)
+    }
+
+    /// How many items [`ScanTable::top_k`] re-keys exactly for query `q`
+    /// with nothing masked: the candidates whose coarse bounds reach the
+    /// tie band of the k-th smallest upper bound.
+    pub fn candidates(&self, q: &[S], k: usize, keys: &mut [f64]) -> usize {
+        assert_eq!(keys.len(), self.len(), "key buffer length");
+        self.walk_all(q, &[], k, keys).rekeyed
     }
 
     /// The exact top-K over the runs `next_run` yields: of the items at
@@ -233,8 +334,9 @@ impl<S: Scalar> ScanTable<S> {
     /// walked, less the masked ones). `next_run` is shown the selection so
     /// far before each run, so a caller can skip a run that cannot beat
     /// [`KeyTopK::kth_score`]; `None` ends the walk. Runs must not overlap;
-    /// their order does not change the answer. `keys` is scratch of one
-    /// entry per item.
+    /// their order does not change the answer. `keys` is scratch of at
+    /// least one entry: a run longer than `keys` is keyed in pieces of
+    /// `keys.len()` positions (see the module docs).
     pub fn top_k_runs(
         &self,
         q: &[S],
@@ -253,17 +355,40 @@ impl<S: Scalar> ScanTable<S> {
                 &mapped
             }
         };
-        let mut unmasked = 0;
-        let mask = |run: &Range<usize>, keys: &mut [f64]| {
-            let first = positions.partition_point(|&p| p < run.start);
-            let last = positions.partition_point(|&p| p < run.end);
-            for &p in &positions[first..last] {
-                keys[p - run.start] = f64::INFINITY;
+        let walk = self.walk(q, k, positions, keys, next_run);
+        (walk.items, walk.scores, walk.unmasked)
+    }
+
+    /// The smallest item whose score for query `q` is not finite, if any:
+    /// the item `score_user` followed by a search for the first non-finite
+    /// score names. The coarse pass decides every row whose bound it can
+    /// (such a row scores finite; see the module docs), and only the rows
+    /// it cannot decide are re-keyed exactly.
+    pub fn first_non_finite(&self, q: &[S]) -> Option<usize> {
+        let coarse = CoarseQuery::new(self.geometry, q);
+        let mut keys = [0.0; PIECE];
+        let mut first: Option<usize> = None;
+        for start in (0..self.len()).step_by(PIECE) {
+            let piece = start..self.len().min(start + PIECE);
+            let keys = &mut keys[..piece.len()];
+            self.coarse_keys(&coarse, piece.clone(), keys);
+            for (p, &key) in piece.zip(keys.iter()) {
+                if coarse.bounds(key, self.coarse.norms()[p]) != UNDECIDED {
+                    continue;
+                }
+                let v = self.item_at(p);
+                let exact = row_key(self.geometry, q, self.items.row(v)).to_f64();
+                if !key_score::<S>(self.geometry, exact).is_finite() {
+                    first = Some(first.map_or(v, |f| f.min(v)));
+                }
             }
-            unmasked += run.len() - (last - first);
-        };
-        let (items, scores) = self.walk(q, k, keys, next_run, mask);
-        (items, scores, unmasked)
+        }
+        first
+    }
+
+    /// The item at position `p`.
+    fn item_at(&self, p: usize) -> usize {
+        self.order.as_ref().map_or(p, |order| order.item_at[p] as usize)
     }
 
     /// The position of item `v`.
@@ -271,60 +396,158 @@ impl<S: Scalar> ScanTable<S> {
         self.order.as_ref().map_or(v, |order| order.position_of[v] as usize)
     }
 
-    /// Writes the keys of positions `run` into `out` (`out.len() ==
-    /// run.len()`).
-    fn run_keys(&self, q: &[S], run: Range<usize>, out: &mut [f64]) {
-        match (&self.rows, self.geometry) {
-            (Rows::Blocked(blocks), Geometry::Hyperbolic) => blocks.lorentz_keys(q, run, out),
-            (Rows::Blocked(blocks), Geometry::Euclidean) => blocks.dist_sq_keys(q, run, out),
-            (Rows::RowMajor(table), geometry) => {
-                for (key, p) in out.iter_mut().zip(run) {
-                    *key = row_key(geometry, q, table.row(p)).to_f64();
-                }
-            }
+    /// Writes the coarse keys of positions `piece` into `out` (`out.len()
+    /// == piece.len()`).
+    fn coarse_keys(&self, coarse: &CoarseQuery, piece: Range<usize>, out: &mut [f64]) {
+        match self.geometry {
+            Geometry::Hyperbolic => self.coarse.dot_keys(&coarse.q, piece, out),
+            Geometry::Euclidean => self.coarse.dist_sq_keys(&coarse.q, piece, out),
         }
     }
 
-    /// The one scan loop: for each run `next_run` yields, the run's keys,
-    /// then `mask` (which sets masked keys of the run to `+∞`), then every
-    /// key offered to the selection; the tie band is ranked over the walked
-    /// positions at the end.
+    /// The walk over every position, masking the items of `masked`.
+    fn walk_all(&self, q: &[S], masked: &[&[usize]], k: usize, keys: &mut [f64]) -> Walk {
+        let mut positions: Vec<usize> =
+            masked.iter().flat_map(|list| list.iter()).map(|&v| self.position(v)).collect();
+        positions.sort_unstable();
+        positions.dedup();
+        let mut all = Some(0..self.len());
+        self.walk(q, k, &positions, keys, |_| all.take())
+    }
+
+    /// The one scan loop (see the module docs): for each run `next_run`
+    /// yields, piece by piece, the coarse pass and its bounds, then the
+    /// exact keys of the candidates; the tie band is ranked over the
+    /// candidates at the end. `masked` lists positions, ascending, without
+    /// repeats.
     fn walk(
         &self,
         q: &[S],
         k: usize,
+        masked: &[usize],
         keys: &mut [f64],
         mut next_run: impl FnMut(&KeyTopK<S>) -> Option<Range<usize>>,
-        mut mask: impl FnMut(&Range<usize>, &mut [f64]),
-    ) -> (Vec<usize>, Vec<f64>) {
-        assert_eq!(keys.len(), self.len(), "key buffer length");
+    ) -> Walk {
         // No walk selects more items than the table holds, and a larger k
-        // would only size the selection's buffers (an unbounded k from a
+        // would only size the selections' buffers (an unbounded k from a
         // caller must not reach the allocator).
         let k = k.min(self.len());
+        let coarse = CoarseQuery::new(self.geometry, q);
+        let norms = self.coarse.norms();
         let mut best = KeyTopK::<S>::new(self.geometry, k);
-        let mut walked: Vec<Range<usize>> = Vec::new();
+        let mut uppers = KeyTopK::<S>::new(self.geometry, k);
+        let mut candidates: Vec<(usize, f64)> = Vec::new();
+        let mut unmasked = 0;
         while let Some(run) = next_run(&best) {
-            let run_keys = &mut keys[run.clone()];
-            self.run_keys(q, run.clone(), run_keys);
-            mask(&run, run_keys);
-            for &key in run_keys.iter() {
-                best.offer(key);
-            }
-            walked.push(run);
-        }
-        // The band's candidates (a superset: `finish` checks again), named
-        // by item.
-        let end = best.band_end().unwrap_or(f64::INFINITY);
-        let mut band = Vec::new();
-        for run in walked {
-            for (p, &key) in run.clone().zip(&keys[run]) {
-                if key <= end {
-                    band.push((self.order.as_ref().map_or(p, |o| o.item_at[p] as usize), key));
+            let mut start = run.start;
+            while start < run.end {
+                assert!(!keys.is_empty(), "key buffer length");
+                let piece = start..run.end.min(start + keys.len());
+                start = piece.end;
+                let lower = &mut keys[..piece.len()];
+                self.coarse_keys(&coarse, piece.clone(), lower);
+                let first = masked.partition_point(|&p| p < piece.start);
+                let last = masked.partition_point(|&p| p < piece.end);
+                unmasked += piece.len() - (last - first);
+                // The unmasked stretches between masked positions: lower
+                // bounds over the coarse keys, upper bounds offered.
+                let mut from = 0;
+                let mut worst = uppers.kth().unwrap_or(f64::INFINITY);
+                for m in masked[first..last].iter().map(|&p| p - piece.start).chain([piece.len()]) {
+                    let stretch = piece.start + from..piece.start + m;
+                    for (slot, &norm) in lower[from..m].iter_mut().zip(&norms[stretch]) {
+                        let (lo, hi) = coarse.bounds(*slot, norm);
+                        if hi < worst {
+                            uppers.offer(hi);
+                            worst = uppers.kth().unwrap_or(f64::INFINITY);
+                        }
+                        *slot = lo;
+                    }
+                    if let Some(slot) = lower.get_mut(m) {
+                        *slot = f64::INFINITY;
+                    }
+                    from = m + 1;
+                }
+                if k == 0 {
+                    continue;
+                }
+                // `MAX`, not `+∞`, while fewer than k bounds are held: every
+                // unmasked position is a candidate, and no masked one.
+                let t_u = uppers.band_end().unwrap_or(f64::MAX);
+                for (p, &lo) in piece.zip(lower.iter()) {
+                    if lo <= t_u {
+                        let v = self.item_at(p);
+                        let key = row_key(self.geometry, q, self.items.row(v)).to_f64();
+                        best.offer(key);
+                        candidates.push((v, key));
+                    }
                 }
             }
         }
-        best.finish(band)
+        let rekeyed = candidates.len();
+        let (items, scores) = best.finish(candidates);
+        Walk { items, scores, unmasked, rekeyed }
+    }
+}
+
+/// The bounds of a row the coarse pass cannot decide.
+const UNDECIDED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+
+/// One query as the coarse pass reads it: rounded to `f32` (its spatial
+/// coordinates negated for the Lorentz key, so that key is one dot
+/// product), and its error bound `E` (see the module docs) as one
+/// quadratic in `m = shift + N_v` for both geometries:
+/// `E = (p·m + r)·m + s`. Lorentz: `m = N_v`, `p = 0`, `r = A·N_q + B`,
+/// `s = B·N_q + C`. Euclidean: `m = N_q + N_v = M`, `p = A`, `r = B`,
+/// `s = C`.
+struct CoarseQuery {
+    q: Vec<f32>,
+    shift: f64,
+    p: f64,
+    r: f64,
+    s: f64,
+    /// The `E` from which on a row is left undecided: `A·MAX_S/8`.
+    limit: f64,
+}
+
+impl CoarseQuery {
+    fn new<S: Scalar>(geometry: Geometry, q: &[S]) -> Self {
+        let flip = |j: usize| geometry == Geometry::Hyperbolic && j > 0;
+        let q: Vec<f32> = (q.iter().enumerate())
+            .map(|(j, x)| if flip(j) { -(x.to_f64() as f32) } else { x.to_f64() as f32 })
+            .collect();
+        let norm = norm_bound(&q);
+        let n = q.len() as f64;
+        let terms = match geometry {
+            Geometry::Hyperbolic => n,
+            Geometry::Euclidean => n + 2.0,
+        };
+        let gamma =
+            |u: f64| if terms * u < 1.0 { terms * u / (1.0 - terms * u) } else { f64::INFINITY };
+        let u = f64::from(f32::EPSILON) / 2.0;
+        let u_s = S::EPSILON.to_f64() / 2.0;
+        let a = 2.0 * (gamma(u) + 2.0 * u + u * u + gamma(u_s) * (1.0 + u) * (1.0 + u));
+        let eta = f64::from(f32::from_bits(1));
+        let (b, c) = (6.0 * n.sqrt() * eta, 6.0 * n * eta);
+        let (shift, p, r, s) = match geometry {
+            Geometry::Hyperbolic => (0.0, 0.0, a * norm + b, b * norm + c),
+            Geometry::Euclidean => (norm, a, b, c),
+        };
+        Self { q, shift, p, r, s, limit: a * S::MAX.to_f64() / 8.0 }
+    }
+
+    /// `(K̃ − E, K̃ + E)` for a row with coarse key `key` and norm bound
+    /// `row_norm`, or [`UNDECIDED`] when the bound cannot decide the row
+    /// (an infinite `m` makes `E` NaN or infinite).
+    #[inline(always)]
+    fn bounds(&self, key: f64, row_norm: f64) -> (f64, f64) {
+        let m = self.shift + row_norm;
+        let e = (self.p * m + self.r) * m + self.s;
+        if e < self.limit && key.abs() <= f64::from(f32::MAX) {
+            (key - e, key + e)
+        } else {
+            UNDECIDED
+        }
     }
 }
 
@@ -370,23 +593,28 @@ impl<S: Scalar> KeyTopK<S> {
         self.smallest.insert(pos, key);
     }
 
+    /// The current k-th smallest key once `k` keys are held.
+    fn kth(&self) -> Option<f64> {
+        (self.k > 0 && self.smallest.len() == self.k).then(|| self.smallest[self.k - 1])
+    }
+
     /// The score of the current k-th smallest key once `k` keys are held:
     /// the score the k-th best answer has so far.
     pub fn kth_score(&self) -> Option<f64> {
-        (self.k > 0 && self.smallest.len() == self.k)
-            .then(|| key_score::<S>(self.geometry, self.smallest[self.k - 1]))
+        self.kth().map(|kth| key_score::<S>(self.geometry, kth))
     }
 
     /// Upper end of the tie band — the largest key [`KeyTopK::finish`]
     /// scores — or `None` while fewer than `k` keys are held (then every
-    /// candidate is in the band).
+    /// candidate is in the band). It never falls as the k-th key grows,
+    /// which the two-pass walk relies on (see the module docs).
     pub fn band_end(&self) -> Option<f64> {
-        let kth = *self.smallest.get(self.k.checked_sub(1)?)?;
-        let slack = kth.abs() * tie_tau::<S>();
+        let kth = self.kth()?;
+        let tau = tie_tau::<S>();
+        let slack = kth.abs() * tau;
         Some(match self.geometry {
             Geometry::Hyperbolic => (kth + slack).max(1.0),
-            Geometry::Euclidean if slack < f64::MIN_POSITIVE => 4.0 * kth,
-            Geometry::Euclidean => kth + slack,
+            Geometry::Euclidean => (kth + slack).max(4.0 * kth.min(2.0 * f64::MIN_POSITIVE / tau)),
         })
     }
 
@@ -426,6 +654,51 @@ mod tests {
             assert!(tau >= eps * (5.0 + 2.0 * ln_max) * 2.0, "{tau}");
             assert!(tau < 1e-3, "{tau}");
         }
+    }
+
+    #[test]
+    fn band_end_never_falls_as_the_kth_key_grows() {
+        // The two-pass walk takes T_U = band_end(U₍ₖ₎) ≥ band_end(κ) from
+        // κ ≤ U₍ₖ₎. Sweep keys through 1 (the Lorentz clamp), through the
+        // Euclidean switch to 4κ where κ·τ underflows, and far out.
+        fn sweep<S: Scalar>() {
+            let tau = tie_tau::<S>();
+            let switch = f64::MIN_POSITIVE / tau;
+            let mut keys = vec![-3.0, 0.0, 0.5, 1.0, 1.0 + 1e-13, 7.0, 1e300];
+            for scale in [switch, 2.0 * switch] {
+                keys.extend((0..64).map(|i| scale * (0.9 + 0.004 * f64::from(i))));
+            }
+            keys.sort_by(f64::total_cmp);
+            for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+                let end = |key: f64| {
+                    let mut best = KeyTopK::<S>::new(geometry, 1);
+                    best.offer(key);
+                    best.band_end().expect("one key held")
+                };
+                for pair in keys.windows(2) {
+                    let (a, b) = (end(pair[0]), end(pair[1]));
+                    let (x, y) = (pair[0], pair[1]);
+                    assert!(a <= b, "{geometry:?}: band_end({x}) = {a} > band_end({y}) = {b}");
+                    assert!(a >= pair[0], "{geometry:?}: the band ends below its key");
+                }
+            }
+        }
+        sweep::<f64>();
+        sweep::<f32>();
+    }
+
+    #[test]
+    fn keys_the_bound_decides_score_finite() {
+        // A row the coarse bound decides has an exact key below MAX_S/7
+        // (module docs), where both distances are finite; past MAX_S/2 the
+        // Lorentz one overflows, which the probe must then see.
+        for geometry in [Geometry::Hyperbolic, Geometry::Euclidean] {
+            assert!(key_score::<f64>(geometry, f64::MAX / 7.0).is_finite(), "{geometry:?}");
+            let f32_max = f64::from(f32::MAX);
+            assert!(key_score::<f32>(geometry, f32_max / 7.0).is_finite(), "{geometry:?}");
+        }
+        assert!(!key_score::<f64>(Geometry::Hyperbolic, 0.7 * f64::MAX).is_finite());
+        assert!(!key_score::<f32>(Geometry::Hyperbolic, 0.7 * f64::from(f32::MAX)).is_finite());
     }
 
     #[test]

@@ -261,24 +261,41 @@ pub fn log_origin_vjp<S: Scalar>(u: &[S], g: &[S]) -> Vec<S> {
 /// where `v` is a tangent vector at `x` (so `⟨x,v⟩_L = 0` and
 /// `‖v‖_L = sqrt(⟨v,v⟩_L)` is real).
 pub fn exp_point<S: Scalar>(x: &[S], v: &[S]) -> Vec<S> {
+    let mut out = v.to_vec();
+    exp_point_into(x, &mut out);
+    out
+}
+
+/// [`exp_point`] in place: overwrites the tangent vector `v` at `x` with
+/// the point it maps to, each coordinate computed as `exp_point` computes
+/// it.
+pub fn exp_point_into<S: Scalar>(x: &[S], v: &mut [S]) {
     let vv = inner(v, v).max(S::ZERO);
     let n = vv.sqrt();
     if n < S::from_f64(MIN_NORM) {
-        return x.to_vec();
+        v.copy_from_slice(x);
+        return;
     }
-    let mut out = ops::scaled(x, n.cosh());
-    ops::axpy(n.sinh() / n, v, &mut out);
-    project(&mut out);
-    out
+    let (c, s) = (n.cosh(), n.sinh() / n);
+    for (vi, &xi) in v.iter_mut().zip(x) {
+        *vi = c * xi + s * *vi;
+    }
+    project(v);
 }
 
 /// Projects an ambient vector `h` onto the tangent space at `x`:
 /// `proj_x(h) = h + ⟨x,h⟩_L · x`.
 pub fn tangent_project<S: Scalar>(x: &[S], h: &[S]) -> Vec<S> {
-    let xh = inner(x, h);
     let mut out = h.to_vec();
-    ops::axpy(xh, x, &mut out);
+    tangent_project_into(x, &mut out);
     out
+}
+
+/// [`tangent_project`] in place: overwrites `h` with its projection onto
+/// the tangent space at `x`.
+pub fn tangent_project_into<S: Scalar>(x: &[S], h: &mut [S]) {
+    let xh = inner(x, h);
+    ops::axpy(xh, x, h);
 }
 
 /// `sinh(n)/n`, with the Taylor limit at small `n`.

@@ -13,10 +13,10 @@
 //!
 //! The steps are generic over [`Scalar`] so the optimizer runs natively in
 //! either precision. Learning rates stay `f64` at the API boundary (they
-//! come from the config) and are rounded into `S` once per call. The steps
-//! still allocate small per-row temporaries — they run once per *touched
-//! row* per batch, not once per pair, so they are far off the hot path the
-//! `*_into` kernels serve.
+//! come from the config) and are rounded into `S` once per call. The
+//! Lorentz step, which the trainer runs on every updated user row and a
+//! fold-in on every step, computes its update in place in one stack
+//! buffer; the Poincaré steps still allocate small per-row temporaries.
 
 use logirec_linalg::{ops, Scalar};
 
@@ -62,9 +62,20 @@ pub fn hyperplane_step<S: Scalar>(c: &mut [S], egrad: &[S], lr: f64) {
 /// then project onto the tangent space at `x`.
 pub fn lorentz_riemannian_grad<S: Scalar>(x: &[S], egrad: &[S]) -> Vec<S> {
     let mut h = egrad.to_vec();
-    h[0] = -h[0];
-    lorentz::tangent_project(x, &h)
+    lorentz_riemannian_grad_into(x, &mut h);
+    h
 }
+
+/// [`lorentz_riemannian_grad`] in place: overwrites the ambient gradient
+/// `g` with the Riemannian one.
+fn lorentz_riemannian_grad_into<S: Scalar>(x: &[S], g: &mut [S]) {
+    g[0] = -g[0];
+    lorentz::tangent_project_into(x, g);
+}
+
+/// Ambient widths (`d + 1`) up to which [`lorentz_step`] computes its
+/// update in a stack buffer; a wider row allocates one.
+const STACK_WIDTH: usize = 129;
 
 /// One RSGD step on a Lorentz parameter: Riemannian gradient, exponential
 /// map along `−lr · grad` (Eq. 18), then hyperboloid re-projection.
@@ -78,11 +89,21 @@ pub fn lorentz_step<S: Scalar>(x: &mut [S], egrad: &[S], lr: f64) {
         lorentz::project(x);
         return;
     }
-    let mut rgrad = lorentz_riemannian_grad(x, egrad);
-    ops::scale(&mut rgrad, S::from_f64(-lr));
-    let updated = lorentz::exp_point(x, &rgrad);
-    if ops::all_finite(&updated) {
-        x.copy_from_slice(&updated);
+    let mut stack = [S::ZERO; STACK_WIDTH];
+    let mut heap = Vec::new();
+    let updated = if x.len() <= STACK_WIDTH {
+        &mut stack[..x.len()]
+    } else {
+        heap.resize(x.len(), S::ZERO);
+        &mut heap[..]
+    };
+    // Gradient → Riemannian gradient → step → point, each in place.
+    updated.copy_from_slice(egrad);
+    lorentz_riemannian_grad_into(x, updated);
+    ops::scale(updated, S::from_f64(-lr));
+    lorentz::exp_point_into(x, updated);
+    if ops::all_finite(updated) {
+        x.copy_from_slice(updated);
     } else {
         lorentz::project(x);
     }

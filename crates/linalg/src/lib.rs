@@ -24,7 +24,7 @@ pub mod ops;
 pub mod rng;
 pub mod scalar;
 
-pub use block::{RowBlocks, BLOCK_ROWS};
+pub use block::{norm_bound, RowBlocks, BLOCK_ROWS};
 pub use cluster::{assign_clusters, kmeans, nearest_centroid, update_centroids, KMeans};
 pub use cow::CowVec;
 pub use matrix::Embedding;

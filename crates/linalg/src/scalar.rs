@@ -52,13 +52,6 @@ pub trait Scalar:
     const EPSILON: Self;
     /// Largest finite value.
     const MAX: Self;
-    /// True when [`Scalar::dot`] and [`Scalar::dist_sq`] keep one
-    /// sequential accumulator (`f64`), so a kernel that runs one
-    /// accumulator per row across a block of rows
-    /// ([`crate::RowBlocks`]) reproduces them bit for bit. `f32`
-    /// reductions are chunked within a row (already SIMD), so `f32` tables
-    /// are scanned row-major.
-    const SEQUENTIAL_REDUCTIONS: bool;
 
     /// Rounds an `f64` into this precision (identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -105,7 +98,6 @@ impl Scalar for f64 {
     const ONE: Self = 1.0;
     const EPSILON: Self = f64::EPSILON;
     const MAX: Self = f64::MAX;
-    const SEQUENTIAL_REDUCTIONS: bool = true;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -183,7 +175,6 @@ impl Scalar for f32 {
     const ONE: Self = 1.0;
     const EPSILON: Self = f32::EPSILON;
     const MAX: Self = f32::MAX;
-    const SEQUENTIAL_REDUCTIONS: bool = false;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {

@@ -28,8 +28,9 @@
 //!   and run bounds; it scores nothing.
 //! * **Query**: rank clusters by the centroid key (`q·c` for Lorentz,
 //!   `‖q−c‖` for Euclidean) and walk the runs of the `nprobe` nearest with
-//!   the exact scan's own loop ([`ScanTable::top_k_runs`]: key kernel,
-//!   seen-list mask, [`KeyTopK`], tie band). Shortlist scores are
+//!   the exact scan's own loop ([`ScanTable::top_k_runs`]: coarse pass and
+//!   bounds, seen-list mask, exact keys for the candidates, [`KeyTopK`],
+//!   tie band). Shortlist scores are
 //!   therefore bit-identical to full-scan scores for the items the
 //!   shortlist covers, and the exhaustive probe (`nprobe ≥ n_clusters`)
 //!   walks every run: it *is* the exact scan.
@@ -207,10 +208,11 @@ impl ClusterIndex {
     /// with this index, and `user_row` a propagated user row of the same
     /// snapshot and precision; `seen` is the caller's sorted masked-item
     /// list — items in it are excluded from the shortlist, mirroring the
-    /// exact tier's `NEG_INFINITY` masking; `keys` is scratch of
-    /// `self.n_items()` entries. Returns `(items, scores)` best-first plus
-    /// the probe accounting. With `nprobe ≥ self.clusters()` the walk is
-    /// the exact scan, bit for bit.
+    /// exact tier's `NEG_INFINITY` masking; `keys` is the walk's scratch
+    /// (see [`ScanTable::top_k_runs`]: a buffer as long as the largest
+    /// cluster keys each probed run in one piece). Returns `(items,
+    /// scores)` best-first plus the probe accounting. With `nprobe ≥
+    /// self.clusters()` the walk is the exact scan, bit for bit.
     pub fn search<S: Scalar>(
         &self,
         table: &ScanTable<S>,

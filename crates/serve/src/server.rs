@@ -484,9 +484,11 @@ fn handle_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
             Ok(_) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    let (resp, stop) = handle_line(inner, trimmed, &mut scratch);
-                    let write_failed = writer.write_all(resp.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err();
+                    let (mut resp, stop) = handle_line(inner, trimmed, &mut scratch);
+                    // One write per reply: with TCP_NODELAY a separate
+                    // newline would go out as a second segment.
+                    resp.push('\n');
+                    let write_failed = writer.write_all(resp.as_bytes()).is_err();
                     if stop {
                         // Trigger the shutdown only after the reply is on
                         // the wire, so the client always sees the ack

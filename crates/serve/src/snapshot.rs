@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use logirec_core::scan::PIECE;
 use logirec_core::stream::{self, FoldInOptions};
 use logirec_core::{
     FilterError, ForwardState, Geometry, LogiRec, LogiRecConfig, Precision, ScanTable, SeenFilter,
@@ -207,6 +208,10 @@ trait ServedModel: Ranker + std::fmt::Debug + Send {
     /// True when user `u`'s final is finite and, in the hyperbolic
     /// geometry, on the sheet.
     fn user_final_ok(&self, geometry: Geometry, u: usize) -> bool;
+    /// The smallest item whose score for user `u` is not finite, if any,
+    /// decided from the exact scan's coarse bounds
+    /// ([`ScanTable::first_non_finite`]).
+    fn first_non_finite(&self, u: usize) -> Option<usize>;
     /// Readies the one exact-scan table: with `index`, k-means and the
     /// table in cluster order (the index is returned), else the item-order
     /// table unless one is installed already (a user fold-in shares its
@@ -250,6 +255,10 @@ impl<S: Scalar> ServedModel for ForwardState<S> {
         ops::all_finite(row) && (geometry == Geometry::Euclidean || lorentz::on_sheet(row))
     }
 
+    fn first_non_finite(&self, u: usize) -> Option<usize> {
+        self.scan_table().first_non_finite(self.user_final.row(u))
+    }
+
     fn prepare(&mut self, geometry: Geometry, index: Option<&IndexConfig>) -> Option<ClusterIndex> {
         // Build the exact-scan table now, so the first request served
         // from this snapshot does not pay for it. An indexed snapshot's
@@ -271,8 +280,10 @@ impl<S: Scalar> ServedModel for ForwardState<S> {
         k: usize,
         nprobe: usize,
     ) -> ApproxAnswer {
+        // The walk keeps one run's bounds at a time: a stack buffer, not
+        // one the size of the catalog.
         let user = self.user_final.row(u);
-        let mut keys = vec![0.0; index.n_items()];
+        let mut keys = [0.0; PIECE];
         index.search(self.scan_table(), user, seen, k, nprobe, &mut keys)
     }
 
@@ -451,13 +462,13 @@ impl ModelSnapshot {
         }
     }
 
-    /// Scores every item for each of `users` and fails on the first score
-    /// that is not finite, naming the user as a `who` user.
+    /// Fails on the first of `users` that scores some item non-finite,
+    /// naming the user as a `who` user and the smallest such item — what
+    /// scoring every item would find. The scan's coarse bounds decide most
+    /// items; only the rest are scored exactly.
     fn probe(&self, users: &[usize], who: &str) -> Result<(), String> {
-        let mut scores = vec![0.0f64; self.ctx.n_items()];
         for &u in users {
-            self.score_user(u, &mut scores);
-            if let Some(v) = scores.iter().position(|s| !s.is_finite()) {
+            if let Some(v) = self.finals.first_non_finite(u) {
                 return Err(format!("{who} user {u} scores item {v} non-finite"));
             }
         }
@@ -634,7 +645,8 @@ impl ModelSnapshot {
         // Validate the user before touching the embedding tables — the
         // model panics on out-of-range rows.
         let seen = self.ctx.seen().seen_of(u)?;
-        scratch.clear();
+        // The walk writes every entry it reads, so a buffer already the
+        // right length is reused as it is.
         scratch.resize(self.ctx.n_items(), 0.0);
         Ok(self.finals.top_k(u, &[seen], k, scratch))
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 pre-merge gate: release build, full workspace test suite (the test
-# profile runs with overflow-checks on), clippy and rustdoc with warnings
+# Tier-1 pre-merge gate: release build, the exact scan's parity suites on
+# release code, full workspace test suite (the test profile runs with
+# overflow-checks on), clippy and rustdoc with warnings
 # denied (so no doc link dangles), a run of every example, then a
 # telemetry smoke run — generate and train with --trace-json and validate
 # both traces with trace_check (every line parses, spans well-nested, all
@@ -19,6 +20,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark and `logirec serve` run optimized code, so the exact scan's
+# parity suites (and the scan, block and index unit tests) run on a release
+# build too, not only at the test profile's opt-level 0.
+cargo test --release --test scan --test scan_runs --test scan_bound --test index \
+  --test fold_in_publish
+cargo test --release -p logirec-linalg -p logirec-core -p logirec-serve --lib -- \
+  block:: scan:: index::
 cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
